@@ -25,7 +25,6 @@ from .curve import (
     Place,
     curve_create,
     curve_from_json,
-    evaluate,
     parse_place,
 )
 from .field import Field, FieldElement, field_create, field_from_json, mth_roots

@@ -30,7 +30,6 @@ from .curve import Divisor, KummerCurve, curve_from_json, parse_place
 from .errors import KummerError, UsageError
 from .field import field_from_json
 from .nonspecial import (
-    DivisorFamily,
     classify,
     nonspecial_effective_g,
     nonspecial_g,
@@ -62,11 +61,18 @@ def _load_json(path: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise UsageError(f"input file {path} does not exist")
-    return json.loads(p.read_text())
+    try:
+        return json.loads(p.read_text())
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on binary input
+        raise UsageError(f"input file {path} is not valid JSON: {exc}") from None
 
 
 def _load_curve(path: str) -> KummerCurve:
-    return curve_from_json(_load_json(path))
+    obj = _load_json(path)
+    try:
+        return curve_from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"input file {path} is not a curve spec: {exc!r}") from None
 
 
 def _load_divisor(curve: KummerCurve, path: str) -> Divisor:
@@ -81,7 +87,12 @@ def _tuple_from_args(curve: KummerCurve, args) -> QTuple:
 
 
 def _alpha_from_args(args) -> list[int]:
-    return [int(v) for v in args.alpha.split(",")]
+    if args.alpha is None:
+        raise UsageError("--alpha is required unless --necessary-only is given")
+    try:
+        return [int(v) for v in args.alpha.split(",")]
+    except ValueError:
+        raise UsageError(f"--alpha needs comma-separated integers, got {args.alpha!r}") from None
 
 
 def cmd_curve_info(args) -> dict:
@@ -149,10 +160,7 @@ def cmd_nonspecial_enumerate(args) -> dict:
             raise UsageError("--alpha0 or --all-alpha0 required for the separable family")
         return separable_family(curve, args.alpha0).to_json()
     qtuple = _tuple_from_args(curve, args)
-    fam = unit_multiplicity_family(curve, qtuple)
-    if isinstance(fam, DivisorFamily):
-        return fam.to_json()
-    return fam.to_json()
+    return unit_multiplicity_family(curve, qtuple).to_json()
 
 
 def cmd_lcp_build(args) -> dict:

@@ -22,6 +22,7 @@ from .curve import AFFINE, Divisor, KummerCurve, Place
 from .errors import (
     CertificateInvalidError,
     FieldMismatchError,
+    InternalInvariantError,
     ShapeMismatchError,
     SupportOverlapError,
     UnsupportedSupportError,
@@ -167,7 +168,7 @@ def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> Lin
     if 2 * g - 2 < deg < N:
         expected = deg + 1 - g
         if k != expected:
-            raise RuntimeError(
+            raise InternalInvariantError(
                 f"rank {k} does not match deg G + 1 - g = {expected}"
             )
     if k < rows.shape[0]:
@@ -196,28 +197,14 @@ def min_distance(code: LinearCode, exhaustive_limit: int = 1 << 20) -> MinDistan
     if q**code.k > exhaustive_limit:
         bound = code.N - code.G.degree() if code.G is not None else 1
         return MinDistance(max(1, bound), False)
-    field = code.field
-    gen = code.generator.data
     total = q**code.k
+    digit_places = q ** np.arange(code.k, dtype=np.int64)
     best = code.N
     chunk = 1 << 14
-    for start in range(0, total, chunk):
+    for start in range(1, total, chunk):  # message 0 is the zero codeword
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        if start == 0:
-            idx = idx[1:]  # skip the zero message
-            if idx.size == 0:
-                continue
-        words = np.zeros((idx.size, code.N), dtype=np.int64)
-        rem = idx
-        for row in range(code.k):
-            rem, digit = np.divmod(rem, q)
-            sel = digit != 0
-            if np.any(sel):
-                words[sel] = field.vadd(
-                    words[sel], field.vmul(digit[sel][:, None], gen[row][None, :])
-                )
-        weights = np.count_nonzero(words, axis=1)
-        best = min(best, int(weights.min()))
+        words = encode_messages(code, (idx[:, None] // digit_places) % q)
+        best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return MinDistance(best, True)
 
 

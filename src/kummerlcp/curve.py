@@ -21,6 +21,7 @@ from .errors import (
     CharDividesMError,
     DuplicateRootError,
     FieldMismatchError,
+    InternalInvariantError,
     MultiplicityOutOfRangeError,
     NoTotallyRamifiedPlaceError,
     PoleAtPlaceError,
@@ -193,7 +194,7 @@ class KummerCurve:
         self.d_inf = math.gcd(self.deg_f, m)
         self.f_poly = poly.from_roots(field, roots, leading)
         self._genus: int | None = None
-        self._fibers: dict[int, tuple[int, ...]] | None = None
+        self._fibers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -221,7 +222,7 @@ class KummerCurve:
             diff = sum(self.m - d for d in self.root_gcds) + (self.m - self.d_inf)
             two_g_minus_2 = -2 * self.m + diff
             if two_g_minus_2 % 2 != 0 or g_sum != (two_g_minus_2 + 2) // 2:
-                raise RuntimeError(
+                raise InternalInvariantError(
                     f"genus mismatch: gap-count sum {g_sum} vs Riemann-Hurwitz "
                     f"{(two_g_minus_2 + 2) / 2}"
                 )
@@ -252,32 +253,30 @@ class KummerCurve:
 
     # -- point enumeration ---------------------------------------------------
 
-    def _fiber_map(self) -> dict[int, tuple[int, ...]]:
-        """Map y^m value -> sorted tuple of y encodings (whole field, cached)."""
+    def _fiber_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Whole-field fiber data, cached: (ys, start, size) such that the y
+        with y^m = f(x0) are ys[start[x0] : start[x0] + size[x0]], ascending."""
         if self._fibers is None:
-            q = self.field.q
-            ys = np.arange(q, dtype=np.int64)
-            powers = self.field.vpow(ys, self.m)
-            fibers: dict[int, list[int]] = {}
-            for y_enc, val in zip(ys.tolist(), powers.tolist()):
-                fibers.setdefault(val, []).append(y_enc)
-            self._fibers = {v: tuple(sorted(l)) for v, l in fibers.items()}
+            field = self.field
+            vals = np.arange(field.q, dtype=np.int64)
+            f_vals = poly.eval_many(field, self.f_poly, vals)
+            powers = field.vpow(vals, self.m)
+            counts = np.bincount(powers, minlength=field.q)
+            ys = np.argsort(powers, kind="stable")  # stable: ascending y within a value
+            self._fibers = (ys, (np.cumsum(counts) - counts)[f_vals], counts[f_vals])
         return self._fibers
 
     def fiber(self, x_enc: int) -> tuple[int, ...]:
         """y encodings with y^m = f(x0); empty when the fiber is irrational."""
-        return self._fiber_map().get(self.f_at(x_enc), ())
+        ys, start, size = self._fiber_table()
+        return tuple(ys[start[x_enc]:start[x_enc] + size[x_enc]].tolist())
 
     def split_x_values(self) -> list[int]:
-        """x0 (ascending) whose fiber splits completely into m rational points."""
-        root_xs = {a for a, _ in self.roots}
-        out = []
-        for x0 in range(self.field.q):
-            if x0 in root_xs:
-                continue
-            if len(self.fiber(x0)) == self.m:
-                out.append(x0)
-        return out
+        """x0 (ascending) whose fiber splits completely into m rational points.
+
+        Above a root of f lies the single point y = 0, so no root qualifies.
+        """
+        return np.nonzero(self._fiber_table()[2] == self.m)[0].tolist()
 
     def split_fibers(self, xs: Iterable[int] | None = None) -> list[tuple[int, list[Place]]]:
         """(x0, [m affine places]) for completely split fibers, ascending order."""
@@ -302,10 +301,9 @@ class KummerCurve:
             out.append(Place.infinity())
         out.extend(Place.root(k) for k, d in enumerate(self.root_gcds) if d == 1)
         root_xs = {a for a, _ in self.roots}
-        for x0 in range(self.field.q):
-            if x0 in root_xs:
-                continue
-            out.extend(Place.affine(x0, y0) for y0 in self.fiber(x0))
+        for x0 in np.nonzero(self._fiber_table()[2])[0].tolist():
+            if x0 not in root_xs:
+                out.extend(Place.affine(x0, y0) for y0 in self.fiber(x0))
         return out
 
     # -- principal divisors ---------------------------------------------------
@@ -438,9 +436,6 @@ class CurveFunction:
             num = poly.mul(curve.field, num, poly.pow_(curve.field, curve.f_poly, k))
         return CurveFunction(curve, {r: (poly.normalize(num), poly.normalize(den))})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def scale(self, c: int) -> "CurveFunction":
         field = self.curve.field
         if c == 0:
@@ -516,8 +511,3 @@ class CurveFunction:
             frac = f"{list(num)}" if den == poly.ONE else f"{list(num)}/{list(den)}"
             bits.append(frac if i == 0 else f"{frac}*y^{i}")
         return " + ".join(bits)
-
-
-def evaluate(curve: KummerCurve, fn: CurveFunction, place: Place) -> FieldElement:
-    """Module-level convenience wrapper around CurveFunction.evaluate."""
-    return fn.evaluate(place)

@@ -17,6 +17,16 @@ class KummerError(Exception):
         return {"error": self.code, "message": str(self)}
 
 
+class InternalInvariantError(KummerError):
+    """A computed result broke an identity the library relies on: a bug, not bad input.
+
+    Raised explicitly rather than through ``assert`` so the check also runs
+    under ``python -O``.
+    """
+
+    code = "InternalInvariant"
+
+
 # --- finite field -----------------------------------------------------------
 
 class NotPrimeError(KummerError):

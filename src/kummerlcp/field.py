@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DivisionByZeroError,
     FieldMismatchError,
+    InternalInvariantError,
     NotPrimeError,
     TooLargeError,
 )
@@ -107,43 +108,18 @@ def _ppow_x(k: int, mod: list[int], p: int) -> list[int]:
     return result
 
 
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _prem(a, b, p)
-        _ptrim(b)
-    return a
-
-
-def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    e = len(coeffs) - 1
-    if e < 1 or coeffs[-1] != 1:
-        return False
-    if coeffs[0] == 0:
-        return e == 1
-    # x^(p^e) == x mod f, and gcd(x^(p^(e/l)) - x, f) = 1 for primes l | e
-    xq = _ppow_x(p**e, coeffs, p)
-    if _ptrim([(c1 - c2) % p for c1, c2 in itertools.zip_longest(xq, [0, 1], fillvalue=0)]):
-        return False
-    for ell in _prime_factors(e):
-        xr = _ppow_x(p ** (e // ell), coeffs, p)
-        diff = [(c1 - c2) % p for c1, c2 in itertools.zip_longest(xr, [0, 1], fillvalue=0)]
-        g = _pgcd(coeffs, diff, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
-
-
 def _is_primitive(coeffs: list[int], p: int) -> bool:
-    # x must have multiplicative order exactly p^e - 1 mod the (irreducible) modulus
+    """x has multiplicative order exactly p^e - 1 modulo the monic f = coeffs.
+
+    Modulo a reducible f the ring GF(p)[x]/(f) has zero divisors, so fewer
+    than p^e - 1 units, and no element has that order.  The test therefore
+    also proves f irreducible, and f is primitive exactly when it passes.
+    """
     e = len(coeffs) - 1
     q1 = p**e - 1
-    if coeffs[0] == 0:
+    if coeffs[0] == 0 or _ppow_x(q1, coeffs, p) != [1]:
         return False
-    for d in _prime_factors(q1):
-        if _ppow_x(q1 // d, coeffs, p) == [1]:
-            return False
-    return True
+    return all(_ppow_x(q1 // r, coeffs, p) != [1] for r in _prime_factors(q1))
 
 
 def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -151,9 +127,9 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
         return (0, 1)
     for tail in itertools.product(range(p), repeat=e):
         coeffs = list(tail) + [1]
-        if _is_irreducible(coeffs, p) and _is_primitive(coeffs, p):
+        if _is_primitive(coeffs, p):
             return tuple(coeffs)
-    raise RuntimeError(f"no primitive polynomial of degree {e} over GF({p})")  # unreachable
+    raise InternalInvariantError(f"no primitive polynomial of degree {e} over GF({p})")
 
 
 def _smallest_primitive_root(p: int) -> int:
@@ -163,7 +139,7 @@ def _smallest_primitive_root(p: int) -> int:
     for a in range(2, p):
         if all(pow(a, (p - 1) // d, p) != 1 for d in factors):
             return a
-    raise RuntimeError("no primitive root found")  # unreachable
+    raise InternalInvariantError(f"no primitive root modulo {p}")
 
 
 class Field:
@@ -176,7 +152,7 @@ class Field:
     __slots__ = (
         "p", "e", "q", "modulus",
         "_exp", "_log", "_digit_pows",
-        "_add_flat", "_sub_flat", "_mul_flat", "_neg_t", "_inv_t",
+        "_add_flat", "_mul_flat", "_neg_t", "_inv_t",
     )
 
     def __init__(self, p: int, e: int):
@@ -197,7 +173,6 @@ class Field:
             self._build_full_tables()
         else:
             self._add_flat = None
-            self._sub_flat = None
             self._mul_flat = None
             self._build_unary_tables()
 
@@ -244,7 +219,7 @@ class Field:
                 log[cur] = i
                 cur = self._mul_by_x(cur)
             if cur != 1:
-                raise RuntimeError("modulus is not primitive")  # unreachable
+                raise InternalInvariantError("modulus is not primitive")
         self._exp = exp
         self._log = log
 
@@ -272,7 +247,6 @@ class Field:
             col = digs[:, i]
             add += (((col[:, None] + col[None, :]) % self.p) * pows[i])
         self._add_flat = add.reshape(-1)
-        self._sub_flat = add[:, self._neg_t].reshape(-1)
         logs = self._log.copy()
         logs[0] = 0
         mul = self._exp[(logs[:, None] + logs[None, :]) % max(q - 1, 1)]
@@ -304,8 +278,6 @@ class Field:
         return int(self._neg_t[a])
 
     def sub(self, a: int, b: int) -> int:
-        if self._sub_flat is not None:
-            return int(self._sub_flat[a * self.q + b])
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -352,11 +324,7 @@ class Field:
         return self._neg_t[a]
 
     def vsub(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self._sub_flat is not None:
-            return self._sub_flat[a * self.q + b]
-        return self.vadd(a, self._neg_t[b])
+        return self.vadd(a, self.vneg(b))
 
     def vmul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -405,10 +373,6 @@ class Field:
         if self.q == 2:
             return FieldElement(self, 1)
         return FieldElement(self, int(self._exp[1]))
-
-    def from_prime_subfield(self, c: int) -> int:
-        """Encoding of the image of the integer c under GF(p) -> GF(q)."""
-        return c % self.p
 
     def to_json(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}

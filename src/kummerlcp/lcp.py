@@ -34,6 +34,7 @@ from .errors import (
     ConditionViolationError,
     DegenerateEvaluationError,
     ENotCertifiedError,
+    InternalInvariantError,
     NeedTwoFibersError,
     NotSeparableError,
     SRangeViolationError,
@@ -113,7 +114,7 @@ def _finalize(
     code_g = ag_code(curve, d_places, G)
     code_h = ag_code(curve, d_places, H)
     if (code_g.k, code_h.k) != (expect_k1, expect_k2):
-        raise RuntimeError(
+        raise InternalInvariantError(
             f"dimensions ({code_g.k}, {code_h.k}) differ from the closed form "
             f"({expect_k1}, {expect_k2})"
         )
@@ -121,7 +122,7 @@ def _finalize(
     conditions = verify_lcp_conditions(curve, d_places, G, H, certificates)
     report.conditions = conditions
     if not (report.verdict and conditions.passed):
-        raise RuntimeError("construction did not verify as an LCP")
+        raise InternalInvariantError("construction did not verify as an LCP")
     return LcpConstruction(
         construction, s, curve, tuple(d_places), G, H, E, E2,
         tuple(certificates), code_g, code_h, report,

@@ -13,16 +13,19 @@ import numpy as np
 from .field import Field
 
 
-def as_matrix(data, rows: int | None = None) -> np.ndarray:
+def as_matrix(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.int64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1) if rows is None else arr.reshape(rows, -1)
-    return arr
+    return arr.reshape(1, -1) if arr.ndim == 1 else arr
 
 
-def row_echelon_rank(field: Field, M: np.ndarray) -> int:
-    """Rank by forward elimination; M is destroyed."""
+def _eliminate(field: Field, M: np.ndarray, reduce: bool) -> list[int]:
+    """Row-reduce M in place and return the pivot columns.
+
+    Each pivot row is scaled to a leading 1 and its column is cleared below
+    it, and also above it when reduce is set (giving the RREF).
+    """
     rows, cols = M.shape
+    pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
@@ -36,60 +39,35 @@ def row_echelon_rank(field: Field, M: np.ndarray) -> int:
         pivot = int(M[r, c])
         if pivot != 1:
             M[r, c:] = field.vmul(M[r, c:], field.inv(pivot))
-        sel = np.nonzero(M[r + 1:, c])[0]
+        first = 0 if reduce else r + 1
+        sel = np.nonzero(M[first:, c])[0] + first
+        sel = sel[sel != r]
         if sel.size:
-            rowsel = sel + r + 1
-            factors = M[rowsel, c]
-            prod = field.vmul(factors[:, None], M[r, c:][None, :])
-            M[rowsel, c:] = field.vsub(M[rowsel, c:], prod)
+            # row -= factor * pivot_row, as row + (-factor) * pivot_row
+            prod = field.vmul(field.vneg(M[sel, c])[:, None], M[r, c:][None, :])
+            M[sel, c:] = field.vadd(M[sel, c:], prod)
+        pivots.append(c)
         r += 1
-    return r
+    return pivots
 
 
 def rank(field: Field, M: np.ndarray) -> int:
-    return row_echelon_rank(field, np.array(M, dtype=np.int64, copy=True))
+    return len(_eliminate(field, np.array(M, dtype=np.int64, copy=True), reduce=False))
 
 
 def rref(field: Field, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (copy) and the pivot column indices."""
     R = np.array(M, dtype=np.int64, copy=True)
-    rows, cols = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p0 = r + int(nz[0])
-        if p0 != r:
-            R[[r, p0]] = R[[p0, r]]
-        pivot = int(R[r, c])
-        if pivot != 1:
-            R[r, c:] = field.vmul(R[r, c:], field.inv(pivot))
-        sel = np.nonzero(R[:, c])[0]
-        sel = sel[sel != r]
-        if sel.size:
-            factors = R[sel, c]
-            prod = field.vmul(factors[:, None], R[r, c:][None, :])
-            R[sel, c:] = field.vsub(R[sel, c:], prod)
-        pivots.append(c)
-        r += 1
-    return R, pivots
+    return R, _eliminate(field, R, reduce=True)
 
 
 def null_space(field: Field, M: np.ndarray) -> np.ndarray:
     """Basis (rows) of {v : M v = 0}, one row per free column, deterministic."""
-    M = as_matrix(M)
-    rows, cols = M.shape
-    R, pivots = rref(field, M)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = field.neg(int(R[ri, fc]))
+    R, pivots = rref(field, as_matrix(M))
+    free = [c for c in range(R.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.vneg(R[: len(pivots), free]).T
     return basis
 
 

@@ -29,6 +29,7 @@ from .errors import (
     Alpha0OutOfRangeError,
     AlphaOutOfRangeError,
     GcdNotOneError,
+    InternalInvariantError,
     LambdaNotCongruentOneError,
     NotSeparableError,
     NotTotallyRamifiedError,
@@ -53,9 +54,9 @@ def nonspecial_gminus1(qtuple: QTuple, alpha: Sequence[int]) -> bool:
         return False
     terms = _stratum_terms(qtuple, alpha)
     ok = all(t == gap_count(qtuple.curve, i) for i, t in enumerate(terms, start=1))
-    if ok:
-        assert sum(alpha) == qtuple.curve.genus() - 1
-        assert dim_by_formula(qtuple, alpha) == 0
+    if ok and (sum(alpha) != qtuple.curve.genus() - 1 or dim_by_formula(qtuple, alpha) != 0):
+        raise InternalInvariantError(f"criterion accepts {list(alpha)}, which is not "
+                                     "non-special of degree g-1")
     return ok
 
 
@@ -71,9 +72,9 @@ def nonspecial_g(qtuple: QTuple, alpha: Sequence[int]) -> bool:
         ok = sorted(diffs) == [-1] + [0] * (m - 2)
     else:
         ok = False
-    if ok:
-        assert sum(alpha) == qtuple.curve.genus()
-        assert dim_by_formula(qtuple, alpha) == 1
+    if ok and (sum(alpha) != qtuple.curve.genus() or dim_by_formula(qtuple, alpha) != 1):
+        raise InternalInvariantError(f"criterion accepts {list(alpha)}, which is not "
+                                     "non-special of degree g")
     return ok
 
 
@@ -252,8 +253,8 @@ def _separable_multiset(m: int, n: int, alpha0: int) -> tuple[int, ...]:
         (alpha0 + (v + 1) * n) // m - (alpha0 + v * n) // m for v in range(m)
     ]
     # the top block equals ceil((n - alpha0)/m); both expressions telescope to n
-    assert counts[m - 1] == -((alpha0 - n) // m)
-    assert sum(counts) == n
+    if counts[m - 1] != -((alpha0 - n) // m) or sum(counts) != n:
+        raise InternalInvariantError(f"box counts {counts} do not telescope to n = {n}")
     out: list[int] = []
     for v, c in enumerate(counts):
         out.extend([v] * c)
@@ -291,7 +292,8 @@ def unit_multiplicity_family(
     counts = [n - 1 - betas[0]]
     counts.extend(betas[i - 1] - betas[i] for i in range(1, m - 1))
     counts.append(betas[m - 2] + 1)
-    assert sum(counts) == n
+    if sum(counts) != n:
+        raise InternalInvariantError(f"box counts {counts} do not sum to n = {n}")
     out: list[int] = []
     for v, c in enumerate(counts):
         out.extend([v] * c)

@@ -37,14 +37,6 @@ def add(field: Field, a: Poly, b: Poly) -> Poly:
     return normalize(out)
 
 
-def neg(field: Field, a: Poly) -> Poly:
-    return tuple(field.neg(c) for c in a)
-
-
-def sub(field: Field, a: Poly, b: Poly) -> Poly:
-    return add(field, a, neg(field, b))
-
-
 def scale(field: Field, c: int, a: Poly) -> Poly:
     if c == 0:
         return ZERO

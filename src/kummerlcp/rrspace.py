@@ -127,6 +127,15 @@ def dim_by_decomposition(curve: KummerCurve, D: Divisor) -> int:
     return total
 
 
+def _evaluation_matrix(basis: Sequence[CurveFunction], places: Sequence[Place]) -> np.ndarray:
+    """Value of basis function j at place i in row i, column j."""
+    A = np.zeros((len(places), len(basis)), dtype=np.int64)
+    for ci, place in enumerate(places):
+        for bi, fn in enumerate(basis):
+            A[ci, bi] = fn.evaluate(place).enc
+    return A
+
+
 def kernel_basis(
     curve: KummerCurve,
     basis: Sequence[CurveFunction],
@@ -135,14 +144,9 @@ def kernel_basis(
     """Basis of the subspace of span(basis) vanishing at the given affine places."""
     if not constraints:
         return list(basis)
-    field = curve.field
-    A = np.zeros((len(constraints), len(basis)), dtype=np.int64)
-    for ci, place in enumerate(constraints):
-        if place.kind != AFFINE:
-            raise PoleAtPlaceError("kernel constraints must be affine places")
-        for bi, fn in enumerate(basis):
-            A[ci, bi] = fn.evaluate(place).enc
-    combos = linalg.null_space(field, A)
+    if any(place.kind != AFFINE for place in constraints):
+        raise PoleAtPlaceError("kernel constraints must be affine places")
+    combos = linalg.null_space(curve.field, _evaluation_matrix(basis, constraints))
     out: list[CurveFunction] = []
     for row in combos:
         fn = CurveFunction(curve, {})
@@ -211,11 +215,7 @@ def evaluation_functional_rank(
     curve: KummerCurve, basis: Sequence[CurveFunction], places: Sequence[Place]
 ) -> int:
     """Rank of the evaluation map span(basis) -> GF(q)^places."""
-    A = np.zeros((len(places), len(basis)), dtype=np.int64)
-    for ci, place in enumerate(places):
-        for bi, fn in enumerate(basis):
-            A[ci, bi] = fn.evaluate(place).enc
-    return linalg.rank(curve.field, A)
+    return linalg.rank(curve.field, _evaluation_matrix(basis, places))
 
 
 def dim_with_simple_affine_drops(curve: KummerCurve, D: Divisor) -> int:

@@ -159,6 +159,28 @@ def test_error_exit_code(h3_file):
     assert err["error"] == "Usage"
 
 
+def test_bad_or_missing_alpha_rejected(h3_file):
+    places = ["--places", "root:0,root:1,root:2"]
+    proc = run_cli("dim", "--curve", h3_file, *places, "--alpha", "1,x,3", expect=2)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+    proc = run_cli("nonspecial-check", "--curve", h3_file, *places, expect=2)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+def test_malformed_json_rejected(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"field": {"p": 3, "e": 2}, "m": 4, "roots": [')
+    proc = run_cli("curve-info", "--curve", str(path), expect=2)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+def test_curve_without_field_rejected(tmp_path):
+    path = tmp_path / "no-field.json"
+    path.write_text(json.dumps({"m": 4, "leading": 1, "roots": [{"a": 0, "lambda": 1}]}))
+    proc = run_cli("curve-info", "--curve", str(path), expect=2)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
 def test_unknown_flag_rejected(h3_file):
     proc = run_cli("curve-info", "--curve", h3_file, "--bogus", expect=2)
     assert json.loads(proc.stderr)["error"] == "Usage"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,6 +14,76 @@ from kummerlcp.errors import (
     ShapeMismatchError,
     SupportOverlapError,
 )
+
+from conftest import FIELD_CHOICES
+
+
+def reference_rref(f, M):
+    """Scalar Gauss-Jordan with Field.add/mul/inv only; -1 is encoded as p - 1."""
+    R = [[int(v) for v in row] for row in M]
+    rows, cols = len(R), len(R[0])
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        hit = next((i for i in range(r, rows) if R[i][c]), None)
+        if hit is None:
+            continue
+        R[r], R[hit] = R[hit], R[r]
+        inv = f.inv(R[r][c])
+        R[r] = [f.mul(inv, v) for v in R[r]]
+        for i in range(rows):
+            if i != r and R[i][c]:
+                minus_factor = f.mul(f.p - 1, R[i][c])
+                R[i] = [f.add(a, f.mul(minus_factor, b)) for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        if len(pivots) == rows:
+            break
+    return R, pivots
+
+
+def random_low_rank(f, rng, rows, cols):
+    """A rows x cols product of random rows x r and r x cols factors, r < both,
+    with one random column zeroed, built with scalar arithmetic."""
+    r = rng.randrange(min(rows, cols))
+    A = [[rng.randrange(f.q) for _ in range(r)] for _ in range(rows)]
+    B = [[rng.randrange(f.q) for _ in range(cols)] for _ in range(r)]
+    M = [[0] * cols for _ in range(rows)]
+    for i, j in itertools.product(range(rows), range(cols)):
+        for t in range(r):
+            M[i][j] = f.add(M[i][j], f.mul(A[i][t], B[t][j]))
+    dead = rng.randrange(cols)
+    for row in M:
+        row[dead] = 0
+    return np.array(M, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p,e", FIELD_CHOICES + [(1021, 1), (2, 11), (2, 16)])
+def test_elimination_matches_scalar_gauss_jordan(p, e):
+    f = K.field_create(p, e)
+    rng = random.Random(p * 100 + e)
+    for _ in range(6):
+        rows, cols = rng.randint(2, 9), rng.randint(2, 12)
+        M = random_low_rank(f, rng, rows, cols)
+        ref, ref_pivots = reference_rref(f, M)
+        R, pivots = linalg.rref(f, M)
+        assert pivots == ref_pivots
+        assert R.tolist() == ref
+        assert linalg.rank(f, M) == len(ref_pivots)
+        assert linalg.row_space_basis(f, M).tolist() == ref[: len(ref_pivots)]
+        free = [c for c in range(cols) if c not in ref_pivots]
+        ns = linalg.null_space(f, M)
+        assert ns.shape == (len(free), cols)
+        for v, fc in zip(ns.tolist(), free):
+            expect = [0] * cols
+            expect[fc] = 1
+            for i, pc in enumerate(ref_pivots):
+                expect[pc] = f.mul(f.p - 1, ref[i][fc])
+            assert v == expect
+            for row in M.tolist():
+                acc = 0
+                for a, b in zip(row, v):
+                    acc = f.add(acc, f.mul(a, b))
+                assert acc == 0
 
 
 def test_rank_identity_and_zero(gf9):
@@ -130,6 +201,30 @@ def test_goppa_bound_random_codewords(h3):
         nonzero = np.any(msgs != 0, axis=1)
         assert np.all(weights[nonzero] >= code.N - deg)
         assert code.k == deg + 1 - h3.genus()
+
+
+def reference_min_distance(code):
+    """Minimum weight over every nonzero message, with scalar field arithmetic."""
+    f, gen = code.field, code.generator.data.tolist()
+    best = code.N
+    for msg in itertools.product(range(f.q), repeat=code.k):
+        if any(msg):
+            word = [0] * code.N
+            for coef, row in zip(msg, gen):
+                word = [f.add(w, f.mul(coef, g)) for w, g in zip(word, row)]
+            best = min(best, sum(1 for w in word if w))
+    return best
+
+
+def test_min_distance_matches_enumeration_h3(h3):
+    codes = [K.ag_code(h3, eval_places(h3), K.Divisor.of((K.Place.infinity(), 6)))]
+    for construction, s in [("1", 1), ("1", 7), ("R", 1), ("R", 6)]:
+        result = K.build(h3, construction, s)
+        codes.append(min(result.code_g, result.code_h, key=lambda c: c.k))
+    assert [c.k for c in codes] == [4, 3, 3, 3, 3]
+    for code in codes:
+        d = K.min_distance(code)
+        assert d.exact and d.value == reference_min_distance(code)
 
 
 def test_is_lcp_complement_and_self(gf9):

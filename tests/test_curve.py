@@ -77,6 +77,26 @@ def test_fiber_partition(h3):
     assert count == len(h3.rational_places())
 
 
+def test_places_match_per_x_scan_on_random_curves():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        curve = random_curve(rng)
+        f = curve.field
+        mth_power = [f.pow(y, curve.m) for y in range(f.q)]
+        f_vals = [curve.f_at(x) for x in range(f.q)]
+        fibers = [tuple(y for y in range(f.q) if mth_power[y] == f_vals[x])
+                  for x in range(f.q)]
+        root_xs = {a for a, _ in curve.roots}
+        places = [K.Place.infinity()] if curve.d_inf == 1 else []
+        places += [K.Place.root(k) for k, d in enumerate(curve.root_gcds) if d == 1]
+        places += [K.Place.affine(x, y) for x in range(f.q) if x not in root_xs
+                   for y in fibers[x]]
+        assert curve.rational_places() == places
+        assert curve.split_x_values() == [x for x in range(f.q) if x not in root_xs
+                                          and len(fibers[x]) == curve.m]
+        assert [curve.fiber(x) for x in range(f.q)] == fibers
+
+
 def test_genus_matches_riemann_hurwitz_on_random_curves():
     rng = random.Random(20240809)
     for _ in range(200):
@@ -147,7 +167,6 @@ def test_evaluate_constant_and_coordinates(h3):
         for place in fiber:
             assert one.evaluate(place).enc == 1
             assert y.evaluate(place).enc == place.y
-            assert K.evaluate(h3, y, place) == y.evaluate(place)
 
 
 def test_evaluate_reduces_y_powers(h3):

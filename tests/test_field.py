@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -118,6 +119,46 @@ def test_vector_ops_match_scalar(gf9):
     nz[nz == 0] = 1
     assert all(gf9.vinv(nz)[i] == gf9.inv(int(nz[i])) for i in range(200))
     assert all(gf9.vpow(a, 5)[i] == gf9.pow(int(a[i]), 5) for i in range(200))
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (2, 11), (5, 5), (1021, 1)])
+def test_vsub_is_add_of_negation(p, e):
+    f = K.field_create(p, e)
+    rng = np.random.default_rng(p + e)
+    a = rng.integers(0, f.q, 500)
+    b = rng.integers(0, f.q, 500)
+    diff = f.vsub(a, b)
+    assert np.array_equal(diff, f.vadd(a, f.vneg(b)))
+    assert np.array_equal(f.vadd(diff, b), a)
+    assert [f.sub(int(x), int(y)) for x, y in zip(a, b)] == diff.tolist()
+
+
+def x_generates_all_units(tail, p):
+    """Whether the powers of x modulo x^e + tail(x) run through all p^e - 1
+    nonzero residues before returning to 1 (residues as digit tuples)."""
+    e = len(tail)
+    one = (1,) + (0,) * (e - 1)
+    cur, seen = one, set()
+    for _ in range(p**e - 1):
+        top = cur[-1]
+        cur = tuple((low - top * c) % p for low, c in zip((0,) + cur[:-1], tail))
+        if cur in seen or not any(cur):
+            return False
+        seen.add(cur)
+    return cur == one
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(2, 9)
+                                 if p**e <= 256])
+def test_canonical_modulus_is_first_primitive_tail(p, e):
+    f = K.field_create(p, e)
+    tail = f.modulus[:-1]
+    assert f.modulus[-1] == 1 and len(tail) == e
+    assert x_generates_all_units(tail, p)
+    for smaller in itertools.product(range(p), repeat=e):
+        if smaller == tail:
+            break
+        assert not x_generates_all_units(smaller, p)
 
 
 def test_tableless_field_path():

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from kummerlcp.errors import (
 from kummerlcp.nonspecial import DivisorFamily, FamilyObstruction
 
 from conftest import random_curve, random_tuple
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def brute_force_gminus1_set(curve, qtuple):
@@ -278,3 +284,29 @@ def test_family_serialization(h3):
     assert obj["alpha_multiset"] == [0, 1, 2]
     assert obj["j_sum"] == -1
     assert obj["canonical"]["coeffs"]
+
+
+def test_invariant_check_survives_optimize_flag():
+    # dim_by_formula is forced to disagree with the criterion; under -O a bare
+    # assert would be stripped and the bad verdict returned
+    script = """
+import kummerlcp as K
+from kummerlcp import nonspecial
+assert False, "assertions must be disabled"
+F = K.field_create(3, 2)
+roots = [x for x in range(9) if F.add(F.pow(x, 3), x) == 0]
+h3 = K.curve_create(F, 4, 1, [(r, 1) for r in roots])
+tup = K.QTuple.all_ramified(h3)
+alpha = tup.alpha_of(K.separable_family(h3, 3).canonical())
+print(K.nonspecial_gminus1(tup, alpha))
+nonspecial.dim_by_formula = lambda qtuple, alpha: 1
+try:
+    K.nonspecial_gminus1(tup, alpha)
+except K.errors.InternalInvariantError as exc:
+    print(exc.code)
+"""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "InternalInvariant"]
