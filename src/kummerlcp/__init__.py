@@ -48,7 +48,7 @@ from .nonspecial import (
 from .rrspace import (
     XLineDivisor,
     dim_by_decomposition,
-    kernel_basis,
+    evaluation_rows,
     restrict_to_xline,
     rr_basis,
 )

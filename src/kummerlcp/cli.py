@@ -20,10 +20,12 @@ from .codes import (
     CertStep,
     LinearCode,
     Matrix,
+    ag_code,
     encode_messages,
     is_lcp,
     min_distance,
     rank,
+    stack_rank,
     verify_lcp_conditions,
 )
 from .curve import Divisor, KummerCurve, curve_from_json, parse_place
@@ -172,27 +174,49 @@ def cmd_lcp_build(args) -> dict:
     return result.to_json()
 
 
+def _load_lcp_result(path: str):
+    """Curve, D, G, H, certificates and the two stored codes of an lcp-build result."""
+    obj = _load_json(path)
+    try:
+        curve = curve_from_json(obj["curve"])
+        field = curve.field
+        G = Divisor.from_json(curve, obj["G"])
+        H = Divisor.from_json(curve, obj["H"])
+        d_places = [parse_place(curve, s) for s in obj["D"]]
+        certificates = [CertStep.from_json(c) for c in obj["certificates"]]
+        codes = []
+        for cj in obj["codes"]:
+            gen = Matrix(field, np.asarray(cj["generator"], dtype=np.int64))
+            if np.any((gen.data < 0) | (gen.data >= field.q)):
+                raise UsageError(f"result file {path}: generator entries outside [0, {field.q})")
+            codes.append(LinearCode(field, gen, int(cj["N"]), int(cj["k"])))
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise UsageError(f"input file {path} is not an lcp-build result: {exc!r}") from None
+    if len(codes) != 2:
+        raise UsageError(f"result file {path} must hold two codes, not {len(codes)}")
+    return curve, d_places, G, H, certificates, codes
+
+
 def cmd_lcp_verify(args) -> dict:
-    obj = _load_json(args.result)
-    curve = curve_from_json(obj["curve"])
-    field = curve.field
-    G = Divisor.from_json(curve, obj["G"])
-    H = Divisor.from_json(curve, obj["H"])
-    d_places = [parse_place(curve, s) for s in obj["D"]]
-    certificates = [CertStep.from_json(c) for c in obj["certificates"]]
-    codes = []
-    for cj in obj["codes"]:
-        gen = Matrix(field, np.asarray(cj["generator"], dtype=np.int64))
-        codes.append(LinearCode(field, gen, int(cj["N"]), int(cj["k"])))
+    curve, d_places, G, H, certificates, codes = _load_lcp_result(args.result)
     report = is_lcp(codes[0], codes[1])
     conditions = verify_lcp_conditions(curve, d_places, G, H, certificates)
     stored_ranks_ok = (
         rank(codes[0].generator) == codes[0].k and rank(codes[1].generator) == codes[1].k
     )
+    # each stored code must be C(D, G) resp. C(D, H): same N and k, and its
+    # rows inside the row space of the rebuilt generator
+    rebuilt = [ag_code(curve, d_places, divisor) for divisor in (G, H)]
+    stored_codes_match = all(
+        (c.N, c.k, c.generator.cols) == (r.N, r.k, r.N)
+        and stack_rank(c.generator, r.generator) == r.k
+        for c, r in zip(codes, rebuilt)
+    )
     return {
-        "verdict": "LCP" if report.verdict else "NOT_LCP",
+        "verdict": "LCP" if report.verdict and stored_codes_match else "NOT_LCP",
         "rank_of_stack": report.rank_of_stack,
         "stored_ranks_ok": stored_ranks_ok,
+        "stored_codes_match": stored_codes_match,
         "conditions_pass": conditions.passed,
         "conditions": conditions.to_json(),
     }

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import linalg, poly, rrspace
+from . import linalg, rrspace
 from .curve import AFFINE, Divisor, KummerCurve, Place
 from .errors import (
     CertificateInvalidError,
@@ -107,42 +107,6 @@ class LinearCode:
         }
 
 
-def _evaluation_rows(
-    curve: KummerCurve, G: Divisor, places: Sequence[Place]
-) -> np.ndarray:
-    """Evaluations of an L(G) basis at affine places, one basis function per row."""
-    field = curve.field
-    xs = np.array([p.x for p in places], dtype=np.int64)
-    ys = np.array([p.y for p in places], dtype=np.int64)
-
-    drops = [p for p, c in G.items() if p.kind == AFFINE]
-    if drops:
-        ram = Divisor((p, c) for p, c in G.items() if p.kind != AFFINE)
-        for p, c in G.items():
-            if p.kind == AFFINE and c != -1:
-                raise UnsupportedSupportError(
-                    "affine coefficients other than -1 are not supported in G"
-                )
-        basis = rrspace.dim_drop_basis(curve, ram, drops)
-        if not basis:
-            return np.zeros((0, len(places)), dtype=np.int64)
-        return np.vstack([fn.evaluate_many(xs, ys) for fn in basis])
-
-    strata = rrspace.basis_strata(curve, G)
-    k = sum(st.count for st in strata)
-    rows = np.zeros((k, len(places)), dtype=np.int64)
-    r = 0
-    for st in strata:
-        num_vals = poly.eval_many(field, st.num, xs)
-        den_vals = poly.eval_many(field, st.den, xs)
-        base = field.vmul(field.vdiv(num_vals, den_vals), field.vpow(ys, st.ypow))
-        rows[r] = base
-        for j in range(1, st.count):
-            rows[r + j] = field.vmul(rows[r + j - 1], xs)
-        r += st.count
-    return rows
-
-
 def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
     """The evaluation code C(D, G) for D the sum of the given affine places.
 
@@ -159,7 +123,7 @@ def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> Lin
     if overlap:
         raise SupportOverlapError(f"G and D share support: {sorted(p.id() for p in overlap)}")
 
-    rows = _evaluation_rows(curve, G, places)
+    rows = rrspace.evaluation_rows(curve, G, places)
     N = len(places)
     field = curve.field
     k = linalg.rank(field, rows) if rows.size else 0
@@ -210,16 +174,7 @@ def min_distance(code: LinearCode, exhaustive_limit: int = 1 << 20) -> MinDistan
 
 def encode_messages(code: LinearCode, messages: np.ndarray) -> np.ndarray:
     """Row-vector encodings: messages (count x k) -> codewords (count x N)."""
-    field = code.field
-    gen = code.generator.data
-    messages = np.asarray(messages, dtype=np.int64)
-    out = np.zeros((messages.shape[0], code.N), dtype=np.int64)
-    for row in range(code.k):
-        col = messages[:, row]
-        sel = col != 0
-        if np.any(sel):
-            out[sel] = field.vadd(out[sel], field.vmul(col[sel][:, None], gen[row][None, :]))
-    return out
+    return linalg.matmul(code.field, messages, code.generator.data)
 
 
 @dataclass
@@ -265,7 +220,8 @@ class CertStep:
 
     @staticmethod
     def from_json(obj: dict) -> "CertStep":
-        return CertStep(obj["gen"], obj.get("b"), int(obj["mult"]))
+        b = obj.get("b")
+        return CertStep(obj["gen"], None if b is None else int(b), int(obj["mult"]))
 
 
 @dataclass

@@ -20,7 +20,6 @@ from . import poly
 from .errors import (
     CharDividesMError,
     DuplicateRootError,
-    FieldMismatchError,
     InternalInvariantError,
     MultiplicityOutOfRangeError,
     NoTotallyRamifiedPlaceError,
@@ -328,8 +327,12 @@ class KummerCurve:
             return Divisor(entries)
         if kind == "x-b":
             if b is None:
-                raise ValueError("x-b requires the value b")
+                raise UnsupportedPlaceStructureError("x-b requires the value b")
             b_enc = b.enc if isinstance(b, FieldElement) else int(b)
+            if not 0 <= b_enc < self.field.q:
+                raise UnsupportedPlaceStructureError(
+                    f"b = {b_enc} is not an element of GF({self.field.q})"
+                )
             for k, (a, _) in enumerate(self.roots):
                 if a == b_enc:
                     place, _ = self.branch_divisor_entry(k, self.m // self.root_gcds[k])
@@ -436,36 +439,6 @@ class CurveFunction:
             num = poly.mul(curve.field, num, poly.pow_(curve.field, curve.f_poly, k))
         return CurveFunction(curve, {r: (poly.normalize(num), poly.normalize(den))})
 
-    def scale(self, c: int) -> "CurveFunction":
-        field = self.curve.field
-        if c == 0:
-            return CurveFunction(self.curve, {})
-        return CurveFunction(
-            self.curve,
-            {i: (poly.scale(field, c, num), den) for i, (num, den) in self.terms.items()},
-        )
-
-    def __add__(self, other: "CurveFunction") -> "CurveFunction":
-        if self.curve is not other.curve and self.curve.to_json() != other.curve.to_json():
-            raise FieldMismatchError("functions on different curves")
-        field = self.curve.field
-        merged = dict(self.terms)
-        for i, (num2, den2) in other.terms.items():
-            if i not in merged:
-                merged[i] = (num2, den2)
-                continue
-            num1, den1 = merged[i]
-            if den1 == den2:
-                num, den = poly.add(field, num1, num2), den1
-            else:
-                num = poly.add(field, poly.mul(field, num1, den2), poly.mul(field, num2, den1))
-                den = poly.mul(field, den1, den2)
-            if num:
-                merged[i] = (num, den)
-            else:
-                del merged[i]
-        return CurveFunction(self.curve, merged)
-
     def evaluate(self, place: Place) -> FieldElement:
         """Value at an affine place; PoleAtPlace when a denominator vanishes."""
         if place.kind != AFFINE:
@@ -479,29 +452,6 @@ class CurveFunction:
             nv = poly.eval_at(field, num, place.x)
             acc = field.add(acc, field.mul(field.div(nv, dv), field.pow(place.y, i)))
         return FieldElement(field, acc)
-
-    def evaluate_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at affine points given by encoding arrays."""
-        field = self.curve.field
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        acc = np.zeros_like(xs)
-        for i, (num, den) in sorted(self.terms.items()):
-            dv = poly.eval_many(field, den, xs)
-            if np.any(dv == 0):
-                raise PoleAtPlaceError("denominator vanishes at an evaluation point")
-            term = field.vmul(field.vdiv(poly.eval_many(field, num, xs), dv),
-                              field.vpow(ys, i))
-            acc = field.vadd(acc, term)
-        return acc
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"ypow": i, "num": list(num), "den": list(den)}
-                for i, (num, den) in sorted(self.terms.items())
-            ]
-        }
 
     def __repr__(self) -> str:
         if not self.terms:

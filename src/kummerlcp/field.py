@@ -108,16 +108,25 @@ def _ppow_x(k: int, mod: list[int], p: int) -> list[int]:
     return result
 
 
+def _is_primitive_root(a: int, p: int) -> bool:
+    """a generates the multiplicative group of GF(p)."""
+    return a % p != 0 and all(pow(a, (p - 1) // r, p) != 1 for r in _prime_factors(p - 1))
+
+
 def _is_primitive(coeffs: list[int], p: int) -> bool:
     """x has multiplicative order exactly p^e - 1 modulo the monic f = coeffs.
 
     Modulo a reducible f the ring GF(p)[x]/(f) has zero divisors, so fewer
     than p^e - 1 units, and no element has that order.  The test therefore
     also proves f irreducible, and f is primitive exactly when it passes.
+
+    The first test is a cheap necessary condition: for f primitive the norm
+    of x, (-1)^e f(0), is the norm of a generator of GF(p^e)*, and the norm
+    maps GF(p^e)* onto GF(p)*, so it is a primitive root mod p.
     """
     e = len(coeffs) - 1
     q1 = p**e - 1
-    if coeffs[0] == 0 or _ppow_x(q1, coeffs, p) != [1]:
+    if not _is_primitive_root((-1) ** e * coeffs[0], p) or _ppow_x(q1, coeffs, p) != [1]:
         return False
     return all(_ppow_x(q1 // r, coeffs, p) != [1] for r in _prime_factors(q1))
 
@@ -135,9 +144,8 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
 def _smallest_primitive_root(p: int) -> int:
     if p == 2:
         return 1
-    factors = _prime_factors(p - 1)
     for a in range(2, p):
-        if all(pow(a, (p - 1) // d, p) != 1 for d in factors):
+        if _is_primitive_root(a, p):
             return a
     raise InternalInvariantError(f"no primitive root modulo {p}")
 

@@ -71,6 +71,18 @@ def null_space(field: Field, M: np.ndarray) -> np.ndarray:
     return basis
 
 
+def matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The product A B, summed one row of B at a time, skipping zero entries of A."""
+    A = np.asarray(A, dtype=np.int64)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for row in range(A.shape[1]):
+        col = A[:, row]
+        sel = col != 0
+        if np.any(sel):
+            out[sel] = field.vadd(out[sel], field.vmul(col[sel][:, None], B[row][None, :]))
+    return out
+
+
 def row_space_basis(field: Field, M: np.ndarray) -> np.ndarray:
     R, pivots = rref(field, M)
     return R[: len(pivots)]

@@ -2,7 +2,7 @@
 
 Coefficients are stored low degree first with no trailing zeros; the zero
 polynomial is the empty tuple.  These helpers stay deliberately small: the
-library only ever multiplies, shifts, evaluates and deflates linear factors.
+library only ever multiplies, shifts and evaluates.
 """
 
 from __future__ import annotations
@@ -26,21 +26,6 @@ def normalize(coeffs) -> Poly:
 
 def degree(a: Poly) -> int:
     return len(a) - 1
-
-
-def add(field: Field, a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, bi in enumerate(b):
-        out[i] = field.add(out[i], bi)
-    return normalize(out)
-
-
-def scale(field: Field, c: int, a: Poly) -> Poly:
-    if c == 0:
-        return ZERO
-    return normalize(field.mul(c, ai) for ai in a)
 
 
 def mul(field: Field, a: Poly, b: Poly) -> Poly:
@@ -103,29 +88,3 @@ def eval_many(field: Field, a: Poly, xs: np.ndarray) -> np.ndarray:
     for c in reversed(a):
         acc = field.vadd(field.vmul(acc, xs), np.full_like(xs, c))
     return acc
-
-
-def divmod_linear(field: Field, a: Poly, root_enc: int) -> tuple[Poly, int]:
-    """Synthetic division by (x - root); returns (quotient, remainder)."""
-    if not a:
-        return ZERO, 0
-    quot = [0] * (len(a) - 1)
-    acc = 0
-    for i in range(len(a) - 1, -1, -1):
-        acc = field.add(field.mul(acc, root_enc), a[i])
-        if i > 0:
-            quot[i - 1] = acc
-    return normalize(quot), acc
-
-
-def root_multiplicity(field: Field, a: Poly, root_enc: int) -> tuple[int, Poly]:
-    """Largest k with (x - root)^k | a; returns (k, a / (x - root)^k)."""
-    k = 0
-    cur = a
-    while cur:
-        quot, rem = divmod_linear(field, cur, root_enc)
-        if rem != 0:
-            break
-        k += 1
-        cur = quot
-    return k, cur

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg, poly
 from .curve import AFFINE, BUNDLE, INF, ROOT, CurveFunction, Divisor, KummerCurve, Place
-from .errors import PoleAtPlaceError, UnsupportedSupportError
+from .errors import UnsupportedSupportError
 
 
 @dataclass(frozen=True)
@@ -127,95 +127,43 @@ def dim_by_decomposition(curve: KummerCurve, D: Divisor) -> int:
     return total
 
 
-def _evaluation_matrix(basis: Sequence[CurveFunction], places: Sequence[Place]) -> np.ndarray:
-    """Value of basis function j at place i in row i, column j."""
-    A = np.zeros((len(places), len(basis)), dtype=np.int64)
-    for ci, place in enumerate(places):
-        for bi, fn in enumerate(basis):
-            A[ci, bi] = fn.evaluate(place).enc
-    return A
+def _split_affine_drops(D: Divisor) -> tuple[Divisor, list[Place]]:
+    """D's ramified part, and the affine places it drops (coefficient -1)."""
+    drops = [p for p, c in D.items() if p.kind == AFFINE]
+    if any(D.coeff(p) != -1 for p in drops):
+        raise UnsupportedSupportError("affine coefficients other than -1 are not supported")
+    return Divisor((p, c) for p, c in D.items() if p.kind != AFFINE), drops
 
 
-def kernel_basis(
-    curve: KummerCurve,
-    basis: Sequence[CurveFunction],
-    constraints: Sequence[Place],
-) -> list[CurveFunction]:
-    """Basis of the subspace of span(basis) vanishing at the given affine places."""
-    if not constraints:
-        return list(basis)
-    if any(place.kind != AFFINE for place in constraints):
-        raise PoleAtPlaceError("kernel constraints must be affine places")
-    combos = linalg.null_space(curve.field, _evaluation_matrix(basis, constraints))
-    out: list[CurveFunction] = []
-    for row in combos:
-        fn = CurveFunction(curve, {})
-        for c, b in zip(row.tolist(), basis):
-            if c:
-                fn = fn + b.scale(int(c))
-        out.append(fn)
-    return out
+def evaluation_rows(curve: KummerCurve, D: Divisor, places: Sequence[Place]) -> np.ndarray:
+    """Values of a basis of L(D) at affine places: row j is basis function j,
+    column i is place i.
 
-
-def dim_drop_basis(
-    curve: KummerCurve, D_base: Divisor, places: Sequence[Place]
-) -> list[CurveFunction]:
-    """Basis of L(D_base - sum places) for affine places of coefficient one,
-    none of them in the support of D_base."""
-    base = rr_basis(curve, D_base)
-    return kernel_basis(curve, base, list(places))
-
-
-def function_valuation_bound(curve: KummerCurve, fn: CurveFunction, place: Place) -> int:
-    """Lower bound for the valuation of fn at a ramified/bundle/infinite place.
-
-    Exact for single-term functions; for sums it is min over terms, which is
-    all the soundness checks need.
+    Without affine support the basis is rr_basis(curve, D).  When D drops
+    affine places (coefficient -1), L(D) is the kernel of evaluation at the
+    drops inside L(ram) for the ramified part ram, and each row is the
+    combination of rr_basis(curve, ram) given by a null_space row.
     """
     field = curve.field
-    if not fn.terms:
-        raise ValueError("valuation of the zero function")
-    vals = []
-    for i, (num, den) in fn.terms.items():
-        if place.kind == INF:
-            vx = poly.degree(den) - poly.degree(num)
-            vals.append(-i * curve.deg_f + curve.m * vx)
-        elif place.kind in (ROOT, BUNDLE):
-            k = place.index
-            root_enc, lam = curve.roots[k]
-            d = curve.root_gcds[k]
-            mn, _ = poly.root_multiplicity(field, num, root_enc)
-            md, _ = poly.root_multiplicity(field, den, root_enc)
-            vals.append((i * lam + curve.m * (mn - md)) // d)
-        else:
-            raise UnsupportedSupportError("valuation bound only at non-affine places")
-    return min(vals)
-
-
-def affine_pole_roots(curve: KummerCurve, fn: CurveFunction) -> set[int]:
-    """x-encodings of affine denominator zeros; all must be roots of f for
-    functions emitted by rr_basis."""
-    field = curve.field
-    out: set[int] = set()
-    for _, (_, den) in fn.terms.items():
-        rest = den
-        for root_enc, _ in curve.roots:
-            k, rest = poly.root_multiplicity(field, rest, root_enc)
-            if k:
-                out.add(root_enc)
-        if poly.degree(rest) > 0:
-            # denominator factor away from the roots of f: locate its zeros
-            for x0 in range(field.q):
-                if poly.eval_at(field, rest, x0) == 0:
-                    out.add(x0)
-    return out
-
-
-def evaluation_functional_rank(
-    curve: KummerCurve, basis: Sequence[CurveFunction], places: Sequence[Place]
-) -> int:
-    """Rank of the evaluation map span(basis) -> GF(q)^places."""
-    return linalg.rank(curve.field, _evaluation_matrix(basis, places))
+    ram, drops = _split_affine_drops(D)
+    if drops:
+        combos = linalg.null_space(field, evaluation_rows(curve, ram, drops).T)
+        return linalg.matmul(field, combos, evaluation_rows(curve, ram, places))
+    xs = np.array([p.x for p in places], dtype=np.int64)
+    ys = np.array([p.y for p in places], dtype=np.int64)
+    strata = basis_strata(curve, D)
+    k = sum(st.count for st in strata)
+    rows = np.zeros((k, len(places)), dtype=np.int64)
+    r = 0
+    for st in strata:
+        num_vals = poly.eval_many(field, st.num, xs)
+        den_vals = poly.eval_many(field, st.den, xs)
+        base = field.vmul(field.vdiv(num_vals, den_vals), field.vpow(ys, st.ypow))
+        rows[r] = base
+        for j in range(1, st.count):
+            rows[r + j] = field.vmul(rows[r + j - 1], xs)
+        r += st.count
+    return rows
 
 
 def dim_with_simple_affine_drops(curve: KummerCurve, D: Divisor) -> int:
@@ -225,20 +173,7 @@ def dim_with_simple_affine_drops(curve: KummerCurve, D: Divisor) -> int:
     conditions on L(ramified part) and the dimension falls by the rank of
     the evaluation map, which is exact.
     """
-    ram_entries = []
-    drops: list[Place] = []
-    for place, c in D.items():
-        if place.kind == AFFINE:
-            if c != -1:
-                raise UnsupportedSupportError(
-                    "affine coefficients other than -1 are not supported"
-                )
-            drops.append(place)
-        else:
-            ram_entries.append((place, c))
-    base = Divisor(ram_entries)
-    dim_base = dim_by_decomposition(curve, base)
-    if not drops or dim_base == 0:
-        return dim_base
-    basis = rr_basis(curve, base)
-    return dim_base - evaluation_functional_rank(curve, basis, drops)
+    ram, drops = _split_affine_drops(D)
+    return dim_by_decomposition(curve, ram) - linalg.rank(
+        curve.field, evaluation_rows(curve, ram, drops)
+    )

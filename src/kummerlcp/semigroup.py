@@ -19,6 +19,7 @@ against an independent decomposition oracle elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .curve import Divisor, KummerCurve, Place
@@ -93,11 +94,14 @@ class QTuple:
     def n(self) -> int:
         return len(self.places)
 
+    @cached_property
+    def _shift_table(self) -> tuple[tuple[int, ...], ...]:
+        m = self.curve.m
+        return tuple(tuple(stratum_shift(lam, i, m) for lam in self.lambdas) for i in range(m))
+
     def shifts(self, i: int) -> tuple[int, ...]:
         """Per-place stratum shifts; i = 0 gives all zeros."""
-        if i == 0:
-            return (0,) * self.n
-        return tuple(stratum_shift(lam, i, self.curve.m) for lam in self.lambdas)
+        return self._shift_table[i % self.curve.m]
 
     def stratum_sum(self, i: int) -> int:
         """Required offset sum for stratum i: 0, or gaps(i) + 1 - n."""

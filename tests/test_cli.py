@@ -110,6 +110,75 @@ def test_lcp_build_and_verify_roundtrip(h3_file, tmp_path):
     assert verified["verdict"] == "LCP"
     assert verified["conditions_pass"] is True
     assert verified["stored_ranks_ok"] is True
+    assert verified["stored_codes_match"] is True
+
+
+@pytest.fixture(scope="module")
+def h3_result(h3_file):
+    """An lcp-build result on H3, construction 1 at s = 3 (k = 15 and 9)."""
+    return json.loads(run_cli("lcp-build", "--curve", h3_file, "--construction", "1",
+                              "--s", "3").stdout)
+
+
+def verify_edited(tmp_path, result, edit, expect=0):
+    obj = json.loads(json.dumps(result))
+    edit(obj)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    return run_cli("lcp-verify", "--result", str(path), expect=expect)
+
+
+def test_lcp_verify_rejects_forged_generators(tmp_path, h3_result):
+    def forge(obj):
+        k1, k2 = (c["k"] for c in obj["codes"])
+        eye = [[int(i == j) for j in range(k1 + k2)] for i in range(k1 + k2)]
+        obj["codes"][0]["generator"] = eye[:k1]
+        obj["codes"][1]["generator"] = eye[k1:]
+
+    out = json.loads(verify_edited(tmp_path, h3_result, forge).stdout)
+    # the stored pair is itself complementary; only the tie to G and H fails
+    assert out["rank_of_stack"] == 24 and out["stored_ranks_ok"] is True
+    assert out["stored_codes_match"] is False
+    assert out["verdict"] == "NOT_LCP"
+
+
+@pytest.mark.parametrize("key", ["curve", "G", "H", "D", "certificates", "codes"])
+def test_lcp_verify_missing_key(tmp_path, h3_result, key):
+    proc = verify_edited(tmp_path, h3_result, lambda obj: obj.pop(key), expect=2)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj.update(codes=5),
+    lambda obj: obj.update(codes=obj["codes"][:1]),
+    lambda obj: obj["codes"][0].pop("N"),
+    lambda obj: obj["codes"][1].update(generator=[[1, 2], [3]]),
+    lambda obj: obj.update(D=[7]),
+    lambda obj: obj["certificates"][0].update(mult="x"),
+    lambda obj: obj["G"].update(coeffs=[{"place": "inf"}]),
+], ids=["codes-not-list", "one-code", "code-without-N", "ragged-generator",
+        "place-not-string", "bad-mult", "coeff-without-c"])
+def test_lcp_verify_malformed_entries(tmp_path, h3_result, edit):
+    proc = verify_edited(tmp_path, h3_result, edit, expect=2)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+@pytest.mark.parametrize("value", [-1, 9])
+def test_lcp_verify_generator_entry_outside_field(tmp_path, h3_result, value):
+    def edit(obj):
+        obj["codes"][0]["generator"][0][0] = value
+
+    proc = verify_edited(tmp_path, h3_result, edit, expect=2)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+@pytest.mark.parametrize("b", [9, -1, None])
+def test_lcp_verify_certificate_b_outside_field(tmp_path, h3_result, b):
+    def edit(obj):
+        obj["certificates"] = [{"gen": "x-b", "b": b, "mult": 1}]
+
+    proc = verify_edited(tmp_path, h3_result, edit, expect=2)
+    assert json.loads(proc.stderr)["error"] == "UnsupportedPlaceStructure"
 
 
 def test_lcp_build_all_constructions(h3_file, tmp_path):

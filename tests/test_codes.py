@@ -86,6 +86,24 @@ def test_elimination_matches_scalar_gauss_jordan(p, e):
                 assert acc == 0
 
 
+@pytest.mark.parametrize("p,e", FIELD_CHOICES + [(1021, 1), (2, 11), (2, 16)])
+def test_matmul_matches_scalar_triple_loop(p, e):
+    f = K.field_create(p, e)
+    rng = random.Random(p * 31 + e)
+    for _ in range(6):
+        n, k, cols = rng.randint(0, 7), rng.randint(1, 6), rng.randint(1, 9)
+        # about a third zeros, which matmul skips
+        A = [[rng.choice([0, rng.randrange(f.q)]) for _ in range(k)] for _ in range(n)]
+        B = [[rng.randrange(f.q) for _ in range(cols)] for _ in range(k)]
+        want = [[0] * cols for _ in range(n)]
+        for i, j, t in itertools.product(range(n), range(cols), range(k)):
+            want[i][j] = f.add(want[i][j], f.mul(A[i][t], B[t][j]))
+        got = linalg.matmul(f, np.array(A, dtype=np.int64).reshape(n, k),
+                            np.array(B, dtype=np.int64))
+        assert got.shape == (n, cols)
+        assert got.tolist() == want
+
+
 def test_rank_identity_and_zero(gf9):
     ident = K.Matrix(gf9, np.eye(5, dtype=np.int64))
     assert K.rank(ident) == 5

@@ -161,6 +161,14 @@ def test_canonical_modulus_is_first_primitive_tail(p, e):
         assert not x_generates_all_units(smaller, p)
 
 
+def test_gf3_10_modulus():
+    # the norm prefilter leaves the scan quick here; the tail is the one the
+    # full scan without it finds
+    f = K.field_create(3, 10)
+    assert f.modulus == (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1)
+    assert x_generates_all_units(f.modulus[:-1], 3)
+
+
 def test_tableless_field_path():
     # GF(5^5) = 3125 exceeds the full-table limit; ops must still agree with axioms
     f = K.field_create(5, 5)

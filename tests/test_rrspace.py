@@ -1,17 +1,101 @@
 import random
 
+import numpy as np
 import pytest
 
 import kummerlcp as K
+from kummerlcp import linalg, poly
+from kummerlcp.curve import BUNDLE, INF, ROOT
 from kummerlcp.errors import UnsupportedSupportError
-from kummerlcp.rrspace import (
-    affine_pole_roots,
-    dim_with_simple_affine_drops,
-    evaluation_functional_rank,
-    function_valuation_bound,
-)
+from kummerlcp.rrspace import dim_with_simple_affine_drops, evaluation_rows
 
 from conftest import random_curve, random_tuple
+
+
+def divmod_linear(field, a, root_enc):
+    """Synthetic division by (x - root); returns (quotient, remainder)."""
+    if not a:
+        return poly.ZERO, 0
+    quot = [0] * (len(a) - 1)
+    acc = 0
+    for i in range(len(a) - 1, -1, -1):
+        acc = field.add(field.mul(acc, root_enc), a[i])
+        if i > 0:
+            quot[i - 1] = acc
+    return poly.normalize(quot), acc
+
+
+def root_multiplicity(field, a, root_enc):
+    """Largest k with (x - root)^k | a; returns (k, a / (x - root)^k)."""
+    k = 0
+    cur = a
+    while cur:
+        quot, rem = divmod_linear(field, cur, root_enc)
+        if rem != 0:
+            break
+        k += 1
+        cur = quot
+    return k, cur
+
+
+def function_valuation_bound(curve, fn, place):
+    """Lower bound for the valuation of fn at a ramified/bundle/infinite place.
+
+    Exact for single-term functions; for sums it is min over terms, which is
+    all the soundness checks need.
+    """
+    field = curve.field
+    vals = []
+    for i, (num, den) in fn.terms.items():
+        if place.kind == INF:
+            vx = poly.degree(den) - poly.degree(num)
+            vals.append(-i * curve.deg_f + curve.m * vx)
+        else:
+            assert place.kind in (ROOT, BUNDLE)
+            k = place.index
+            root_enc, lam = curve.roots[k]
+            d = curve.root_gcds[k]
+            mn, _ = root_multiplicity(field, num, root_enc)
+            md, _ = root_multiplicity(field, den, root_enc)
+            vals.append((i * lam + curve.m * (mn - md)) // d)
+    return min(vals)
+
+
+def affine_pole_roots(curve, fn):
+    """x-encodings of affine denominator zeros; all must be roots of f for
+    functions emitted by rr_basis."""
+    field = curve.field
+    out = set()
+    for _, (_, den) in fn.terms.items():
+        rest = den
+        for root_enc, _ in curve.roots:
+            k, rest = root_multiplicity(field, rest, root_enc)
+            if k:
+                out.add(root_enc)
+        if poly.degree(rest) > 0:
+            # denominator factor away from the roots of f: locate its zeros
+            for x0 in range(field.q):
+                if poly.eval_at(field, rest, x0) == 0:
+                    out.add(x0)
+    return out
+
+
+def scalar_rows(curve, D, places):
+    """Values of rr_basis(curve, D) at places through CurveFunction.evaluate."""
+    return np.array([[fn.evaluate(p).enc for p in places] for fn in K.rr_basis(curve, D)],
+                    dtype=np.int64).reshape(-1, len(places))
+
+
+def affine_places(curve):
+    return [p for p in curve.rational_places() if p.kind == "aff"]
+
+
+def random_ramified_divisor(rng, curve, lo, hi):
+    """Random coefficients on infinity (when rational) and every branch place."""
+    entries = [(K.Place.infinity(), rng.randint(lo, hi))] if curve.d_inf == 1 else []
+    entries += [curve.branch_divisor_entry(k, rng.randint(lo, hi))
+                for k in range(len(curve.roots))]
+    return K.Divisor(entries)
 
 
 def test_restrict_examples(h3):
@@ -118,26 +202,73 @@ def test_basis_linear_independence(h3):
     assert len(basis) == want
     places = [p for _, fiber in h3.split_fibers() for p in fiber]
     sample = places[: want + h3.genus()]
-    assert evaluation_functional_rank(h3, basis, sample) == want
+    assert linalg.rank(h3.field, scalar_rows(h3, D, sample)) == want
 
 
-def test_kernel_basis(h3):
-    D = K.Divisor.of((K.Place.infinity(), 6))
-    basis = K.rr_basis(h3, D)  # dimension 4
-    assert len(basis) == 4
-    assert K.kernel_basis(h3, basis, []) == basis
+def test_evaluation_rows_match_scalar_evaluation():
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 60:
+        curve = random_curve(rng, max_m=8, max_deg=8)
+        places = affine_places(curve)
+        if not places:
+            continue
+        places = rng.sample(places, min(len(places), 12))
+        D = random_ramified_divisor(rng, curve, -3, 6)
+        rows = evaluation_rows(curve, D, places)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == scalar_rows(curve, D, places).tolist()
+        checked += 1
+
+
+def test_evaluation_rows_with_drops_random():
+    rng = random.Random(515)
+    checked = 0
+    while checked < 60:
+        curve = random_curve(rng, max_m=8, max_deg=8)
+        places = affine_places(curve)
+        if len(places) < 3:
+            continue
+        drops = rng.sample(places, rng.randint(1, 2))
+        others = rng.sample([p for p in places if p not in drops], min(len(places) - 2, 16))
+        ram = random_ramified_divisor(rng, curve, 0, 3)
+        D = ram - K.Divisor((p, 1) for p in drops)
+        if D.degree() >= len(others):
+            continue  # evaluation at the others is injective on L(D) only below this
+        sample = others + drops
+        rows = evaluation_rows(curve, D, sample)
+        # reference: dim L(ram) minus the rank of scalar evaluation at the drops
+        want = K.dim_by_decomposition(curve, ram) - linalg.rank(
+            curve.field, scalar_rows(curve, ram, drops))
+        assert rows.shape == (want, len(sample))
+        assert want == dim_with_simple_affine_drops(curve, D)
+        assert linalg.rank(curve.field, rows) == want
+        assert not rows[:, -len(drops):].any()
+        # every row is a combination of the L(ram) basis values
+        ref = scalar_rows(curve, ram, sample)
+        assert linalg.rank(curve.field, np.vstack([ref, rows])) == \
+            linalg.rank(curve.field, ref)
+        checked += 1
+
+
+def test_evaluation_rows_kernel_h3(h3):
+    D = K.Divisor.of((K.Place.infinity(), 6))  # dimension 4
     place = h3.split_fibers()[0][1][0]
-    cut = K.kernel_basis(h3, basis, [place])
-    assert len(cut) == 3
-    for fn in cut:
-        assert fn.evaluate(place).enc == 0
-    # a second constraint at a different point drops one more dimension
     place2 = h3.split_fibers()[1][1][0]
-    cut2 = K.kernel_basis(h3, basis, [place, place2])
-    assert len(cut2) == 2
-    for fn in cut2:
-        assert fn.evaluate(place).enc == 0
-        assert fn.evaluate(place2).enc == 0
+    sample = [p for _, fiber in h3.split_fibers()[2:4] for p in fiber]
+    full = evaluation_rows(h3, D, sample)
+    assert full.shape[0] == 4
+    assert full.tolist() == scalar_rows(h3, D, sample).tolist()
+    cut = evaluation_rows(h3, D - K.Divisor.of((place, 1)), sample + [place])
+    assert cut.shape[0] == 3
+    assert linalg.rank(h3.field, cut) == 3
+    assert not cut[:, -1].any()
+    # a second constraint at a different point drops one more dimension
+    cut2 = evaluation_rows(h3, D - K.Divisor.of((place, 1), (place2, 1)),
+                           sample + [place, place2])
+    assert cut2.shape[0] == 2
+    assert linalg.rank(h3.field, cut2) == 2
+    assert not cut2[:, -2:].any()
 
 
 def test_dim_with_affine_drops(h3):

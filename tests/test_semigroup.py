@@ -22,6 +22,10 @@ def test_stratum_shift_values(h3, z_curve):
         assert K.t_val(h3, h3.root_place(0), i) == i
     # Z root x=0 has multiplicity 5, m=7: shift of stratum 3 is 15 mod 7 = 1
     assert K.t_val(z_curve, z_curve.root_place(0), 3) == 1
+    # the per-tuple table agrees with the direct residue for every integer i
+    tup = K.QTuple.all_ramified(z_curve)
+    for i in range(-7, 15):
+        assert tup.shifts(i) == tuple((i * lam) % 7 for lam in tup.lambdas)
 
 
 def test_t_val_range_errors(h3):
