@@ -65,4 +65,18 @@ from .semigroup import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CertStep", "Classification", "CurveFunction", "Divisor", "DivisorFamily",
+    "FamilyObstruction", "Feasibility", "Field", "FieldElement", "KummerCurve",
+    "LcpConstruction", "LcpReport", "LinearCode", "Matrix", "MaximalElement",
+    "MinDistance", "Place", "QTuple", "XLineDivisor", "ag_code", "build", "classify",
+    "curve_create", "curve_from_json", "dim_by_class_count", "dim_by_decomposition",
+    "dim_by_formula", "divisor_classify", "divisor_gcd", "divisor_lmd",
+    "divisor_nonspecial_g", "divisor_nonspecial_gminus1", "encode_messages",
+    "evaluation_rows", "field_create", "field_from_json", "gap_count", "is_lcp",
+    "lcp_pair", "lcp_pole_shift", "lcp_punctured", "maximal_elements_below",
+    "min_distance", "mth_roots", "nonspecial_effective_g", "nonspecial_g",
+    "nonspecial_gminus1", "parse_place", "rank", "restrict_to_xline", "rr_basis",
+    "separable_family", "stack_rank", "stratum_shift", "support_feasibility", "t_val",
+    "unit_multiplicity_family", "verify_lcp_conditions",
+]

@@ -30,7 +30,7 @@ from .codes import (
 )
 from .curve import Divisor, KummerCurve, curve_from_json, parse_place
 from .errors import KummerError, UsageError
-from .field import field_from_json
+from .field import Field, field_from_json
 from .nonspecial import (
     classify,
     nonspecial_effective_g,
@@ -78,7 +78,19 @@ def _load_curve(path: str) -> KummerCurve:
 
 
 def _load_divisor(curve: KummerCurve, path: str) -> Divisor:
-    return Divisor.from_json(curve, _load_json(path))
+    obj = _load_json(path)
+    try:
+        return Divisor.from_json(curve, obj)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise UsageError(f"input file {path} is not a divisor spec: {exc!r}") from None
+
+
+def _code_from_json(field: Field, obj: dict, path: str) -> LinearCode:
+    """A stored code whose generator is a matrix of encodings in [0, q)."""
+    data = np.asarray(obj["generator"], dtype=np.int64)
+    if data.ndim != 2 or np.any((data < 0) | (data >= field.q)):
+        raise UsageError(f"input file {path}: generator is not a matrix over [0, {field.q})")
+    return LinearCode(field, Matrix(field, data), int(obj["N"]), int(obj["k"]))
 
 
 def _tuple_from_args(curve: KummerCurve, args) -> QTuple:
@@ -169,7 +181,10 @@ def cmd_lcp_build(args) -> dict:
     curve = _load_curve(args.curve)
     E = _load_divisor(curve, args.E) if args.E else None
     E2 = _load_divisor(curve, args.E2) if args.E2 else None
-    eval_x = [int(v) for v in args.eval_x.split(",")] if args.eval_x else None
+    try:
+        eval_x = [int(v) for v in args.eval_x.split(",")] if args.eval_x else None
+    except ValueError:
+        raise UsageError(f"--eval-x needs comma-separated integers, got {args.eval_x!r}") from None
     result = lcp_mod.build(curve, args.construction, args.s, E, E2, eval_x)
     return result.to_json()
 
@@ -184,12 +199,7 @@ def _load_lcp_result(path: str):
         H = Divisor.from_json(curve, obj["H"])
         d_places = [parse_place(curve, s) for s in obj["D"]]
         certificates = [CertStep.from_json(c) for c in obj["certificates"]]
-        codes = []
-        for cj in obj["codes"]:
-            gen = Matrix(field, np.asarray(cj["generator"], dtype=np.int64))
-            if np.any((gen.data < 0) | (gen.data >= field.q)):
-                raise UsageError(f"result file {path}: generator entries outside [0, {field.q})")
-            codes.append(LinearCode(field, gen, int(cj["N"]), int(cj["k"])))
+        codes = [_code_from_json(field, cj, path) for cj in obj["codes"]]
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise UsageError(f"input file {path} is not an lcp-build result: {exc!r}") from None
     if len(codes) != 2:
@@ -222,20 +232,30 @@ def cmd_lcp_verify(args) -> dict:
     }
 
 
+def _load_code(path: str) -> LinearCode:
+    obj = _load_json(path)
+    try:
+        code = _code_from_json(field_from_json(obj["field"]), obj, path)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise UsageError(f"input file {path} is not a code: {exc!r}") from None
+    gen = code.generator
+    if gen.cols != code.N or not 0 <= code.k <= gen.rows:
+        raise UsageError(f"input file {path}: a {gen.rows} x {gen.cols} generator cannot hold "
+                         f"an [{code.N}, {code.k}] code")
+    return code
+
+
 def cmd_code_info(args) -> dict:
-    obj = _load_json(args.code)
-    field = field_from_json(obj["field"])
-    gen = Matrix(field, np.asarray(obj["generator"], dtype=np.int64))
-    code = LinearCode(field, gen, int(obj["N"]), int(obj["k"]))
+    code = _load_code(args.code)
     out = {
         "N": code.N,
         "k": code.k,
-        "q": field.q,
-        "rank": rank(gen),
+        "q": code.field.q,
+        "rank": rank(code.generator),
     }
     if args.sample:
         rng = np.random.default_rng(args.seed)
-        msgs = rng.integers(0, field.q, size=(args.sample, code.k), dtype=np.int64)
+        msgs = rng.integers(0, code.field.q, size=(args.sample, code.k), dtype=np.int64)
         words = encode_messages(code, msgs)
         weights = np.count_nonzero(words, axis=1)
         nonzero = weights[np.any(msgs != 0, axis=1)]

@@ -86,19 +86,20 @@ class Place:
 
 
 def parse_place(curve: "KummerCurve", s: str) -> Place:
-    parts = s.strip().split(":")
-    if parts[0] == "inf" and len(parts) == 1:
+    kind, *parts = s.strip().split(":")
+    try:
+        nums = [int(v) for v in parts]
+    except ValueError:
+        raise UnsupportedPlaceStructureError(f"cannot parse place id {s!r}") from None
+    if kind == "inf" and not nums:
         return Place.infinity()
-    if parts[0] == "root" and len(parts) == 2:
-        k = int(parts[1])
+    if kind in ("root", "bundle") and len(nums) == 1:
+        k = nums[0]
         if not 0 <= k < len(curve.roots):
             raise UnsupportedPlaceStructureError(f"no root with index {k}")
-        return Place.root(k)
-    if parts[0] == "bundle" and len(parts) == 2:
-        k = int(parts[1])
-        return Place.bundle(k, curve.root_gcds[k])
-    if parts[0] == "aff" and len(parts) == 3:
-        return Place.affine(int(parts[1]), int(parts[2]))
+        return Place.root(k) if kind == "root" else Place.bundle(k, curve.root_gcds[k])
+    if kind == "aff" and len(nums) == 2:
+        return Place.affine(*nums)
     raise UnsupportedPlaceStructureError(f"cannot parse place id {s!r}")
 
 
@@ -282,6 +283,8 @@ class KummerCurve:
         xs = self.split_x_values() if xs is None else sorted(set(xs))
         out = []
         for x0 in xs:
+            if not 0 <= x0 < self.field.q:
+                raise UnsupportedPlaceStructureError(f"x = {x0} is not in [0, {self.field.q})")
             ys = self.fiber(x0)
             if len(ys) != self.m:
                 raise UnsupportedPlaceStructureError(f"x = {x0} does not split completely")

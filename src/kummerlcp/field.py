@@ -5,13 +5,18 @@ are the coefficients of the polynomial-basis representative, low degree first.
 The modulus is the lexicographically smallest monic *primitive* polynomial of
 degree e over GF(p), comparing coefficient vectors low-degree first, so the
 encodings are bit-identical across runs, machines and processes.  For e = 1
-the modulus is the formal polynomial x and arithmetic is plain mod p.
+the modulus is the formal polynomial x and the generator is the smallest
+primitive root g mod p.
 
-Because the modulus is primitive, x itself generates the multiplicative
-group, which gives discrete log/antilog tables for free.  Fields up to
-q = 2^20 are supported; small fields (q <= 2048) additionally carry full
-q x q addition and multiplication tables so that numpy bulk operations
-reduce to flat table gathers.
+Every table comes from one construction.  Multiplication by the generator
+is an e x e matrix M over GF(p) acting on digit vectors: the companion
+matrix of the modulus, or [[g]] for a prime field.  The modulus scan tests
+the order of M by matrix powers, the log/antilog tables are the digit
+vectors of M^k e_0 (filled by doubling), negation and inversion are
+read off the logs, and prime fields run the same digit-wise code as every
+other field.  Fields up to q = 2^20 are supported; small fields
+(q <= 2048) additionally carry full q x q addition and multiplication
+tables so that numpy bulk operations reduce to flat table gathers.
 """
 
 from __future__ import annotations
@@ -64,48 +69,26 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# --- dense polynomial arithmetic over GF(p), used only for the modulus scan --
+# --- multiplication by the generator, as an e x e matrix over GF(p) -----------
 
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _prem(prod, mod, p)
+def _companion(coeffs, p: int) -> np.ndarray:
+    """Matrix of multiplication by x modulo the monic f = coeffs, acting on
+    digit vectors (coefficients of 1, x, ..., x^(e-1)) as columns."""
+    e = len(coeffs) - 1
+    mat = np.eye(e, k=-1, dtype=np.int64)
+    mat[:, -1] = np.negative(coeffs[:-1]) % p
+    return mat
 
 
-def _prem(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = list(a)
-    _ptrim(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while a and len(a) - 1 >= dm:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(mod):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        _ptrim(a)
-    return a
-
-
-def _ppow_x(k: int, mod: list[int], p: int) -> list[int]:
-    # x^k mod (mod), square-and-multiply on the exponent
-    result = [1]
-    base = _prem([0, 1], mod, p)
+def _matpow(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+    """mat^k mod p, square-and-multiply on the exponent."""
+    out = np.eye(len(mat), dtype=np.int64)
     while k:
         if k & 1:
-            result = _pmul_mod(result, base, mod, p)
-        base = _pmul_mod(base, base, mod, p)
+            out = out @ mat % p
+        mat = mat @ mat % p
         k >>= 1
-    return result
+    return out
 
 
 def _is_primitive_root(a: int, p: int) -> bool:
@@ -116,9 +99,11 @@ def _is_primitive_root(a: int, p: int) -> bool:
 def _is_primitive(coeffs: list[int], p: int) -> bool:
     """x has multiplicative order exactly p^e - 1 modulo the monic f = coeffs.
 
-    Modulo a reducible f the ring GF(p)[x]/(f) has zero divisors, so fewer
-    than p^e - 1 units, and no element has that order.  The test therefore
-    also proves f irreducible, and f is primitive exactly when it passes.
+    x^k = 1 mod f exactly when the k-th power of the companion matrix M is
+    the identity, so the order of x is the order of M.  Modulo a reducible f
+    the ring GF(p)[x]/(f) has zero divisors, so fewer than p^e - 1 units, and
+    no element has that order.  The test therefore also proves f irreducible,
+    and f is primitive exactly when it passes.
 
     The first test is a cheap necessary condition: for f primitive the norm
     of x, (-1)^e f(0), is the norm of a generator of GF(p^e)*, and the norm
@@ -126,9 +111,12 @@ def _is_primitive(coeffs: list[int], p: int) -> bool:
     """
     e = len(coeffs) - 1
     q1 = p**e - 1
-    if not _is_primitive_root((-1) ** e * coeffs[0], p) or _ppow_x(q1, coeffs, p) != [1]:
+    if not _is_primitive_root((-1) ** e * coeffs[0], p):
         return False
-    return all(_ppow_x(q1 // r, coeffs, p) != [1] for r in _prime_factors(q1))
+    mat, one = _companion(coeffs, p), np.eye(e, dtype=np.int64)
+    return np.array_equal(_matpow(mat, q1, p), one) and not any(
+        np.array_equal(_matpow(mat, q1 // r, p), one) for r in _prime_factors(q1)
+    )
 
 
 def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -141,13 +129,13 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
     raise InternalInvariantError(f"no primitive polynomial of degree {e} over GF({p})")
 
 
-def _smallest_primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    for a in range(2, p):
-        if _is_primitive_root(a, p):
-            return a
-    raise InternalInvariantError(f"no primitive root modulo {p}")
+def _generator_matrix(p: int, e: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """Multiplication by the canonical generator of GF(p^e)*: the companion
+    matrix of the primitive modulus, or [[g]] with g the smallest primitive
+    root mod p when e = 1 (modulus x)."""
+    if e > 1:
+        return _companion(modulus, p)
+    return np.array([[next(a for a in range(1, p) if _is_primitive_root(a, p))]], dtype=np.int64)
 
 
 class Field:
@@ -177,87 +165,57 @@ class Field:
         self.modulus = _canonical_modulus(p, e)
         self._digit_pows = tuple(p**i for i in range(e))
         self._build_log_tables()
+        # -1 is encoded as p - 1, so negation multiplies by g^log(p - 1)
+        self._neg_t = self._log_affine(1, int(self._log[p - 1]))
+        self._inv_t = self._log_affine(-1, 0)
         if q <= _FULL_TABLE_LIMIT:
             self._build_full_tables()
         else:
             self._add_flat = None
             self._mul_flat = None
-            self._build_unary_tables()
 
     # -- construction helpers -------------------------------------------
 
-    def _scalar_add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        for pw in self._digit_pows:
-            out += (((a // pw) + (b // pw)) % p) * pw
-        return out
-
-    def _scalar_digit_scale(self, c: int, a: int) -> int:
-        p = self.p
-        out = 0
-        for pw in self._digit_pows:
-            out += ((c * (a // pw)) % p) * pw
-        return out
-
-    def _mul_by_x(self, a: int) -> int:
-        # shift digits up one place, then reduce the overflow digit by the modulus
-        v = a * self.p
-        top, low = divmod(v, self.q)
-        if top == 0:
-            return low
-        mod_low = sum(self.modulus[i] * self._digit_pows[i] for i in range(self.e))
-        return self._scalar_add(low, self._scalar_digit_scale((self.p - top) % self.p, mod_low))
-
     def _build_log_tables(self) -> None:
-        q = self.q
-        exp = np.zeros(max(q - 1, 1), dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        if self.e == 1:
-            g = _smallest_primitive_root(self.p)
-            cur = 1
-            for i in range(q - 1):
-                exp[i] = cur
-                log[cur] = i
-                cur = (cur * g) % self.p
-        else:
-            cur = 1
-            for i in range(q - 1):
-                exp[i] = cur
-                log[cur] = i
-                cur = self._mul_by_x(cur)
-            if cur != 1:
-                raise InternalInvariantError("modulus is not primitive")
-        self._exp = exp
-        self._log = log
+        # digits of g^(k+j) are M^k times those of g^j: fill the powers by
+        # doubling the filled prefix, one matrix product per step.  Entries
+        # stay below p, so a product entry is at most e (p-1)^2 < 2^41.
+        p, q1 = self.p, self.q - 1
+        mat = _generator_matrix(p, self.e, self.modulus)
+        digits = np.zeros((q1, self.e), dtype=np.int64)
+        digits[0, 0] = 1
+        k = 1
+        while k < q1:
+            n = min(k, q1 - k)
+            block = digits[k:k + n]
+            np.matmul(digits[:n], mat.T, out=block)
+            block %= p
+            mat = mat @ mat % p
+            k += n
+        self._exp = digits @ np.asarray(self._digit_pows, dtype=np.int64)
+        self._log = np.full(self.q, -1, dtype=np.int64)
+        self._log[self._exp] = np.arange(q1, dtype=np.int64)
+        if not np.all(self._log[1:] >= 0):
+            raise InternalInvariantError(f"the generator of {self!r} does not reach every unit")
 
-    def _digit_matrix(self) -> np.ndarray:
-        vals = np.arange(self.q, dtype=np.int64)
-        return np.stack([(vals // pw) % self.p for pw in self._digit_pows], axis=1)
-
-    def _build_unary_tables(self) -> None:
-        digs = self._digit_matrix()
-        neg = ((self.p - digs) % self.p) @ np.asarray(self._digit_pows, dtype=np.int64)
-        self._neg_t = neg
-        inv = np.zeros(self.q, dtype=np.int64)
-        if self.q > 1:
-            logs = self._log[1:]
-            inv[1:] = self._exp[(self.q - 1 - logs) % (self.q - 1)]
-        self._inv_t = inv
+    def _log_affine(self, scale: int, shift: int) -> np.ndarray:
+        """Table of a -> g^(scale * log a + shift), with 0 -> 0."""
+        out = self._exp[(scale * self._log + shift) % (self.q - 1)]
+        out[0] = 0
+        return out
 
     def _build_full_tables(self) -> None:
-        q = self.q
-        self._build_unary_tables()
-        digs = self._digit_matrix()
-        pows = np.asarray(self._digit_pows, dtype=np.int64)
-        add = np.zeros((q, q), dtype=np.int64)
-        for i in range(self.e):
-            col = digs[:, i]
-            add += (((col[:, None] + col[None, :]) % self.p) * pows[i])
+        # addition on the low i + 1 digits is the Kronecker sum of GF(p)'s
+        # table, scaled to digit i, and addition on the low i digits
+        p = self.p
+        add = digit_add = np.add.outer(np.arange(p), np.arange(p)) % p
+        for pw in self._digit_pows[1:]:
+            add = (digit_add[:, None, :, None] * pw + add[None, :, None, :]).reshape(p * pw, -1)
         self._add_flat = add.reshape(-1)
         logs = self._log.copy()
         logs[0] = 0
-        mul = self._exp[(logs[:, None] + logs[None, :]) % max(q - 1, 1)]
+        # two periods of exp absorb the reduction of log a + log b mod q - 1
+        mul = np.concatenate([self._exp, self._exp])[logs[:, None] + logs[None, :]]
         mul[0, :] = 0
         mul[:, 0] = 0
         self._mul_flat = mul.reshape(-1)
@@ -278,9 +236,7 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self._add_flat is not None:
             return int(self._add_flat[a * self.q + b])
-        if self.e == 1:
-            return (a + b) % self.p
-        return self._scalar_add(a, b)
+        return sum((((a // pw) + (b // pw)) % self.p) * pw for pw in self._digit_pows)
 
     def neg(self, a: int) -> int:
         return int(self._neg_t[a])
@@ -320,8 +276,6 @@ class Field:
         b = np.asarray(b, dtype=np.int64)
         if self._add_flat is not None:
             return self._add_flat[a * self.q + b]
-        if self.e == 1:
-            return (a + b) % self.p
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         for pw in self._digit_pows:
             out += (((a // pw) + (b // pw)) % self.p) * pw

@@ -267,3 +267,100 @@ def test_input_files_not_mutated(h3_file):
     before = Path(h3_file).read_text()
     run_cli("curve-info", "--curve", h3_file)
     assert Path(h3_file).read_text() == before
+
+
+@pytest.fixture(scope="module")
+def h3_code(h3_result):
+    """The first code of the H3 construction-1 result: [24, 15] over GF(9)."""
+    return h3_result["codes"][0]
+
+
+def code_info_on(tmp_path, obj, *extra, expect=2):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    return run_cli("code-info", "--code", str(path), *extra, expect=expect)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj.pop("field"),
+    lambda obj: obj.pop("N"),
+    lambda obj: obj.pop("k"),
+    lambda obj: obj.pop("generator"),
+    lambda obj: obj.update(field="GF(9)"),
+    lambda obj: obj.update(field={"p": "three", "e": 2}),
+    lambda obj: obj.update(N="twenty-four"),
+    lambda obj: obj.update(k=None),
+    lambda obj: obj.update(generator="rows"),
+    lambda obj: obj.update(generator=[1, 2, 3]),
+    lambda obj: obj.update(generator=[[1, 2], [3]]),
+], ids=["no-field", "no-N", "no-k", "no-generator", "field-not-object", "p-not-int",
+        "N-not-int", "k-null", "generator-not-list", "generator-flat", "generator-ragged"])
+def test_code_info_missing_or_ill_typed_key(tmp_path, h3_code, edit):
+    obj = json.loads(json.dumps(h3_code))
+    edit(obj)
+    proc = code_info_on(tmp_path, obj)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+def test_code_info_top_level_list(tmp_path, h3_code):
+    proc = code_info_on(tmp_path, [h3_code])
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+@pytest.mark.parametrize("value", [99, 9, -1])
+def test_code_info_generator_entry_outside_field(tmp_path, value):
+    obj = {"field": {"p": 3, "e": 2}, "N": 3, "k": 1, "generator": [[1, 2, value]]}
+    proc = code_info_on(tmp_path, obj)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+@pytest.mark.parametrize("extra", [(), ("--sample", "20")], ids=["exact", "sampled"])
+def test_code_info_k_above_row_count(tmp_path, extra):
+    obj = {"field": {"p": 3, "e": 2}, "N": 3, "k": 2, "generator": [[1, 2, 0]]}
+    proc = code_info_on(tmp_path, obj, *extra)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+@pytest.mark.parametrize("N", [2, 4])
+def test_code_info_column_count_not_N(tmp_path, N):
+    obj = {"field": {"p": 3, "e": 2}, "N": N, "k": 1, "generator": [[1, 2, 0]]}
+    proc = code_info_on(tmp_path, obj)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+def test_code_info_accepts_small_valid_code(tmp_path):
+    obj = {"field": {"p": 3, "e": 2}, "N": 3, "k": 1, "generator": [[1, 2, 0]]}
+    out = json.loads(code_info_on(tmp_path, obj, expect=0).stdout)
+    assert out == {"N": 3, "k": 1, "q": 9, "rank": 1,
+                   "min_distance": {"exact": True, "value": 2}}
+
+
+@pytest.mark.parametrize("place", ["bundle:9", "bundle:-1", "root:x", "aff:1:z", "root:",
+                                   "inf:0"])
+def test_bad_place_id_rejected(h3_file, place):
+    proc = run_cli("dim", "--curve", h3_file, "--places", f"root:0,{place}",
+                   "--alpha", "1,2", expect=2)
+    assert json.loads(proc.stderr)["error"] == "UnsupportedPlaceStructure"
+
+
+def test_lcp_build_eval_x_not_integers(h3_file):
+    proc = run_cli("lcp-build", "--curve", h3_file, "--construction", "1", "--s", "3",
+                   "--eval-x", "1,x", expect=2)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+@pytest.mark.parametrize("x", ["99", "-1"])
+def test_lcp_build_eval_x_outside_field(h3_file, x):
+    proc = run_cli("lcp-build", "--curve", h3_file, "--construction", "1", "--s", "3",
+                   "--eval-x", f"1,{x}", expect=2)
+    assert json.loads(proc.stderr)["error"] == "UnsupportedPlaceStructure"
+
+
+@pytest.mark.parametrize("divisor", [{"places": []}, [], {"coeffs": [{"c": 1}]}],
+                         ids=["no-coeffs", "list", "coeff-without-place"])
+def test_lcp_build_malformed_divisor_file(h3_file, tmp_path, divisor):
+    path = tmp_path / "E.json"
+    path.write_text(json.dumps(divisor))
+    proc = run_cli("lcp-build", "--curve", h3_file, "--construction", "1", "--s", "3",
+                   "--E", str(path), expect=2)
+    assert json.loads(proc.stderr)["error"] == "Usage"

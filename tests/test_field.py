@@ -161,6 +161,102 @@ def test_canonical_modulus_is_first_primitive_tail(p, e):
         assert not x_generates_all_units(smaller, p)
 
 
+def powers_of_x(tail, p):
+    """Encodings of x^0, ..., x^(p^e - 2) modulo x^e + tail(x), by the digit
+    walk of x_generates_all_units."""
+    e = len(tail)
+    cur, out = (1,) + (0,) * (e - 1), []
+    for _ in range(p**e - 1):
+        out.append(sum(d * p**i for i, d in enumerate(cur)))
+        top = cur[-1]
+        cur = tuple((low - top * c) % p for low, c in zip((0,) + cur[:-1], tail))
+    return np.array(out, dtype=np.int64)
+
+
+def generator_tail(f):
+    """The tail whose x is the field's generator: the modulus for e >= 2, and
+    x - g for the smallest primitive root g of a prime field."""
+    if f.e > 1:
+        return f.modulus[:-1]
+    return next((-a % f.p,) for a in range(1, f.p) if x_generates_all_units((-a % f.p,), f.p))
+
+
+def digitwise(f, op, a, b):
+    """Apply op to every base-p digit pair of a and b, mod p."""
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    for i in range(f.e):
+        pw = f.p**i
+        out += (op((a // pw) % f.p, (b // pw) % f.p) % f.p) * pw
+    return out
+
+
+def check_tables_against_reference(f, sample=20000):
+    """Compare the field's tables with a scalar digit walk of the generator's
+    powers and digit-wise arithmetic.  Addition and multiplication are
+    checked on every pair when the field has full tables (in row blocks of
+    the q x q grid), else on a seeded sample of pairs."""
+    q, p = f.q, f.p
+    exp = powers_of_x(generator_tail(f), p)
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    assert np.array_equal(f._exp, exp), f
+    assert np.array_equal(f._log, log), f
+    units = np.arange(1, q)
+    assert f._neg_t[0] == 0 and f._inv_t[0] == 0
+    assert np.array_equal(f._neg_t, digitwise(f, lambda x, _: -x, np.arange(q), 0)), f
+    assert np.array_equal(f._inv_t[units], exp[(-log[units]) % (q - 1)]), f
+
+    def ref_mul(a, b):
+        return np.where((a == 0) | (b == 0), 0, exp[(log[a] + log[b]) % (q - 1)])
+
+    blocks = ([(np.arange(s, min(s + 256, q))[:, None], np.arange(q)[None, :])
+               for s in range(0, q, 256)] if f._add_flat is not None
+              else [tuple(np.random.default_rng(q).integers(0, q, (2, sample)))])
+    for a, b in blocks:
+        assert np.array_equal(f.vadd(a, b), digitwise(f, np.add, a, b)), f
+        assert np.array_equal(f.vmul(a, b), ref_mul(a, b)), f
+    xs, ys = np.random.default_rng(q).integers(0, q, (2, 50))
+    sums = digitwise(f, np.add, xs, ys).tolist()
+    assert [f.add(int(x), int(y)) for x, y in zip(xs, ys)] == sums, f
+
+
+def _prime_powers(limit):
+    return [(p, e) for p in range(2, limit + 1) if all(p % d for d in range(2, int(p**0.5) + 1))
+            for e in range(1, 13) if p**e <= limit]
+
+
+TABLE_FIELDS = _prime_powers(4096)
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p, e in TABLE_FIELDS if e > 1])
+def test_tables_match_scalar_reference_extension_fields(p, e):
+    f = K.Field(p, e)  # uncached: the q <= 2048 tables take up to 64 MB
+    assert (f._add_flat is None) == (f.q > 2048)
+    check_tables_against_reference(f)
+
+
+@pytest.mark.parametrize("lo,hi", [(2, 1000), (1000, 2000), (2000, 3000), (3000, 4097)])
+def test_tables_match_scalar_reference_prime_fields(lo, hi):
+    # includes primes above the full-table limit, e.g. 4093, which add digit-wise
+    primes = [p for p, e in TABLE_FIELDS if e == 1 and lo <= p < hi]
+    assert primes
+    for p in primes:
+        f = K.Field(p, 1)
+        assert (f._add_flat is None) == (p > 2048)
+        check_tables_against_reference(f, sample=5000)
+
+
+def test_gf2_16_tables_on_a_sample():
+    check_tables_against_reference(K.field_create(2, 16))
+
+
+def test_gf2_20_exp_holds_every_unit():
+    f = K.Field(2, 20)
+    assert f._exp.shape == (f.q - 1,)
+    assert np.unique(f._exp).size == f.q - 1 and f._exp.min() >= 1
+    assert f._log[0] == -1 and np.array_equal(f._exp[f._log[1:]], np.arange(1, f.q))
+
+
 def test_gf3_10_modulus():
     # the norm prefilter leaves the scan quick here; the tail is the one the
     # full scan without it finds
