@@ -22,10 +22,10 @@ from .codes import (
     Matrix,
     ag_code,
     encode_messages,
+    fiber_block_rank,
     is_lcp,
     min_distance,
     rank,
-    stack_rank,
     verify_lcp_conditions,
 )
 from .curve import Divisor, KummerCurve, curve_from_json, parse_place
@@ -204,6 +204,8 @@ def _load_lcp_result(path: str):
         raise UsageError(f"input file {path} is not an lcp-build result: {exc!r}") from None
     if len(codes) != 2:
         raise UsageError(f"result file {path} must hold two codes, not {len(codes)}")
+    for code in codes:  # columns are the places of D, as in the rebuilt codes
+        code.curve, code.places = curve, tuple(d_places)
     return curve, d_places, G, H, certificates, codes
 
 
@@ -211,15 +213,13 @@ def cmd_lcp_verify(args) -> dict:
     curve, d_places, G, H, certificates, codes = _load_lcp_result(args.result)
     report = is_lcp(codes[0], codes[1])
     conditions = verify_lcp_conditions(curve, d_places, G, H, certificates)
-    stored_ranks_ok = (
-        rank(codes[0].generator) == codes[0].k and rank(codes[1].generator) == codes[1].k
-    )
+    stored_ranks_ok = all(fiber_block_rank(c) == c.k for c in codes)
     # each stored code must be C(D, G) resp. C(D, H): same N and k, and its
     # rows inside the row space of the rebuilt generator
     rebuilt = [ag_code(curve, d_places, divisor) for divisor in (G, H)]
     stored_codes_match = all(
         (c.N, c.k, c.generator.cols) == (r.N, r.k, r.N)
-        and stack_rank(c.generator, r.generator) == r.k
+        and fiber_block_rank(c, r) == r.k
         for c, r in zip(codes, rebuilt)
     )
     return {
@@ -239,9 +239,11 @@ def _load_code(path: str) -> LinearCode:
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise UsageError(f"input file {path} is not a code: {exc!r}") from None
     gen = code.generator
-    if gen.cols != code.N or not 0 <= code.k <= gen.rows:
+    if gen.cols != code.N or code.k != gen.rows:
         raise UsageError(f"input file {path}: a {gen.rows} x {gen.cols} generator cannot hold "
                          f"an [{code.N}, {code.k}] code")
+    if rank(gen) != code.k:
+        raise UsageError(f"input file {path}: the {gen.rows} generator rows are dependent")
     return code
 
 
@@ -251,7 +253,7 @@ def cmd_code_info(args) -> dict:
         "N": code.N,
         "k": code.k,
         "q": code.field.q,
-        "rank": rank(code.generator),
+        "rank": code.k,  # _load_code checked that the generator has rank k
     }
     if args.sample:
         rng = np.random.default_rng(args.seed)

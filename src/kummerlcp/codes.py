@@ -7,6 +7,23 @@ have full rank) and the sufficient-condition verifier (degree window,
 degree sum, gcd degree g-1, and non-specialness of gcd(G,H) and of
 lmd(G,H) - D after reduction along a caller-supplied chain of principal
 divisors).
+
+Ranks over evaluation places are taken fiber by fiber when the columns
+allow it (fiber_block_rank).  Suppose the columns fall into groups of m
+points (x_f, y_0), ..., (x_f, y_{m-1}) with distinct nonzero y_t, one group
+per x_f.  Multiplying each group by its Vandermonde matrix
+X_f[t, i] = y_t^(-i) is an invertible column operation, so it leaves the
+rank of any matrix unchanged.  On a completely split fiber y_t = y_0 zeta^t
+with zeta a primitive m-th root of unity, and since p does not divide m,
+sum_t zeta^(t (j - i)) is m for i = j and 0 otherwise: a row y^j h(x)
+becomes m h(x_f) in character column j and 0 in the other m - 1.  The
+transformed matrix is then checked as it stands: if every row is nonzero
+in at most one character group (column i of every fiber), it is
+block-diagonal up to a permutation of rows and columns, and its rank is
+the sum of the m block ranks, each block about N/m columns wide.  The
+verdict rests on that check of the data, not on how the matrix was built:
+a matrix that fails it (a row mixing strata, a partial fiber) takes the
+dense elimination, which stays the fallback and the test oracle.
 """
 
 from __future__ import annotations
@@ -68,12 +85,18 @@ def rank(matrix: Matrix) -> int:
     return linalg.rank(matrix.field, matrix.data)
 
 
+def _stacked(matrices: Sequence[Matrix]) -> np.ndarray:
+    first = matrices[0]
+    for other in matrices[1:]:
+        if other.field != first.field:
+            raise FieldMismatchError("stacked matrices live over different fields")
+        if other.cols != first.cols:
+            raise ShapeMismatchError(f"column counts differ: {first.cols} vs {other.cols}")
+    return np.vstack([mat.data for mat in matrices])
+
+
 def stack_rank(m1: Matrix, m2: Matrix) -> int:
-    if m1.field != m2.field:
-        raise FieldMismatchError("stacked matrices live over different fields")
-    if m1.cols != m2.cols:
-        raise ShapeMismatchError(f"column counts differ: {m1.cols} vs {m2.cols}")
-    return linalg.rank(m1.field, np.vstack([m1.data, m2.data]))
+    return linalg.rank(m1.field, _stacked([m1, m2]))
 
 
 def divisor_gcd(A: Divisor, B: Divisor) -> Divisor:
@@ -97,6 +120,8 @@ class LinearCode:
     curve: KummerCurve | None = None
     G: Divisor | None = None
     places: tuple[Place, ...] = ()
+    # (generator, its character blocks or None), see character_blocks
+    _blocks: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -105,6 +130,90 @@ class LinearCode:
             "field": self.field.to_json(),
             "generator": self.generator.to_json(),
         }
+
+
+def _fiber_layout(field: Field, m: int,
+                  places: Sequence[Place]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Column indices grouped by x, one row of m per fiber, and each fiber's
+    Vandermonde matrices vand[f, t, i] = y_t^(-i); None unless every x that
+    occurs carries exactly m distinct nonzero y."""
+    N = len(places)
+    if N == 0 or N % m or any(p.kind != AFFINE for p in places):
+        return None
+    xs = np.fromiter((p.x for p in places), dtype=np.int64, count=N)
+    ys = np.fromiter((p.y for p in places), dtype=np.int64, count=N)
+    if np.any((xs < 0) | (xs >= field.q) | (ys <= 0) | (ys >= field.q)):
+        return None
+    cols = np.argsort(xs, kind="stable").reshape(-1, m)
+    fx, fy = xs[cols], ys[cols]
+    # sorted by x and cut into runs of m: each run one x, neighbours different
+    if np.any(fx != fx[:, :1]) or np.any(fx[1:, 0] == fx[:-1, 0]):
+        return None
+    sy = np.sort(fy, axis=1)
+    if np.any(sy[:, 1:] == sy[:, :-1]):
+        return None
+    vand = np.ones(fy.shape + (m,), dtype=np.int64)
+    inv_y = field.vinv(fy)
+    for i in range(1, m):
+        vand[:, :, i] = field.vmul(vand[:, :, i - 1], inv_y)
+    return cols, vand
+
+
+def _split_by_character(field: Field, cols: np.ndarray, vand: np.ndarray,
+                        data: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """data with each fiber's columns multiplied by its Vandermonde matrix,
+    cut into the m character blocks; None when a row is nonzero in two
+    character groups."""
+    A = data[:, cols]  # rows x fibers x points
+    out = field.vmul(A[:, :, 0, None], vand[None, :, 0, :])
+    for t in range(1, cols.shape[1]):
+        out = field.vadd(out, field.vmul(A[:, :, t, None], vand[None, :, t, :]))
+    live = np.any(out != 0, axis=1)  # rows x character groups
+    if np.any(live.sum(axis=1) > 1):
+        return None
+    group = np.where(live.any(axis=1), live.argmax(axis=1), -1)
+    return tuple(out[group == j, :, j] for j in range(cols.shape[1]))
+
+
+def character_blocks(code: LinearCode) -> tuple[np.ndarray, ...] | None:
+    """The generator after the per-fiber character transform, cut into its
+    m character blocks: block j holds column j of every fiber for the rows
+    living there.  None when the columns are not whole fibers or a row is
+    nonzero in two character groups; the dense path then decides.
+
+    Computed once per generator object and kept on the code, so a new
+    generator is transformed afresh (Matrix data is not edited in place).
+    """
+    gen = code.generator
+    if code._blocks is None or code._blocks[0] is not gen:
+        layout = None
+        if code.curve is not None and gen.cols == len(code.places):
+            layout = _fiber_layout(code.field, code.curve.m, code.places)
+        blocks = None if layout is None else _split_by_character(code.field, *layout, gen.data)
+        code._blocks = (gen, blocks)
+    return code._blocks[1]
+
+
+def fiber_block_rank(*codes: LinearCode) -> int:
+    """Rank of the codes' stacked generators.
+
+    When every code has character blocks over the same field, places and
+    m, the stack's transform is the stack of the transforms, and the rank
+    is the sum over j of the ranks of the stacked j-th blocks; otherwise it
+    is the dense rank of the stack.
+    """
+    first = codes[0]
+    field = first.field
+    parts = [character_blocks(c) for c in codes]
+    if all(p is not None for p in parts) and all(
+        (c.field, c.places, c.curve.m) == (field, first.places, first.curve.m) for c in codes
+    ):
+        return sum(
+            linalg.rank(field, np.vstack(group))
+            for group in zip(*parts)
+            if any(len(b) for b in group)
+        )
+    return linalg.rank(field, _stacked([c.generator for c in codes]))
 
 
 def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
@@ -126,7 +235,8 @@ def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> Lin
     rows = rrspace.evaluation_rows(curve, G, places)
     N = len(places)
     field = curve.field
-    k = linalg.rank(field, rows) if rows.size else 0
+    code = LinearCode(field, Matrix(field, rows), N, 0, curve, G, places)
+    k = code.k = fiber_block_rank(code)
     g = curve.genus()
     deg = G.degree()
     if 2 * g - 2 < deg < N:
@@ -136,8 +246,8 @@ def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> Lin
                 f"rank {k} does not match deg G + 1 - g = {expected}"
             )
     if k < rows.shape[0]:
-        rows = linalg.row_space_basis(field, rows)
-    return LinearCode(field, Matrix(field, rows), N, k, curve, G, places)
+        code.generator = Matrix(field, linalg.row_space_basis(field, rows))
+    return code
 
 
 @dataclass(frozen=True)
@@ -203,7 +313,7 @@ def is_lcp(c1: LinearCode, c2: LinearCode) -> LcpReport:
         raise FieldMismatchError("codes live over different fields")
     if c1.N != c2.N:
         raise ShapeMismatchError(f"lengths differ: {c1.N} vs {c2.N}")
-    r = stack_rank(c1.generator, c2.generator)
+    r = fiber_block_rank(c1, c2)
     return LcpReport(c1.k, c2.k, c1.N, r, c1.k + c2.k == c1.N and r == c1.N)
 
 

@@ -36,6 +36,7 @@ from .errors import (
 
 MAX_FIELD_SIZE = 1 << 20
 _FULL_TABLE_LIMIT = 2048
+_DIGIT_CHUNK = 1 << 16  # rows per int64 product while filling the log tables
 
 _FIELD_CACHE: dict[tuple[int, int], "Field"] = {}
 
@@ -178,21 +179,25 @@ class Field:
 
     def _build_log_tables(self) -> None:
         # digits of g^(k+j) are M^k times those of g^j: fill the powers by
-        # doubling the filled prefix, one matrix product per step.  Entries
-        # stay below p, so a product entry is at most e (p-1)^2 < 2^41.
+        # doubling the filled prefix, one matrix product per step.  Digits
+        # are kept as int8 when p <= 127; each product runs in int64 on at
+        # most _DIGIT_CHUNK rows, where an entry is at most e (p-1)^2 < 2^41.
         p, q1 = self.p, self.q - 1
         mat = _generator_matrix(p, self.e, self.modulus)
-        digits = np.zeros((q1, self.e), dtype=np.int64)
+        pows = np.asarray(self._digit_pows, dtype=np.int64)
+        digits = np.zeros((q1, self.e), dtype=np.int8 if p <= 127 else np.int64)
         digits[0, 0] = 1
+        self._exp = np.ones(q1, dtype=np.int64)
         k = 1
         while k < q1:
             n = min(k, q1 - k)
-            block = digits[k:k + n]
-            np.matmul(digits[:n], mat.T, out=block)
-            block %= p
+            for lo in range(0, n, _DIGIT_CHUNK):
+                hi = min(lo + _DIGIT_CHUNK, n)
+                block = digits[lo:hi].astype(np.int64) @ mat.T % p
+                digits[k + lo:k + hi] = block
+                self._exp[k + lo:k + hi] = block @ pows
             mat = mat @ mat % p
             k += n
-        self._exp = digits @ np.asarray(self._digit_pows, dtype=np.int64)
         self._log = np.full(self.q, -1, dtype=np.int64)
         self._log[self._exp] = np.arange(q1, dtype=np.int64)
         if not np.all(self._log[1:] >= 0):

@@ -1,9 +1,10 @@
 """Gaussian elimination over GF(q) on int64 encoding matrices.
 
 Pivoting is deterministic (first nonzero entry in column order) so echelon
-forms, ranks and null spaces are bit-reproducible.  The inner loops are
-numpy table gathers, which keeps the 2000 x 2000 eliminations used by the
-LCP verification inside the time budget.
+forms, ranks and null spaces are bit-reproducible.  Each pivot step is a
+few numpy table gathers over the rows below it, so a dense n x n rank costs
+on the order of n^3 gathers; codes.fiber_block_rank keeps the ranks of
+fiber-structured generators off this path where it can.
 """
 
 from __future__ import annotations

@@ -328,6 +328,18 @@ def test_code_info_column_count_not_N(tmp_path, N):
     assert json.loads(proc.stderr)["error"] == "Usage"
 
 
+@pytest.mark.parametrize("generator,k", [
+    ([[1, 2, 0], [0, 1, 1], [1, 0, 1]], 1),
+    ([[1, 2, 0], [2, 1, 0]], 2),
+], ids=["k-below-row-count", "dependent-rows"])
+def test_code_info_k_not_rows_and_rank(tmp_path, generator, k):
+    # k below the row count would describe the code of the first k rows only;
+    # dependent rows would give a zero-weight nonzero message
+    obj = {"field": {"p": 3, "e": 2}, "N": 3, "k": k, "generator": generator}
+    proc = code_info_on(tmp_path, obj)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
 def test_code_info_accepts_small_valid_code(tmp_path):
     obj = {"field": {"p": 3, "e": 2}, "N": 3, "k": 1, "generator": [[1, 2, 0]]}
     out = json.loads(code_info_on(tmp_path, obj, expect=0).stdout)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import kummerlcp as K
-from kummerlcp import linalg
-from kummerlcp.codes import CertStep, encode_messages
+from kummerlcp import lcp, linalg, rrspace
+from kummerlcp.codes import CertStep, character_blocks, encode_messages, fiber_block_rank
 from kummerlcp.errors import (
     CertificateInvalidError,
     FieldMismatchError,
@@ -15,7 +15,7 @@ from kummerlcp.errors import (
     SupportOverlapError,
 )
 
-from conftest import FIELD_CHOICES
+from conftest import FIELD_CHOICES, random_curve
 
 
 def reference_rref(f, M):
@@ -334,3 +334,158 @@ def test_code_serialization(h3):
     obj = code.to_json()
     assert obj["N"] == 24 and obj["k"] == 4
     assert len(obj["generator"]) == 4 and len(obj["generator"][0]) == 24
+
+
+# --- fiber-block ranks against dense elimination --------------------------------
+
+def dense_rank(*codes):
+    return linalg.rank(codes[0].field, np.vstack([c.generator.data for c in codes]))
+
+
+def assert_ranks_agree(c1, c2, fast=(True, True)):
+    """Ranks of c1, c2 and their stack by fiber blocks equal the dense ranks,
+    and the fast path applies to each code exactly when expected."""
+    for code, expect in zip((c1, c2), fast):
+        assert (character_blocks(code) is not None) == expect
+        assert fiber_block_rank(code) == dense_rank(code)
+    assert fiber_block_rank(c1, c2) == dense_rank(c1, c2)
+
+
+def test_fiber_block_rank_all_h3_constructions(h3):
+    E = K.Divisor.of((K.Place.infinity(), -1), (h3.root_place(1), 1), (h3.root_place(2), 2))
+    Q = [h3.root_place(k) for k in range(3)]
+    E1 = K.Divisor.of((Q[0], -3), (Q[1], 2), (Q[2], 3))
+    E2 = K.Divisor.of((K.Place.infinity(), -3), (Q[0], 2), (Q[1], 3))
+    Eg = K.Divisor.of((Q[1], 1), (Q[2], 2))
+    results = ([K.lcp_pole_shift(h3, E, s) for s in range(1, 8)]
+               + [K.lcp_pair(h3, E1, E2, s) for s in range(3, 8)]
+               + [K.lcp_punctured(h3, Eg, s) for s in range(1, 7)])
+    for res in results:
+        # construction R's first fiber is partial, so it takes the dense path
+        fast = res.construction != "R"
+        assert_ranks_agree(res.code_g, res.code_h, fast=(fast, fast))
+        assert res.report.rank_of_stack == (24 if fast else 21)
+
+
+def random_branch_divisor(rng, curve):
+    entries = [curve.branch_divisor_entry(k, rng.randint(-3, 6)) for k in range(len(curve.roots))]
+    if curve.d_inf == 1:
+        entries.append((K.Place.infinity(), rng.randint(-3, 12)))
+    return K.Divisor(entries)
+
+
+def evaluation_code(curve, D, places):
+    """The unreduced evaluation rows of L(D) at places, as a code."""
+    f = curve.field
+    rows = rrspace.evaluation_rows(curve, D, places)
+    return K.LinearCode(f, K.Matrix(f, rows), len(places), rows.shape[0], curve, D, tuple(places))
+
+
+def test_fiber_block_rank_random_divisors(bundle_curve, gk2):
+    rng = random.Random(62)
+    curves = [bundle_curve, gk2] + [random_curve(rng) for _ in range(100)]
+    checked = with_bundles = deficits = 0
+    for curve in curves:
+        fibers = curve.split_fibers()
+        if not fibers:
+            continue
+        chosen = rng.sample(fibers, rng.randint(1, min(6, len(fibers))))
+        places = [p for _, fiber in chosen for p in fiber]
+        rng.shuffle(places)  # the columns need not come fiber by fiber
+        c1, c2 = (evaluation_code(curve, random_branch_divisor(rng, curve), places)
+                  for _ in range(2))
+        assert_ranks_agree(c1, c2)
+        checked += 1
+        with_bundles += any(d > 1 for d in curve.root_gcds)
+        deficits += fiber_block_rank(c1) < c1.generator.rows
+    assert checked >= 40 and with_bundles >= 8 and deficits >= 5
+
+
+def test_fiber_block_rank_random_constructions():
+    rng = random.Random(61)
+    built = {"1": 0, "2": 0}
+    for _ in range(60):
+        curve = random_curve(rng)
+        if not curve.split_x_values():
+            continue
+        pair = None
+        try:  # construction 2 needs E1 on the zeros and E2 on infinity and Q_1..Q_{n-1}
+            E1 = lcp._default_gminus1(curve, zeros_only=True)
+            tup = K.QTuple.of(curve, [K.Place.infinity()]
+                              + [curve.root_place(k) for k in range(len(curve.roots) - 1)])
+            fam = K.unit_multiplicity_family(curve, tup)
+            if isinstance(fam, K.DivisorFamily):
+                pair = E1, fam.canonical()
+        except K.errors.KummerError:
+            pass
+        for s in range(1, 6):
+            for construction in ("1", "2"):
+                try:
+                    if construction == "1":
+                        res = lcp.build(curve, "1", s)
+                    elif pair is not None:
+                        res = lcp.lcp_pair(curve, *pair, s)
+                    else:
+                        continue
+                except K.errors.KummerError:
+                    continue
+                assert_ranks_agree(res.code_g, res.code_h)
+                built[construction] += 1
+    assert built["1"] >= 20 and built["2"] >= 10
+
+
+@pytest.fixture(scope="module")
+def h3_pole_shift(h3):
+    E = K.Divisor.of((K.Place.infinity(), -1), (h3.root_place(1), 1), (h3.root_place(2), 2))
+    return K.lcp_pole_shift(h3, E, 3)
+
+
+def variant(code, data, places=None):
+    f = code.field
+    places = code.places if places is None else tuple(places)
+    return K.LinearCode(f, K.Matrix(f, data), len(places), len(data), code.curve, code.G, places)
+
+
+def stratum_rows(code):
+    """(first row, row count) of each stratum block of an ag_code generator."""
+    out, r = [], 0
+    for st in rrspace.basis_strata(code.curve, code.G):
+        out.append((r, st.count))
+        r += st.count
+    return out
+
+
+def test_fiber_block_rank_planted_deficits(h3_pole_shift):
+    code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
+    f, rows, N = code.field, code.generator.data, code.N
+    dup = variant(code, np.vstack([rows, rows[2:3]]))
+    assert_ranks_agree(dup, other)
+    assert fiber_block_rank(dup) == code.k and fiber_block_rank(dup, other) == N
+    r0, count = next(v for v in stratum_rows(code) if v[1] >= 2)
+    dep = rows.copy()
+    dep[r0 + count - 1] = f.vadd(f.vmul(rows[r0], 2), rows[r0 + 1])
+    dependent = variant(code, dep)
+    assert_ranks_agree(dependent, other)
+    assert fiber_block_rank(dependent) == code.k - 1
+    assert fiber_block_rank(dependent, other) == N - 1
+
+
+def test_fiber_block_rank_falls_back_to_dense(h3, h3_pole_shift):
+    code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
+    f, rows = code.field, code.generator.data
+    offsets = stratum_rows(code)
+    mixed = rows.copy()
+    mixed[offsets[0][0]] = f.vadd(rows[offsets[0][0]], rows[offsets[1][0]])
+    assert_ranks_agree(variant(code, mixed), other, fast=(False, True))
+    # partial fibers: the last column dropped, and 2 + 4 + 2 points on three fibers
+    partial = variant(code, rows[:, :-1], code.places[:-1])
+    assert_ranks_agree(partial, variant(other, other.generator.data[:, :-1], partial.places),
+                       fast=(False, False))
+    fibers = [fiber for _, fiber in h3.split_fibers()]
+    places = fibers[0][:2] + fibers[1] + fibers[2][2:]
+    assert len(places) % h3.m == 0
+    assert_ranks_agree(evaluation_code(h3, code.G, places),
+                       evaluation_code(h3, other.G, places), fast=(False, False))
+    # the [I | 0] forgery has unit rows, nonzero in every character group
+    forged = variant(code, np.eye(code.k, code.N, dtype=np.int64))
+    assert character_blocks(forged) is None and fiber_block_rank(forged) == code.k

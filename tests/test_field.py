@@ -257,6 +257,17 @@ def test_gf2_20_exp_holds_every_unit():
     assert f._log[0] == -1 and np.array_equal(f._exp[f._log[1:]], np.arange(1, f.q))
 
 
+@pytest.mark.parametrize("p,e", [(2, 8), (3, 5), (131, 2), (257, 1)])
+def test_log_tables_filled_in_small_chunks(monkeypatch, p, e):
+    # int8 digits for p <= 127, int64 above; chunk edges inside every doubling step
+    ref = K.field_create(p, e)
+    monkeypatch.setattr(K.field, "_DIGIT_CHUNK", 7)
+    small = K.field.Field(p, e)
+    for name in ("_exp", "_log", "_neg_t", "_inv_t", "_add_flat", "_mul_flat"):
+        a, b = getattr(ref, name), getattr(small, name)
+        assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
+
+
 def test_gf3_10_modulus():
     # the norm prefilter leaves the scan quick here; the tail is the one the
     # full scan without it finds
