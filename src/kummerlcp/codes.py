@@ -360,15 +360,18 @@ class ConditionReport:
 
 
 def _chain_divisor(curve: KummerCurve, certificates: Iterable[CertStep]) -> Divisor:
-    total = Divisor.zero()
+    """The sum of mult * div(generator) over the chain, built as one Divisor
+    so the cost is linear in the chain's length."""
+    terms = []
     for step in certificates:
         if step.kind == "y":
-            total = total + step.mult * curve.principal_divisor("y")
+            div = curve.principal_divisor("y")
         elif step.kind == "x-b":
-            total = total + step.mult * curve.principal_divisor("x-b", step.b)
+            div = curve.principal_divisor("x-b", step.b)
         else:
             raise CertificateInvalidError(f"unknown generator kind {step.kind!r}")
-    return total
+        terms.extend((place, step.mult * c) for place, c in div.items())
+    return Divisor(terms)
 
 
 def _nonspecial_gminus1_report(

@@ -14,15 +14,18 @@ matrix of the modulus, or [[g]] for a prime field.  The modulus scan tests
 the order of M by matrix powers, the log/antilog tables are the digit
 vectors of M^k e_0 (filled by doubling), negation and inversion are
 read off the logs, and prime fields run the same digit-wise code as every
-other field.  Fields up to q = 2^20 are supported; small fields
-(q <= 2048) additionally carry full q x q addition and multiplication
-tables so that numpy bulk operations reduce to flat table gathers.
+other field.  Fields up to q = 2^20 are supported.
+
+Multiplication is one antilog lookup for every field: log 0 is the sentinel
+2(q-1), and the antilog table holds two periods of the generator's powers
+followed by zeros, so log a + log b lands in the zero tail exactly when a or
+b is 0 and never needs reducing mod q-1.  Addition is digit-wise mod p;
+small fields (q <= 2048) read it from a full q x q table instead.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
 
 import numpy as np
 
@@ -149,7 +152,7 @@ class Field:
     __slots__ = (
         "p", "e", "q", "modulus",
         "_exp", "_log", "_digit_pows",
-        "_add_flat", "_mul_flat", "_neg_t", "_inv_t",
+        "_add_flat", "_neg_t", "_inv_t",
     )
 
     def __init__(self, p: int, e: int):
@@ -169,11 +172,7 @@ class Field:
         # -1 is encoded as p - 1, so negation multiplies by g^log(p - 1)
         self._neg_t = self._log_affine(1, int(self._log[p - 1]))
         self._inv_t = self._log_affine(-1, 0)
-        if q <= _FULL_TABLE_LIMIT:
-            self._build_full_tables()
-        else:
-            self._add_flat = None
-            self._mul_flat = None
+        self._add_flat = self._build_add_table() if q <= _FULL_TABLE_LIMIT else None
 
     # -- construction helpers -------------------------------------------
 
@@ -187,7 +186,7 @@ class Field:
         pows = np.asarray(self._digit_pows, dtype=np.int64)
         digits = np.zeros((q1, self.e), dtype=np.int8 if p <= 127 else np.int64)
         digits[0, 0] = 1
-        self._exp = np.ones(q1, dtype=np.int64)
+        exp = np.ones(q1, dtype=np.int64)
         k = 1
         while k < q1:
             n = min(k, q1 - k)
@@ -195,13 +194,19 @@ class Field:
                 hi = min(lo + _DIGIT_CHUNK, n)
                 block = digits[lo:hi].astype(np.int64) @ mat.T % p
                 digits[k + lo:k + hi] = block
-                self._exp[k + lo:k + hi] = block @ pows
+                exp[k + lo:k + hi] = block @ pows
             mat = mat @ mat % p
             k += n
-        self._log = np.full(self.q, -1, dtype=np.int64)
-        self._log[self._exp] = np.arange(q1, dtype=np.int64)
-        if not np.all(self._log[1:] >= 0):
+        del digits
+        # log 0 = 2(q-1) is the zero sentinel: a sum of two logs is below
+        # 2(q-1) for two units, and in the zero tail [2(q-1), 4(q-1)] else
+        self._log = np.full(self.q, 2 * q1, dtype=np.int64)
+        self._log[exp] = np.arange(q1, dtype=np.int64)
+        if np.any(self._log[1:] == 2 * q1):
             raise InternalInvariantError(f"the generator of {self!r} does not reach every unit")
+        self._exp = np.zeros(4 * q1 + 1, dtype=np.int64)
+        self._exp[:q1] = exp
+        self._exp[q1:2 * q1] = exp
 
     def _log_affine(self, scale: int, shift: int) -> np.ndarray:
         """Table of a -> g^(scale * log a + shift), with 0 -> 0."""
@@ -209,21 +214,14 @@ class Field:
         out[0] = 0
         return out
 
-    def _build_full_tables(self) -> None:
+    def _build_add_table(self) -> np.ndarray:
         # addition on the low i + 1 digits is the Kronecker sum of GF(p)'s
         # table, scaled to digit i, and addition on the low i digits
         p = self.p
         add = digit_add = np.add.outer(np.arange(p), np.arange(p)) % p
         for pw in self._digit_pows[1:]:
             add = (digit_add[:, None, :, None] * pw + add[None, :, None, :]).reshape(p * pw, -1)
-        self._add_flat = add.reshape(-1)
-        logs = self._log.copy()
-        logs[0] = 0
-        # two periods of exp absorb the reduction of log a + log b mod q - 1
-        mul = np.concatenate([self._exp, self._exp])[logs[:, None] + logs[None, :]]
-        mul[0, :] = 0
-        mul[:, 0] = 0
-        self._mul_flat = mul.reshape(-1)
+        return add.reshape(-1)
 
     # -- identity / equality ---------------------------------------------
 
@@ -250,11 +248,7 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_flat is not None:
-            return int(self._mul_flat[a * self.q + b])
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
+        return self._exp.item(self._log.item(a) + self._log.item(b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -296,12 +290,7 @@ class Field:
     def vmul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self._mul_flat is not None:
-            return self._mul_flat[a * self.q + b]
-        la = self._log[a]
-        lb = self._log[b]
-        out = self._exp[(np.where(la < 0, 0, la) + np.where(lb < 0, 0, lb)) % (self.q - 1)]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self._exp[self._log[a] + self._log[b]]
 
     def vinv(self, a):
         a = np.asarray(a, dtype=np.int64)
@@ -318,8 +307,9 @@ class Field:
             return np.ones_like(a)
         if k < 0:
             return self.vpow(self.vinv(a), -k)
-        la = self._log[a]
-        out = self._exp[(np.where(la < 0, 0, la) * k) % (self.q - 1)]
+        # k is reduced first so that the int64 product cannot overflow; k
+        # times the sentinel is 0 mod q-1, so zeros are masked afterwards
+        out = self._exp[self._log[a] * (k % (self.q - 1)) % (self.q - 1)]
         return np.where(a == 0, 0, out)
 
     # -- elements ----------------------------------------------------------
@@ -332,14 +322,6 @@ class Field:
 
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
-
-    def elements(self) -> Iterable["FieldElement"]:
-        return (FieldElement(self, v) for v in range(self.q))
-
-    def generator(self) -> "FieldElement":
-        if self.q == 2:
-            return FieldElement(self, 1)
-        return FieldElement(self, int(self._exp[1]))
 
     def to_json(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}

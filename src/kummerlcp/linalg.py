@@ -1,10 +1,11 @@
 """Gaussian elimination over GF(q) on int64 encoding matrices.
 
 Pivoting is deterministic (first nonzero entry in column order) so echelon
-forms, ranks and null spaces are bit-reproducible.  Each pivot step is a
-few numpy table gathers over the rows below it, so a dense n x n rank costs
-on the order of n^3 gathers; codes.fiber_block_rank keeps the ranks of
-fiber-structured generators off this path where it can.
+forms, ranks and null spaces are bit-reproducible.  Each pivot step is one
+Field.vmul (a log/antilog lookup) and one Field.vadd over the rows below
+it, so a dense n x n rank costs on the order of n^3 element operations;
+codes.fiber_block_rank keeps the ranks of fiber-structured generators off
+this path where it can.
 """
 
 from __future__ import annotations

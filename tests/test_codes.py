@@ -7,7 +7,13 @@ import pytest
 
 import kummerlcp as K
 from kummerlcp import lcp, linalg, rrspace
-from kummerlcp.codes import CertStep, character_blocks, encode_messages, fiber_block_rank
+from kummerlcp.codes import (
+    CertStep,
+    _chain_divisor,
+    character_blocks,
+    encode_messages,
+    fiber_block_rank,
+)
 from kummerlcp.errors import (
     CertificateInvalidError,
     FieldMismatchError,
@@ -303,6 +309,28 @@ def test_verify_conditions_bad_certificate(h3):
         K.verify_lcp_conditions(h3, res.d_places, res.G, res.H, under)
 
 
+def folded_chain(curve, certificates):
+    """The certificate chain's divisor as a fold of Divisor additions."""
+    total = K.Divisor.zero()
+    for step in certificates:
+        args = ("y",) if step.kind == "y" else ("x-b", step.b)
+        total = total + step.mult * curve.principal_divisor(*args)
+    return total
+
+
+def test_chain_divisor_equals_fold(h3, z_curve, h3_constructions):
+    for res in h3_constructions:
+        assert _chain_divisor(h3, res.certificates) == folded_chain(h3, res.certificates)
+    # construction 1's chain on every split fiber of the Z-curve at s = 77
+    chain = [CertStep("y", None, 77)] + [CertStep("x-b", x0, -1)
+                                         for x0 in z_curve.split_x_values()]
+    assert len(chain) == 289
+    div = _chain_divisor(z_curve, chain)
+    assert div == folded_chain(z_curve, chain) and div.degree() == 0
+    with pytest.raises(CertificateInvalidError):
+        _chain_divisor(z_curve, chain[:3] + [CertStep("z", None, 1)])
+
+
 def test_verify_conditions_partial_chain_still_sound(h3):
     # dropping the fiber steps leaves -1 coefficients on all of D, which the
     # evaluation-functional route still decides correctly (just more slowly)
@@ -351,16 +379,21 @@ def assert_ranks_agree(c1, c2, fast=(True, True)):
     assert fiber_block_rank(c1, c2) == dense_rank(c1, c2)
 
 
-def test_fiber_block_rank_all_h3_constructions(h3):
+@pytest.fixture(scope="module")
+def h3_constructions(h3):
+    """All 18 H3 constructions: 1 at s = 1..7, 2 at s = 3..7, R at s = 1..6."""
     E = K.Divisor.of((K.Place.infinity(), -1), (h3.root_place(1), 1), (h3.root_place(2), 2))
     Q = [h3.root_place(k) for k in range(3)]
     E1 = K.Divisor.of((Q[0], -3), (Q[1], 2), (Q[2], 3))
     E2 = K.Divisor.of((K.Place.infinity(), -3), (Q[0], 2), (Q[1], 3))
     Eg = K.Divisor.of((Q[1], 1), (Q[2], 2))
-    results = ([K.lcp_pole_shift(h3, E, s) for s in range(1, 8)]
-               + [K.lcp_pair(h3, E1, E2, s) for s in range(3, 8)]
-               + [K.lcp_punctured(h3, Eg, s) for s in range(1, 7)])
-    for res in results:
+    return ([K.lcp_pole_shift(h3, E, s) for s in range(1, 8)]
+            + [K.lcp_pair(h3, E1, E2, s) for s in range(3, 8)]
+            + [K.lcp_punctured(h3, Eg, s) for s in range(1, 7)])
+
+
+def test_fiber_block_rank_all_h3_constructions(h3_constructions):
+    for res in h3_constructions:
         # construction R's first fiber is partial, so it takes the dense path
         fast = res.construction != "R"
         assert_ranks_agree(res.code_g, res.code_h, fast=(fast, fast))

@@ -60,8 +60,8 @@ def test_field_create_errors():
 
 def test_gf729_exists(gf729):
     assert gf729.q == 729
-    # the log/exp tables enumerate the full multiplicative group
-    assert len(set(gf729._exp.tolist())) == 728
+    # the first period of the antilog table enumerates the multiplicative group
+    assert len(set(gf729._exp[:728].tolist())) == 728
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 1), (3, 4)])
@@ -119,6 +119,15 @@ def test_vector_ops_match_scalar(gf9):
     nz[nz == 0] = 1
     assert all(gf9.vinv(nz)[i] == gf9.inv(int(nz[i])) for i in range(200))
     assert all(gf9.vpow(a, 5)[i] == gf9.pow(int(a[i]), 5) for i in range(200))
+
+
+@pytest.mark.parametrize("p,e", [(3, 6), (2, 16)])
+def test_vpow_huge_exponent(p, e):
+    # log a * k would overflow int64 for these k unless k is reduced first
+    f = K.field_create(p, e)
+    a = np.array([0, 1, 2, 5, f.q - 1])
+    for k in (2**43 + 1, 2**62, 2**70 + 3, 10**30):
+        assert f.vpow(a, k).tolist() == [f.pow(int(x), k) for x in a], k
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (2, 11), (5, 5), (1021, 1)])
@@ -192,15 +201,22 @@ def digitwise(f, op, a, b):
 
 def check_tables_against_reference(f, sample=20000):
     """Compare the field's tables with a scalar digit walk of the generator's
-    powers and digit-wise arithmetic.  Addition and multiplication are
-    checked on every pair when the field has full tables (in row blocks of
-    the q x q grid), else on a seeded sample of pairs."""
+    powers and digit-wise arithmetic.  The antilog table must be the walk
+    twice, then 2(q-1) + 1 zeros, and log 0 the sentinel 2(q-1).  Addition
+    and multiplication are checked on every pair when the field has an add
+    table (in row blocks of the q x q grid), else on a seeded sample of
+    pairs; scalar add and mul on 50 sampled pairs, and scalar mul on every
+    pair with a zero operand."""
     q, p = f.q, f.p
     exp = powers_of_x(generator_tail(f), p)
     log = np.full(q, -1, dtype=np.int64)
     log[exp] = np.arange(q - 1)
-    assert np.array_equal(f._exp, exp), f
-    assert np.array_equal(f._log, log), f
+    assert f._exp.dtype == f._log.dtype == np.int64, f
+    assert f._exp.shape == (4 * (q - 1) + 1,) and f._log.shape == (q,), f
+    assert np.array_equal(f._exp[:q - 1], exp), f
+    assert np.array_equal(f._exp[q - 1:2 * (q - 1)], exp), f
+    assert not f._exp[2 * (q - 1):].any(), f
+    assert f._log[0] == 2 * (q - 1) and np.array_equal(f._log[1:], log[1:]), f
     units = np.arange(1, q)
     assert f._neg_t[0] == 0 and f._inv_t[0] == 0
     assert np.array_equal(f._neg_t, digitwise(f, lambda x, _: -x, np.arange(q), 0)), f
@@ -218,6 +234,8 @@ def check_tables_against_reference(f, sample=20000):
     xs, ys = np.random.default_rng(q).integers(0, q, (2, 50))
     sums = digitwise(f, np.add, xs, ys).tolist()
     assert [f.add(int(x), int(y)) for x, y in zip(xs, ys)] == sums, f
+    assert [f.mul(int(x), int(y)) for x, y in zip(xs, ys)] == ref_mul(xs, ys).tolist(), f
+    assert not any(f.mul(0, x) or f.mul(x, 0) for x in range(q)), f
 
 
 def _prime_powers(limit):
@@ -230,7 +248,7 @@ TABLE_FIELDS = _prime_powers(4096)
 
 @pytest.mark.parametrize("p,e", [(p, e) for p, e in TABLE_FIELDS if e > 1])
 def test_tables_match_scalar_reference_extension_fields(p, e):
-    f = K.Field(p, e)  # uncached: the q <= 2048 tables take up to 64 MB
+    f = K.Field(p, e)  # uncached: the q <= 2048 add table takes up to 32 MB
     assert (f._add_flat is None) == (f.q > 2048)
     check_tables_against_reference(f)
 
@@ -246,15 +264,30 @@ def test_tables_match_scalar_reference_prime_fields(lo, hi):
         check_tables_against_reference(f, sample=5000)
 
 
+@pytest.mark.parametrize("p,exp,log", [(2, [1, 1, 0, 0, 0], [2, 0]),
+                                       (3, [1, 2, 1, 2, 0, 0, 0, 0, 0], [4, 0, 1])])
+def test_tables_shortest_periods(p, exp, log):
+    # q - 1 <= 2: the periods of the antilog table and its zero tail are
+    # shortest (the prime-field cross-test above also covers both fields)
+    f = K.Field(p, 1)
+    assert f._exp.tolist() == exp and f._log.tolist() == log
+    assert [[f.mul(a, b) for b in range(p)] for a in range(p)] == \
+        [[a * b % p for b in range(p)] for a in range(p)]
+    grid = np.arange(p)
+    assert np.array_equal(f.vmul(grid[:, None], grid[None, :]), np.outer(grid, grid) % p)
+
+
 def test_gf2_16_tables_on_a_sample():
     check_tables_against_reference(K.field_create(2, 16))
 
 
 def test_gf2_20_exp_holds_every_unit():
     f = K.Field(2, 20)
-    assert f._exp.shape == (f.q - 1,)
-    assert np.unique(f._exp).size == f.q - 1 and f._exp.min() >= 1
-    assert f._log[0] == -1 and np.array_equal(f._exp[f._log[1:]], np.arange(1, f.q))
+    q1 = f.q - 1
+    assert f._exp.shape == (4 * q1 + 1,)
+    assert np.unique(f._exp[:q1]).size == q1 and f._exp[:q1].min() >= 1
+    assert np.array_equal(f._exp[q1:2 * q1], f._exp[:q1]) and not f._exp[2 * q1:].any()
+    assert f._log[0] == 2 * q1 and np.array_equal(f._exp[f._log[1:]], np.arange(1, f.q))
 
 
 @pytest.mark.parametrize("p,e", [(2, 8), (3, 5), (131, 2), (257, 1)])
@@ -263,7 +296,7 @@ def test_log_tables_filled_in_small_chunks(monkeypatch, p, e):
     ref = K.field_create(p, e)
     monkeypatch.setattr(K.field, "_DIGIT_CHUNK", 7)
     small = K.field.Field(p, e)
-    for name in ("_exp", "_log", "_neg_t", "_inv_t", "_add_flat", "_mul_flat"):
+    for name in ("_exp", "_log", "_neg_t", "_inv_t", "_add_flat"):
         a, b = getattr(ref, name), getattr(small, name)
         assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
 
@@ -277,9 +310,9 @@ def test_gf3_10_modulus():
 
 
 def test_tableless_field_path():
-    # GF(5^5) = 3125 exceeds the full-table limit; ops must still agree with axioms
+    # GF(5^5) = 3125 exceeds the add-table limit; ops must still agree with axioms
     f = K.field_create(5, 5)
-    assert f._mul_flat is None
+    assert f._add_flat is None
     rng = random.Random(7)
     for _ in range(500):
         a, b = rng.randrange(f.q), rng.randrange(f.q)
