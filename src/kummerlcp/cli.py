@@ -248,6 +248,8 @@ def _load_code(path: str) -> LinearCode:
 
 
 def cmd_code_info(args) -> dict:
+    if args.sample < 0:
+        raise UsageError(f"--sample needs a count >= 0, got {args.sample}")
     code = _load_code(args.code)
     out = {
         "N": code.N,

@@ -283,7 +283,11 @@ def min_distance(code: LinearCode, exhaustive_limit: int = 1 << 20) -> MinDistan
 
 
 def encode_messages(code: LinearCode, messages: np.ndarray) -> np.ndarray:
-    """Row-vector encodings: messages (count x k) -> codewords (count x N)."""
+    """Row-vector encodings: messages (count x k) -> codewords (count x N).
+
+    A messages array that is not count x k raises ShapeMismatchError, and an
+    entry outside [0, q) raises ElementOutOfRangeError.
+    """
     return linalg.matmul(code.field, messages, code.generator.data)
 
 

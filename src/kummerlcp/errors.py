@@ -45,6 +45,12 @@ class FieldMismatchError(KummerError):
     code = "FieldMismatch"
 
 
+class ElementOutOfRangeError(KummerError):
+    """An encoding outside [0, q) where a field element is expected."""
+
+    code = "ElementOutOfRange"
+
+
 # --- curve model ------------------------------------------------------------
 
 class CharDividesMError(KummerError):

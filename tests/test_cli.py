@@ -340,6 +340,13 @@ def test_code_info_k_not_rows_and_rank(tmp_path, generator, k):
     assert json.loads(proc.stderr)["error"] == "Usage"
 
 
+@pytest.mark.parametrize("count", ["-5", "-1"])
+def test_code_info_negative_sample_rejected(tmp_path, count):
+    obj = {"field": {"p": 3, "e": 2}, "N": 3, "k": 1, "generator": [[1, 2, 0]]}
+    proc = code_info_on(tmp_path, obj, "--sample", count)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
 def test_code_info_accepts_small_valid_code(tmp_path):
     obj = {"field": {"p": 3, "e": 2}, "N": 3, "k": 1, "generator": [[1, 2, 0]]}
     out = json.loads(code_info_on(tmp_path, obj, expect=0).stdout)

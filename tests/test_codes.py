@@ -16,6 +16,7 @@ from kummerlcp.codes import (
 )
 from kummerlcp.errors import (
     CertificateInvalidError,
+    ElementOutOfRangeError,
     FieldMismatchError,
     ShapeMismatchError,
     SupportOverlapError,
@@ -98,7 +99,7 @@ def test_matmul_matches_scalar_triple_loop(p, e):
     rng = random.Random(p * 31 + e)
     for _ in range(6):
         n, k, cols = rng.randint(0, 7), rng.randint(1, 6), rng.randint(1, 9)
-        # about a third zeros, which matmul skips
+        # about a third zeros
         A = [[rng.choice([0, rng.randrange(f.q)]) for _ in range(k)] for _ in range(n)]
         B = [[rng.randrange(f.q) for _ in range(cols)] for _ in range(k)]
         want = [[0] * cols for _ in range(n)]
@@ -225,6 +226,26 @@ def test_goppa_bound_random_codewords(h3):
         nonzero = np.any(msgs != 0, axis=1)
         assert np.all(weights[nonzero] >= code.N - deg)
         assert code.k == deg + 1 - h3.genus()
+
+
+@pytest.mark.parametrize("messages", [
+    [[1, 2]],  # narrower than k = 3
+    [[1, 2, 0, 1]],  # wider than k
+    [1, 2, 0],  # not a matrix
+    [[[1, 2, 0]]],
+], ids=["narrow", "wide", "1d", "3d"])
+def test_encode_messages_rejects_shapes(h3, messages):
+    code = K.ag_code(h3, eval_places(h3), K.Divisor.of((K.Place.infinity(), 5)))
+    assert code.k == 3
+    with pytest.raises(ShapeMismatchError):
+        encode_messages(code, np.array(messages))
+
+
+@pytest.mark.parametrize("value", [-1, 9, 100])
+def test_encode_messages_rejects_entries_outside_field(h3, value):
+    code = K.ag_code(h3, eval_places(h3), K.Divisor.of((K.Place.infinity(), 5)))
+    with pytest.raises(ElementOutOfRangeError):
+        encode_messages(code, np.array([[value, 0, 1]]))
 
 
 def reference_min_distance(code):
