@@ -193,6 +193,7 @@ class KummerCurve:
         self.root_gcds = tuple(math.gcd(lam, m) for _, lam in roots)
         self.d_inf = math.gcd(self.deg_f, m)
         self.f_poly = poly.from_roots(field, roots, leading)
+        self._gaps: tuple[int, ...] | None = None
         self._genus: int | None = None
         self._fibers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -213,12 +214,27 @@ class KummerCurve:
             return self.roots[place.index][1]
         raise UnsupportedPlaceStructureError(f"{place.id()} does not lie over a branch place")
 
+    def gap_vector(self) -> tuple[int, ...]:
+        """Semigroup gap counts (gaps(1), ..., gaps(m-1)), computed once.
+
+        gaps(i) is the sum of ceil(i*lambda/m) over all branch multiplicities
+        of f (the pole counted with multiplicity -deg f), minus one.
+        """
+        if self._gaps is None:
+            m = self.m
+            gaps = []
+            for i in range(1, m):
+                total = -((i * self.deg_f) // m)  # ceil(-i*deg_f/m)
+                for _, lam in self.roots:
+                    total += -((-i * lam) // m)  # ceil(i*lam/m)
+                gaps.append(total - 1)
+            self._gaps = tuple(gaps)
+        return self._gaps
+
     def genus(self) -> int:
         """Genus, with an internal Riemann-Hurwitz cross-check."""
         if self._genus is None:
-            from .semigroup import gap_count
-
-            g_sum = sum(gap_count(self, i) for i in range(1, self.m))
+            g_sum = sum(self.gap_vector())
             diff = sum(self.m - d for d in self.root_gcds) + (self.m - self.d_inf)
             two_g_minus_2 = -2 * self.m + diff
             if two_g_minus_2 % 2 != 0 or g_sum != (two_g_minus_2 + 2) // 2:

@@ -47,7 +47,7 @@ from .nonspecial import (
     nonspecial_effective_g,
     unit_multiplicity_family,
 )
-from .semigroup import QTuple, gap_count
+from .semigroup import QTuple
 
 
 @dataclass
@@ -310,7 +310,7 @@ def _default_effective_g(curve: KummerCurve) -> Divisor:
     n = qtuple.n
     if any(lam % m != 1 for lam in qtuple.lambdas):
         raise ENotCertifiedError("no canonical effective divisor; pass E explicitly")
-    betas = [gap_count(curve, i) for i in range(1, m)]
+    betas = curve.gap_vector()
     counts = [n - betas[0]]
     counts.extend(betas[i - 1] - betas[i] for i in range(1, m - 1))
     counts.append(betas[m - 2])

@@ -11,6 +11,22 @@ of one, either in the stratum-0 term or in exactly one stratum.  Both
 criteria imply the degree automatically, via the telescoping identity
 sum_i floor((a - i)/m) = a - floor(a/m) - m + 1.
 
+The criteria are decided from residue counts.  Write alpha_k = m j_k + r_k
+with 0 <= r_k < m.  For 0 <= t < m, floor((alpha_k - t)/m) = j_k - [r_k < t],
+so stratum i's term is n + J - c_i, with J = sum j_k and
+c_i = #{k : r_k < shift_k(i)} in [0, n].  With b = n.bit_length() bits per
+field, the vector (c_1, ..., c_{m-1}) is the integer
+sum_i c_i 2^(b(i-1)), which is the sum over k of the table word
+W[k][r_k] = sum over {i : r_k < shift_k(i)} of 2^(b(i-1)).  Each field of
+that sum counts at most n ones, and n < 2^b, so no carry crosses a field
+and the packing is injective: two count vectors are equal exactly when
+their packed integers are.  A check is then n floor divisions, n lookups
+and one comparison (or set lookup) against packed targets that QTuple
+builds once (QTuple._residue_table); a target with a field outside [0, n]
+can never be hit and is left out.  Every accepted divisor is re-checked
+against dim_by_formula, the literal floor sum, which shares nothing with
+the tables.
+
 When every tuple multiplicity is congruent to 1 mod m, or when f is
 separable with one place at infinity, the solutions form a single orbit of
 an explicit multiset of box coefficients under place permutations and
@@ -29,31 +45,31 @@ from .errors import (
     Alpha0OutOfRangeError,
     AlphaOutOfRangeError,
     GcdNotOneError,
+    IndexOutOfRangeError,
     InternalInvariantError,
     LambdaNotCongruentOneError,
     NotSeparableError,
     NotTotallyRamifiedError,
 )
-from .semigroup import QTuple, dim_by_formula, gap_count
+from .semigroup import QTuple, dim_by_formula
 
 
-def _stratum_terms(qtuple: QTuple, alpha: Sequence[int]) -> list[int]:
-    """n + sum floor((alpha_k - shift_k(i))/m) for i = 1..m-1."""
+def _residue_counts(qtuple: QTuple, alpha: Sequence[int]) -> tuple[int, int]:
+    """(J, packed c): J = sum floor(alpha_k/m), c packs c_i = #{k : r_k < shift_k(i)}."""
+    if len(alpha) != qtuple.n:
+        raise IndexOutOfRangeError("alpha length does not match tuple size")
     m = qtuple.curve.m
-    out = []
-    for i in range(1, m):
-        shifts = qtuple.shifts(i)
-        out.append(qtuple.n + sum((a - t) // m for a, t in zip(alpha, shifts)))
-    return out
+    floors = counts = 0
+    for a, word in zip(alpha, qtuple._residue_table.words):
+        floors += a // m
+        counts += word[a % m]
+    return floors, counts
 
 
 def nonspecial_gminus1(qtuple: QTuple, alpha: Sequence[int]) -> bool:
     """True iff sum alpha_k Q_k is a non-special divisor of degree g-1."""
-    m = qtuple.curve.m
-    if sum(a // m for a in alpha) != -1:
-        return False
-    terms = _stratum_terms(qtuple, alpha)
-    ok = all(t == gap_count(qtuple.curve, i) for i, t in enumerate(terms, start=1))
+    floors, counts = _residue_counts(qtuple, alpha)
+    ok = floors == -1 and counts == qtuple._residue_table.gminus1
     if ok and (sum(alpha) != qtuple.curve.genus() - 1 or dim_by_formula(qtuple, alpha) != 0):
         raise InternalInvariantError(f"criterion accepts {list(alpha)}, which is not "
                                      "non-special of degree g-1")
@@ -62,16 +78,12 @@ def nonspecial_gminus1(qtuple: QTuple, alpha: Sequence[int]) -> bool:
 
 def nonspecial_g(qtuple: QTuple, alpha: Sequence[int]) -> bool:
     """True iff sum alpha_k Q_k is a non-special divisor of degree g."""
-    m = qtuple.curve.m
-    floors = sum(a // m for a in alpha)
-    terms = _stratum_terms(qtuple, alpha)
-    diffs = [gap_count(qtuple.curve, i) - t for i, t in enumerate(terms, start=1)]
+    floors, counts = _residue_counts(qtuple, alpha)
+    table = qtuple._residue_table
     if floors == 0:
-        ok = all(d == 0 for d in diffs)
-    elif floors == -1:
-        ok = sorted(diffs) == [-1] + [0] * (m - 2)
+        ok = counts == table.g_floors0
     else:
-        ok = False
+        ok = floors == -1 and counts in table.g_floors_less1
     if ok and (sum(alpha) != qtuple.curve.genus() or dim_by_formula(qtuple, alpha) != 1):
         raise InternalInvariantError(f"criterion accepts {list(alpha)}, which is not "
                                      "non-special of degree g")
@@ -84,8 +96,8 @@ def nonspecial_effective_g(qtuple: QTuple, alpha: Sequence[int]) -> bool:
     m = qtuple.curve.m
     if any(not 0 <= a <= m - 1 for a in alpha):
         raise AlphaOutOfRangeError("effective criterion needs alpha in [0, m-1]^n")
-    terms = _stratum_terms(qtuple, alpha)
-    return all(t == gap_count(qtuple.curve, i) for i, t in enumerate(terms, start=1))
+    # every floor is 0 on the box
+    return _residue_counts(qtuple, alpha)[1] == qtuple._residue_table.g_floors0
 
 
 @dataclass(frozen=True)
@@ -140,8 +152,7 @@ def support_feasibility(qtuple: QTuple) -> Feasibility:
         return Feasibility(
             False, f"floor(degf/m)={curve.deg_f // m} < r-n-1={r - n - 1}"
         )
-    for i in range(1, m):
-        b = gap_count(curve, i)
+    for i, b in enumerate(curve.gap_vector(), start=1):
         if b > n - 1:
             return Feasibility(False, f"beta({i})={b} > n-1={n - 1}")
     return Feasibility(True, None)
@@ -281,7 +292,7 @@ def unit_multiplicity_family(
                 f"multiplicity {lam} is not congruent to 1 mod {m}"
             )
     n = qtuple.n
-    betas = [gap_count(curve_, i) for i in range(1, m)]
+    betas = curve_.gap_vector()
     if betas[0] > n - 1:
         return FamilyObstruction(f"beta(1)={betas[0]} > n-1={n - 1}")
     for i in range(1, m - 1):

@@ -9,7 +9,11 @@ maximal" elements stratify by a residue index i in [0, m):
     stratum i >= 1: (m j_k + shift_k(i))_k         with sum j_k = gaps(i)+1-n
 
 where shift_k(i) = (i * lambda_k) mod m and gaps(i) is the per-stratum gap
-count whose sum over i = 1..m-1 is the genus.  Counting distinct first
+count whose sum over i = 1..m-1 is the genus.  The gap vector
+(gaps(1), ..., gaps(m-1)) is computed once per curve and cached on it by
+KummerCurve.gap_vector, next to the genus; everything here reads that
+vector.  Each QTuple caches its stratum shifts and, for the non-special
+criteria, its packed residue table.  Counting distinct first
 coordinates of the elements dominated by alpha gives the Riemann-Roch
 dimension of the divisor sum alpha_k Q_k; the same count collapses to a
 closed floor-sum formula.  Both are implemented here and cross-checked
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .curve import Divisor, KummerCurve, Place
 from .errors import (
@@ -46,16 +50,29 @@ def t_val(curve: KummerCurve, place: Place, i: int) -> int:
 def gap_count(curve: KummerCurve, i: int) -> int:
     """Number of semigroup gaps in stratum i; the sum over i = 1..m-1 is the genus.
 
-    Computed as sum of ceil(i*lambda/m) over all branch multiplicities of f
-    (the pole counted with multiplicity -deg f), minus one.
+    Read from the curve's gap vector, which KummerCurve.gap_vector computes
+    once per curve.
     """
     if not 1 <= i <= curve.m - 1:
         raise IndexOutOfRangeError(f"i must be in [1, {curve.m - 1}], got {i}")
-    m = curve.m
-    total = -((i * curve.deg_f) // m)  # ceil(-i*deg_f/m)
-    for _, lam in curve.roots:
-        total += -((-i * lam) // m)  # ceil(i*lam/m)
-    return total - 1
+    return curve.gap_vector()[i - 1]
+
+
+class ResidueTable(NamedTuple):
+    """A tuple's packed residue-count words and the packed counts at which
+    the non-special criteria accept (see the nonspecial module).
+
+    words[k][r] sets field i - 1 for every stratum i with r < shift_k(i).
+    With floors J = sum floor(alpha_k/m), the degree-(g-1) criterion accepts
+    at J = -1 and counts `gminus1`; the degree-g criterion at J = 0 and
+    counts `g_floors0`, or at J = -1 and counts in `g_floors_less1`.  None
+    or an empty set: no count vector in [0, n]^(m-1) is accepted.
+    """
+
+    words: tuple[tuple[int, ...], ...]
+    gminus1: int | None
+    g_floors0: int | None
+    g_floors_less1: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -99,6 +116,38 @@ class QTuple:
         m = self.curve.m
         return tuple(tuple(stratum_shift(lam, i, m) for lam in self.lambdas) for i in range(m))
 
+    @cached_property
+    def _residue_table(self) -> ResidueTable:
+        m, n = self.curve.m, self.n
+        b = n.bit_length()
+        words = []
+        for lam in self.lambdas:
+            # bits[t] marks the strata whose shift at this place is t
+            bits = [0] * m
+            for i in range(1, m):
+                bits[stratum_shift(lam, i, m)] += 1 << (b * (i - 1))
+            # words[k][r] marks the strata with shift above r; built from r = m-1 down
+            word = [0] * m
+            above = 0
+            for r in range(m - 1, -1, -1):
+                word[r] = above
+                above += bits[r]
+            words.append(tuple(word))
+
+        def pack(counts: list[int]) -> int | None:
+            if any(not 0 <= c <= n for c in counts):
+                return None
+            return sum(c << (b * (i - 1)) for i, c in enumerate(counts, start=1))
+
+        gaps = self.curve.gap_vector()
+        gminus1 = pack([n - 1 - g for g in gaps])
+        # one stratum term one above its gap count: that count one lower, if >= 0
+        one_over = () if gminus1 is None else (
+            gminus1 - (1 << (b * (i - 1)))
+            for i, g in enumerate(gaps, start=1) if n - 2 - g >= 0)
+        return ResidueTable(tuple(words), gminus1, pack([n - g for g in gaps]),
+                            frozenset(one_over))
+
     def shifts(self, i: int) -> tuple[int, ...]:
         """Per-place stratum shifts; i = 0 gives all zeros."""
         return self._shift_table[i % self.curve.m]
@@ -107,7 +156,7 @@ class QTuple:
         """Required offset sum for stratum i: 0, or gaps(i) + 1 - n."""
         if i == 0:
             return 0
-        return gap_count(self.curve, i) + 1 - self.n
+        return self.curve.gap_vector()[i - 1] + 1 - self.n
 
     def divisor(self, alpha: Sequence[int]) -> Divisor:
         if len(alpha) != self.n:
@@ -199,8 +248,8 @@ def dim_by_formula(qtuple: QTuple, alpha: Sequence[int]) -> int:
     m = qtuple.curve.m
     n = qtuple.n
     total = max(0, 1 + sum(a // m for a in alpha))
-    for i in range(1, m):
+    for i, gaps in enumerate(qtuple.curve.gap_vector(), start=1):
         shifts = qtuple.shifts(i)
         s = sum((a - t) // m for a, t in zip(alpha, shifts))
-        total += max(0, n - gap_count(qtuple.curve, i) + s)
+        total += max(0, n - gaps + s)
     return total

@@ -1,8 +1,14 @@
+import os
 import random
 import sys
 from pathlib import Path
 
 import pytest
+
+# one BLAS thread, set before numpy is first imported, as bench/run.py does;
+# the CLI subprocesses inherit it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -64,6 +70,11 @@ def h4():
 
 
 @pytest.fixture(scope="session")
+def h5():
+    return hermitian(5)
+
+
+@pytest.fixture(scope="session")
 def z_curve(gf729):
     unity = [x for x in range(1, gf729.q) if gf729.pow(x, 8) == 1]
     assert len(unity) == 8
@@ -97,15 +108,17 @@ def bundle_curve():
 FIELD_CHOICES = [(2, 3), (3, 2), (2, 4), (5, 2), (3, 4)]  # q in {8, 9, 16, 25, 81}
 
 
-def random_curve(rng: random.Random, max_m: int = 12, max_deg: int = 12) -> "K.KummerCurve":
-    """A random valid curve of genus >= 1 with m <= max_m, deg f <= max_deg."""
+def random_curve(rng: random.Random, max_m: int = 12, max_deg: int = 12,
+                 max_roots: int = 4) -> "K.KummerCurve":
+    """A random valid curve of genus >= 1 with m <= max_m, deg f <= max_deg
+    and at most max_roots distinct roots."""
     while True:
         p, e = rng.choice(FIELD_CHOICES)
         field = K.field_create(p, e)
         m = rng.randint(2, max_m)
         if m % p == 0:
             continue
-        n_roots = rng.randint(1, min(4, field.q))
+        n_roots = rng.randint(1, min(max_roots, field.q))
         root_xs = rng.sample(range(field.q), n_roots)
         roots = []
         budget = max_deg

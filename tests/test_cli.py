@@ -86,6 +86,13 @@ def test_nonspecial_check_alpha(h3_file):
     assert out["gminus1"] is True and out["g"] is False
 
 
+def test_nonspecial_check_wrong_alpha_length(h3_file):
+    for alpha in ("-1,0,1", "-1,0,1,2,0"):
+        proc = run_cli("nonspecial-check", "--curve", h3_file, "--tuple", "all-ramified",
+                       f"--alpha={alpha}", expect=2)
+        assert json.loads(proc.stderr)["error"] == "IndexOutOfRange"
+
+
 def test_nonspecial_enumerate(h3_file):
     out = json.loads(run_cli(
         "nonspecial-enumerate", "--curve", h3_file, "--family", "separable",

@@ -11,6 +11,7 @@ import kummerlcp as K
 from kummerlcp.errors import (
     Alpha0OutOfRangeError,
     AlphaOutOfRangeError,
+    IndexOutOfRangeError,
     LambdaNotCongruentOneError,
     NotSeparableError,
 )
@@ -32,6 +33,35 @@ def brute_force_gminus1_set(curve, qtuple):
         if K.nonspecial_gminus1(qtuple, alpha):
             out.add(qtuple.divisor(alpha))
     return out
+
+
+# --- oracle: the criteria as literal floor sums -------------------------------------
+
+def oracle_gap_count(curve, i):
+    """sum of ceil(i*lambda/m) over the branch multiplicities of f, the pole
+    counted with multiplicity -deg f, minus one."""
+    m = curve.m
+    return -((i * curve.deg_f) // m) + sum(-((-i * lam) // m) for _, lam in curve.roots) - 1
+
+
+def floor_sum_terms(qtuple, alpha):
+    """n + sum floor((alpha_k - shift_k(i))/m) for i = 1..m-1."""
+    m = qtuple.curve.m
+    return [qtuple.n + sum((a - t) // m for a, t in zip(alpha, qtuple.shifts(i)))
+            for i in range(1, m)]
+
+
+def oracle_verdicts(qtuple, alpha):
+    """(degree g-1 verdict, degree g verdict) from the floor sums."""
+    m = qtuple.curve.m
+    floors = sum(a // m for a in alpha)
+    if floors not in (0, -1):
+        return False, False
+    terms = floor_sum_terms(qtuple, alpha)
+    diffs = [oracle_gap_count(qtuple.curve, i) - t for i, t in enumerate(terms, start=1)]
+    if floors == 0:
+        return False, all(d == 0 for d in diffs)
+    return all(d == 0 for d in diffs), sorted(diffs) == [-1] + [0] * (m - 2)
 
 
 def test_known_divisor_checks_h3(h3):
@@ -310,3 +340,86 @@ except K.errors.InternalInvariantError as exc:
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "InternalInvariant"]
+
+
+def test_wrong_length_alpha_rejected(h3):
+    tup = K.QTuple.all_ramified(h3)
+    cases = [(K.nonspecial_gminus1, [-1, 0, 1]), (K.nonspecial_gminus1, [-1, 0, 1, 2, 0]),
+             (K.nonspecial_g, [-1, 0, 1, 2, 0]), (K.nonspecial_g, [-1, 0, 1]),
+             (K.nonspecial_effective_g, [0, 1, 2]), (K.nonspecial_effective_g, [0, 0, 1, 2, 0])]
+    for criterion, alpha in cases:
+        with pytest.raises(IndexOutOfRangeError):
+            criterion(tup, alpha)
+
+
+@pytest.mark.parametrize("name", ["h2", "h3", "h5"])
+def test_criteria_match_floor_sum_oracle_on_boxes(name, request):
+    curve = request.getfixturevalue(name)
+    tup = K.QTuple.all_ramified(curve)
+    m = curve.m
+    accepted = 0
+    for box in itertools.product(range(m), repeat=tup.n):
+        for s0 in (-2 * m, -m, 0, m):
+            alpha = list(box)
+            alpha[0] += s0
+            expected = oracle_verdicts(tup, alpha)
+            got = (K.nonspecial_gminus1(tup, alpha), K.nonspecial_g(tup, alpha))
+            assert got == expected, alpha
+            accepted += expected[0] + expected[1]
+            if s0 == 0:
+                # every floor is 0 on the box: the effective criterion is degree g with J = 0
+                assert K.nonspecial_effective_g(tup, box) == expected[1], box
+    assert accepted > 0
+
+
+def test_criteria_match_floor_sum_oracle_random():
+    # wide tuples (n >= 8 packs fields of 4 or more bits), bundle roots,
+    # zeros-only tuples (d_inf > 1) and gap counts above n - 1 must all occur
+    rng = random.Random(2026)
+    seen = {"bundle": 0, "d_inf": 0, "wide": 0, "gaps > n-1": 0, "gaps > n-2": 0}
+    accepted = curves = 0
+    while curves < 240:
+        wide = curves % 3 == 0
+        curve = random_curve(rng, max_m=9, max_deg=18, max_roots=10 if wide else 4)
+        places = curve.totally_ramified_places()
+        if wide and 8 <= len(places) <= curve.field.q:
+            tup = K.QTuple.of(curve, places)
+        else:
+            tup = random_tuple(rng, curve)
+        if tup is None:
+            continue
+        curves += 1
+        m, n, g = curve.m, tup.n, curve.genus()
+        gaps = curve.gap_vector()
+        seen["bundle"] += any(d > 1 for d in curve.root_gcds)
+        seen["d_inf"] += curve.d_inf > 1
+        seen["wide"] += n >= 8
+        seen["gaps > n-1"] += max(gaps) > n - 1
+        seen["gaps > n-2"] += max(gaps) > n - 2
+        for _ in range(30):
+            alpha = [rng.randint(-4 * m, 4 * m) for _ in range(n)]
+            box = [rng.randrange(m) for _ in range(n)]
+            # a class shift of the box with offsets summing to -1 or 0
+            offsets = [rng.randint(-2, 2) for _ in range(n - 1)]
+            offsets.append(rng.choice((-1, 0)) - sum(offsets))
+            shifted = [b + m * j for b, j in zip(box, offsets)]
+            # the uniform draw moved to degree g - 1 or g on one coordinate
+            at_degree = list(alpha)
+            at_degree[rng.randrange(n)] += g - rng.randint(0, 1) - sum(alpha)
+            for a in (alpha, shifted, at_degree):
+                got = (K.nonspecial_gminus1(tup, a), K.nonspecial_g(tup, a))
+                assert got == oracle_verdicts(tup, a), (curve.to_json(), a)
+                accepted += got[0] + got[1]
+            assert K.nonspecial_effective_g(tup, box) == oracle_verdicts(tup, box)[1]
+    assert all(count > 0 for count in seen.values()), seen
+    assert accepted >= 200, accepted
+
+
+def test_h5_census_is_the_separable_union(h5):
+    tup = K.QTuple.all_ramified(h5)
+    census = brute_force_gminus1_set(h5, tup)
+    assert len(census) == 720
+    union = set()
+    for alpha0 in range(h5.m):
+        union |= K.separable_family(h5, alpha0).all_divisors_canonical_shift()
+    assert union == census
