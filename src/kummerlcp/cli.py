@@ -30,7 +30,7 @@ from .codes import (
 )
 from .curve import Divisor, KummerCurve, curve_from_json, parse_place
 from .errors import KummerError, UsageError
-from .field import Field, field_from_json
+from .field import Field, field_from_json, json_int
 from .nonspecial import (
     classify,
     nonspecial_effective_g,
@@ -86,11 +86,12 @@ def _load_divisor(curve: KummerCurve, path: str) -> Divisor:
 
 
 def _code_from_json(field: Field, obj: dict, path: str) -> LinearCode:
-    """A stored code whose generator is a matrix of encodings in [0, q)."""
-    data = np.asarray(obj["generator"], dtype=np.int64)
-    if data.ndim != 2 or np.any((data < 0) | (data >= field.q)):
+    """A stored code whose generator is an integer matrix of encodings in [0, q)."""
+    data = np.asarray(obj["generator"])
+    if data.dtype.kind not in "iu" or data.ndim != 2 or np.any((data < 0) | (data >= field.q)):
         raise UsageError(f"input file {path}: generator is not a matrix over [0, {field.q})")
-    return LinearCode(field, Matrix(field, data), int(obj["N"]), int(obj["k"]))
+    return LinearCode(field, Matrix(field, data.astype(np.int64)), json_int(obj["N"]),
+                      json_int(obj["k"]))
 
 
 def _tuple_from_args(curve: KummerCurve, args) -> QTuple:

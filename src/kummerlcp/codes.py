@@ -40,11 +40,14 @@ from .errors import (
     CertificateInvalidError,
     FieldMismatchError,
     InternalInvariantError,
+    NotTotallyRamifiedError,
+    QTupleSizeError,
     ShapeMismatchError,
     SupportOverlapError,
     UnsupportedSupportError,
 )
-from .field import Field
+from .field import Field, json_int
+from .nonspecial import divisor_nonspecial_gminus1
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +338,7 @@ class CertStep:
     @staticmethod
     def from_json(obj: dict) -> "CertStep":
         b = obj.get("b")
-        return CertStep(obj["gen"], None if b is None else int(b), int(obj["mult"]))
+        return CertStep(obj["gen"], None if b is None else json_int(b), json_int(obj["mult"]))
 
 
 @dataclass
@@ -399,14 +402,11 @@ def _nonspecial_gminus1_report(
         return
     report.add(f"{label} nonspecial", dim == 0, f"dim = {dim}")
     if all(p.kind != AFFINE for p in W.support()):
-        from .errors import KummerError
-        from .nonspecial import divisor_nonspecial_gminus1
-
         try:
             ok = divisor_nonspecial_gminus1(curve, W)
-            report.add(f"{label} criterion", ok, "arithmetic criterion")
-        except KummerError:
-            pass  # tuple constraints not met; the dimension check above decides
+        except (NotTotallyRamifiedError, QTupleSizeError):
+            return  # no tuple covers W; the dimension check above decides
+        report.add(f"{label} criterion", ok, "arithmetic criterion")
 
 
 def verify_lcp_conditions(

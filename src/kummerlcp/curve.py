@@ -26,7 +26,7 @@ from .errors import (
     PoleAtPlaceError,
     UnsupportedPlaceStructureError,
 )
-from .field import Field, FieldElement
+from .field import Field, FieldElement, field_from_json, json_int
 
 INF = "inf"
 ROOT = "root"
@@ -177,7 +177,7 @@ class Divisor:
     @staticmethod
     def from_json(curve: "KummerCurve", obj: dict) -> "Divisor":
         return Divisor(
-            (parse_place(curve, e["place"]), int(e["c"])) for e in obj["coeffs"]
+            (parse_place(curve, e["place"]), json_int(e["c"])) for e in obj["coeffs"]
         )
 
 
@@ -275,7 +275,9 @@ class KummerCurve:
         if self._fibers is None:
             field = self.field
             vals = np.arange(field.q, dtype=np.int64)
-            f_vals = poly.eval_many(field, self.f_poly, vals)
+            f_vals = np.full(field.q, self.leading, dtype=np.int64)
+            for a, lam in self.roots:
+                f_vals = field.vmul(f_vals, field.vpow(field.vsub(vals, a), lam))
             powers = field.vpow(vals, self.m)
             counts = np.bincount(powers, minlength=field.q)
             ys = np.argsort(powers, kind="stable")  # stable: ascending y within a value
@@ -415,14 +417,12 @@ def curve_create(field: Field, m: int, leading: int | FieldElement,
 
 
 def curve_from_json(obj: dict) -> KummerCurve:
-    from .field import field_from_json
-
     field = field_from_json(obj["field"])
     return curve_create(
         field,
-        int(obj["m"]),
-        int(obj.get("leading", 1)),
-        [(int(r["a"]), int(r["lambda"])) for r in obj["roots"]],
+        json_int(obj["m"]),
+        json_int(obj.get("leading", 1)),
+        [(json_int(r["a"]), json_int(r["lambda"])) for r in obj["roots"]],
     )
 
 

@@ -400,9 +400,17 @@ def field_create(p: int, e: int) -> Field:
     return f
 
 
+def json_int(value) -> int:
+    """An integer read from JSON: a Python or numpy integer, never a bool, a
+    float or a string, which int() would truncate or parse.  TypeError else."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
 def field_from_json(obj: dict) -> Field:
-    f = field_create(int(obj["p"]), int(obj["e"]))
-    if "modulus" in obj and list(obj["modulus"]) != list(f.modulus):
+    f = field_create(json_int(obj["p"]), json_int(obj["e"]))
+    if "modulus" in obj and [json_int(c) for c in obj["modulus"]] != list(f.modulus):
         raise FieldMismatchError("modulus in serialized field is not the canonical one")
     return f
 

@@ -91,11 +91,11 @@ def _require_infinity(curve: KummerCurve) -> Place:
     return Place.infinity()
 
 
-def _split_setup(curve: KummerCurve, eval_x) -> tuple[list[int], list[tuple[int, list[Place]]]]:
-    xs = curve.split_x_values() if eval_x is None else sorted(
-        x.enc if hasattr(x, "enc") else int(x) for x in eval_x
-    )
-    return xs, curve.split_fibers(xs)
+def _split_setup(curve: KummerCurve, eval_x) -> list[tuple[int, list[Place]]]:
+    """The split fibers over eval_x (every split x when None), each x once, ascending."""
+    if eval_x is not None:
+        eval_x = [x.enc if hasattr(x, "enc") else int(x) for x in eval_x]
+    return curve.split_fibers(eval_x)
 
 
 def _finalize(
@@ -143,7 +143,7 @@ def lcp_pole_shift(
     g = curve.genus()
     if not divisor_nonspecial_gminus1(curve, E):
         raise ENotCertifiedError("E is not a non-special divisor of degree g-1")
-    xs, fibers = _split_setup(curve, eval_x)
+    fibers = _split_setup(curve, eval_x)
     N = curve.m * len(fibers)
     if not (g - 1 < s * lam0 < N + 1 - g):
         raise SRangeViolationError(
@@ -154,7 +154,7 @@ def lcp_pole_shift(
     G = E + Divisor.of((inf, N - s * lam0))
     H = E + s * curve.principal_divisor("y") + Divisor.of((inf, s * lam0))
     certificates = [CertStep("y", None, s)]
-    certificates.extend(CertStep("x-b", x0, -1) for x0 in xs)
+    certificates.extend(CertStep("x-b", x0, -1) for x0, _ in fibers)
     return _finalize("1", curve, s, d_places, G, H, E, None, certificates,
                      N - s * lam0, s * lam0)
 
@@ -186,7 +186,7 @@ def lcp_pair(
     alpha = [E1.coeff(p) for p in zero_places]
     beta0 = E2.coeff(inf)
     beta = [E2.coeff(p) for p in zero_places]
-    xs, fibers = _split_setup(curve, eval_x)
+    fibers = _split_setup(curve, eval_x)
     N = curve.m * len(fibers)
     for k in range(n - 1):
         if alpha[k] - beta[k] > s:
@@ -213,7 +213,7 @@ def lcp_pair(
         + [(zero_places[n - 1], alpha[n - 1])]
     )
     certificates = [CertStep("y", None, s)]
-    certificates.extend(CertStep("x-b", x0, -1) for x0 in xs)
+    certificates.extend(CertStep("x-b", x0, -1) for x0, _ in fibers)
     k2 = s * (n - 1) + alpha[n - 1] - beta0
     return _finalize("2", curve, s, d_places, G, H, E1, E2, certificates,
                      N - k2, k2)
@@ -236,7 +236,7 @@ def lcp_punctured(
     g = curve.genus()
     if not divisor_nonspecial_g(curve, E):
         raise ENotCertifiedError("E is not a non-special divisor of degree g")
-    xs, fibers = _split_setup(curve, eval_x)
+    fibers = _split_setup(curve, eval_x)
     if len(fibers) < 2:
         raise NeedTwoFibersError("construction R needs at least two split fibers")
     N = curve.m * len(fibers)

@@ -1,13 +1,16 @@
 """Dense univariate polynomials over a Field, as tuples of encodings.
 
 Coefficients are stored low degree first with no trailing zeros; the zero
-polynomial is the empty tuple.  These helpers stay deliberately small: the
-library only ever multiplies, shifts and evaluates.
+polynomial is the empty tuple.  Polynomials are built only where one is the
+output: `KummerCurve.f_poly` (read by `f_at` and by `CurveFunction.monomial`
+to reduce y^m -> f), the numerators and denominators of `CurveFunction`, and
+`rrspace.rr_basis`, which expands the factored basis.  Nothing evaluates
+them over arrays: `rrspace.evaluation_rows` and the curve's fiber table
+evaluate from the roots.  The helpers multiply, shift and evaluate at one
+point.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .field import Field
 
@@ -80,11 +83,3 @@ def eval_at(field: Field, a: Poly, x_enc: int) -> int:
         acc = field.add(field.mul(acc, x_enc), c)
     return acc
 
-
-def eval_many(field: Field, a: Poly, xs: np.ndarray) -> np.ndarray:
-    """Horner evaluation over a vector of encodings."""
-    xs = np.asarray(xs, dtype=np.int64)
-    acc = np.zeros_like(xs)
-    for c in reversed(a):
-        acc = field.vadd(field.vmul(acc, xs), np.full_like(xs, c))
-    return acc

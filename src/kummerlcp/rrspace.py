@@ -12,6 +12,13 @@ therefore reduces to a divisor inequality for h on the projective line:
 This yields an explicit monomial-style basis per stratum and a dimension
 count that is independent of the closed-form formula in `semigroup` - the
 two act as mutual oracles.
+
+The basis of stratum i is y^i * x^j * prod_k (x - a_k)^(-A_k) for the
+x-line divisor A = restrict_to_xline(curve, D, i).  `evaluation_rows`
+evaluates it in this factored form, one vector power of x - a_k per root,
+so no polynomial is expanded on the array path; `rr_basis` is where the
+factors are expanded into numerator and denominator polynomials, and the
+two are cross-tested against each other.
 """
 
 from __future__ import annotations
@@ -78,31 +85,19 @@ def restrict_to_xline(curve: KummerCurve, D: Divisor, i: int) -> XLineDivisor:
     return XLineDivisor(coeffs, inf)
 
 
-@dataclass(frozen=True)
-class BasisStratum:
-    """Basis block y^ypow * (num/den) * x^j for 0 <= j < count."""
+def basis_strata(curve: KummerCurve, D: Divisor) -> list[tuple[int, XLineDivisor]]:
+    """(i, A) for every stratum i whose x-line divisor A has degree >= 0.
 
-    ypow: int
-    num: poly.Poly
-    den: poly.Poly
-    count: int
-
-
-def basis_strata(curve: KummerCurve, D: Divisor) -> list[BasisStratum]:
-    field = curve.field
-    out: list[BasisStratum] = []
+    Stratum i contributes the A.degree + 1 functions
+    y^i * x^j * prod_k (x - a_k)^(-A_k), 0 <= j <= A.degree, kept in this
+    factored form: evaluation_rows evaluates it factor by factor, and only
+    rr_basis expands it into polynomials.
+    """
+    out = []
     for i in range(curve.m):
         a = restrict_to_xline(curve, D, i)
-        if a.degree < 0:
-            continue
-        num: poly.Poly = poly.ONE
-        den: poly.Poly = poly.ONE
-        for (root_enc, _), c in zip(curve.roots, a.root_coeffs):
-            if c > 0:
-                den = poly.mul(field, den, poly.pow_(field, poly.linear(field, root_enc), c))
-            elif c < 0:
-                num = poly.mul(field, num, poly.pow_(field, poly.linear(field, root_enc), -c))
-        out.append(BasisStratum(i, num, den, a.degree + 1))
+        if a.degree >= 0:
+            out.append((i, a))
     return out
 
 
@@ -111,10 +106,14 @@ def rr_basis(curve: KummerCurve, D: Divisor) -> list[CurveFunction]:
 
     Order: stratum index ascending, then x-power ascending.
     """
+    field = curve.field
     out: list[CurveFunction] = []
-    for st in basis_strata(curve, D):
-        for j in range(st.count):
-            out.append(CurveFunction.monomial(curve, st.ypow, poly.shift(st.num, j), st.den))
+    for i, a in basis_strata(curve, D):
+        pairs = [(root_enc, c) for (root_enc, _), c in zip(curve.roots, a.root_coeffs)]
+        num = poly.from_roots(field, [(root_enc, -c) for root_enc, c in pairs if c < 0])
+        den = poly.from_roots(field, [(root_enc, c) for root_enc, c in pairs if c > 0])
+        for j in range(a.degree + 1):
+            out.append(CurveFunction.monomial(curve, i, poly.shift(num, j), den))
     return out
 
 
@@ -151,18 +150,18 @@ def evaluation_rows(curve: KummerCurve, D: Divisor, places: Sequence[Place]) -> 
         return linalg.matmul(field, combos, evaluation_rows(curve, ram, places))
     xs = np.array([p.x for p in places], dtype=np.int64)
     ys = np.array([p.y for p in places], dtype=np.int64)
+    shifted = [field.vsub(xs, root_enc) for root_enc, _ in curve.roots]
     strata = basis_strata(curve, D)
-    k = sum(st.count for st in strata)
-    rows = np.zeros((k, len(places)), dtype=np.int64)
+    rows = np.zeros((sum(a.degree + 1 for _, a in strata), len(places)), dtype=np.int64)
     r = 0
-    for st in strata:
-        num_vals = poly.eval_many(field, st.num, xs)
-        den_vals = poly.eval_many(field, st.den, xs)
-        base = field.vmul(field.vdiv(num_vals, den_vals), field.vpow(ys, st.ypow))
-        rows[r] = base
-        for j in range(1, st.count):
+    for i, a in strata:
+        rows[r] = field.vpow(ys, i)
+        for x_minus_root, c in zip(shifted, a.root_coeffs):
+            if c:
+                rows[r] = field.vmul(rows[r], field.vpow(x_minus_root, -c))
+        for j in range(1, a.degree + 1):
             rows[r + j] = field.vmul(rows[r + j - 1], xs)
-        r += st.count
+        r += a.degree + 1
     return rows
 
 

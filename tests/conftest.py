@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,11 +75,34 @@ def h5():
     return hermitian(5)
 
 
-@pytest.fixture(scope="session")
-def z_curve(gf729):
-    unity = [x for x in range(1, gf729.q) if gf729.pow(x, 8) == 1]
+def make_z_curve() -> "K.KummerCurve":
+    """y^7 = -x^5 (x^8 - 1) over GF(729)."""
+    field = K.field_create(3, 6)
+    unity = [x for x in range(1, field.q) if field.pow(x, 8) == 1]
     assert len(unity) == 8
-    return K.curve_create(gf729, 7, gf729.neg(1), [(0, 5)] + [(u, 1) for u in unity])
+    return K.curve_create(field, 7, field.neg(1), [(0, 5)] + [(u, 1) for u in unity])
+
+
+def z_pole_shift_results(z_curve) -> dict:
+    """Construction 1 on the Z-curve at s = 2, 77, 153, with E of degree g - 1."""
+    E = K.Divisor(
+        [(K.Place.infinity(), -7)]
+        + [(z_curve.root_place(k + 1), c) for k, c in enumerate([1, 2, 3, 3, 4, 5, 6, 6])]
+    )
+    return {s: K.lcp_pole_shift(z_curve, E, s) for s in (2, 77, 153)}
+
+
+@pytest.fixture(scope="session")
+def z_curve():
+    return make_z_curve()
+
+
+@pytest.fixture(scope="session")
+def z_lcp_results(z_curve):
+    """The criterion-9 Z-curve results and the seconds they took to build."""
+    t0 = time.time()
+    results = z_pole_shift_results(z_curve)
+    return results, time.time() - t0
 
 
 @pytest.fixture(scope="session")
@@ -134,6 +158,27 @@ def random_curve(rng: random.Random, max_m: int = 12, max_deg: int = 12,
             continue
         if curve.genus() >= 1:
             return curve
+
+
+# above the 2048-element addition table: two digit-wise fields and a prime field
+BIG_FIELDS = [(2, 12), (5, 5), (2053, 1)]
+
+
+def random_big_curve(rng: random.Random, p: int, e: int, max_m: int = 12,
+                     max_roots: int = 4) -> "K.KummerCurve":
+    """A random valid curve over GF(p^e) with a random leading constant other
+    than 1 and up to max_roots roots of multiplicity in [1, m-1]."""
+    field = K.field_create(p, e)
+    while True:
+        m = rng.randint(2, max_m)
+        if m % p == 0:
+            continue
+        roots = [(a, rng.randint(1, m - 1))
+                 for a in rng.sample(range(field.q), rng.randint(1, max_roots))]
+        try:
+            return K.curve_create(field, m, rng.randrange(2, field.q), roots)
+        except K.errors.KummerError:
+            continue
 
 
 def random_tuple(rng: random.Random, curve: "K.KummerCurve") -> "K.QTuple | None":

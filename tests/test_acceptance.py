@@ -139,17 +139,6 @@ def test_criterion_08_enumeration_completeness(h2, h3, w_curve):
 
 
 @pytest.fixture(scope="session")
-def z_lcp_results(z_curve):
-    E = K.Divisor(
-        [(K.Place.infinity(), -7)]
-        + [(z_curve.root_place(k + 1), c) for k, c in enumerate([1, 2, 3, 3, 4, 5, 6, 6])]
-    )
-    t0 = time.time()
-    results = {s: K.lcp_pole_shift(z_curve, E, s) for s in (2, 77, 153)}
-    return results, time.time() - t0
-
-
-@pytest.fixture(scope="session")
 def h3_lcp_results(h3):
     E = K.Divisor.of(
         (K.Place.infinity(), -1), (h3.root_place(1), 1), (h3.root_place(2), 2)

@@ -20,16 +20,18 @@ def run_cli(*args, expect: int = 0):
     return proc
 
 
+H3_SPEC = {
+    "field": {"p": 3, "e": 2},
+    "m": 4,
+    "leading": 1,
+    "roots": [{"a": 0, "lambda": 1}, {"a": 5, "lambda": 1}, {"a": 7, "lambda": 1}],
+}
+
+
 @pytest.fixture(scope="module")
 def h3_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "h3.json"
-    payload = {
-        "field": {"p": 3, "e": 2},
-        "m": 4,
-        "leading": 1,
-        "roots": [{"a": 0, "lambda": 1}, {"a": 5, "lambda": 1}, {"a": 7, "lambda": 1}],
-    }
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(H3_SPEC))
     return str(path)
 
 
@@ -163,8 +165,14 @@ def test_lcp_verify_missing_key(tmp_path, h3_result, key):
     lambda obj: obj.update(D=[7]),
     lambda obj: obj["certificates"][0].update(mult="x"),
     lambda obj: obj["G"].update(coeffs=[{"place": "inf"}]),
+    lambda obj: obj["certificates"][0].update(mult=3.0),
+    lambda obj: obj["certificates"][1].update(b=float(obj["certificates"][1]["b"])),
+    lambda obj: obj["G"]["coeffs"][0].update(c=obj["G"]["coeffs"][0]["c"] + 0.5),
+    lambda obj: obj["codes"][0].update(k=15.0),
+    lambda obj: obj["codes"][1]["generator"][0].__setitem__(0, 1.5),
 ], ids=["codes-not-list", "one-code", "code-without-N", "ragged-generator",
-        "place-not-string", "bad-mult", "coeff-without-c"])
+        "place-not-string", "bad-mult", "coeff-without-c", "mult-float", "b-float",
+        "G-coeff-float", "k-float", "generator-float"])
 def test_lcp_verify_malformed_entries(tmp_path, h3_result, edit):
     proc = verify_edited(tmp_path, h3_result, edit, expect=2)
     assert json.loads(proc.stderr)["error"] == "Usage"
@@ -389,4 +397,49 @@ def test_lcp_build_malformed_divisor_file(h3_file, tmp_path, divisor):
     path.write_text(json.dumps(divisor))
     proc = run_cli("lcp-build", "--curve", h3_file, "--construction", "1", "--s", "3",
                    "--E", str(path), expect=2)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+def test_lcp_build_repeated_eval_x_counts_once(h3_file):
+    args = ["lcp-build", "--curve", h3_file, "--construction", "1", "--s", "3", "--eval-x"]
+    assert run_cli(*args, "1,1,2,3,4,6,8").stdout == run_cli(*args, "1,2,3,4,6,8").stdout
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj["field"].update(p=3.0),
+    lambda obj: obj["field"].update(e=True),
+    lambda obj: obj.update(m=4.7),
+    lambda obj: obj.update(leading="1"),
+    lambda obj: obj["roots"][1].update(a=5.2),
+    lambda obj: obj["roots"][0].update({"lambda": 1.0}),
+], ids=["p-float", "e-bool", "m-float", "leading-string", "root-float", "lambda-float"])
+def test_curve_spec_non_integer_rejected(tmp_path, edit):
+    obj = json.loads(json.dumps(H3_SPEC))
+    edit(obj)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(obj))
+    proc = run_cli("curve-info", "--curve", str(path), expect=2)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+def test_divisor_non_integer_coefficient_rejected(h3_file, tmp_path):
+    path = tmp_path / "E.json"
+    path.write_text(json.dumps({"coeffs": [{"place": "inf", "c": -1.5},
+                                           {"place": "root:1", "c": 1},
+                                           {"place": "root:2", "c": 2.9}]}))
+    proc = run_cli("lcp-build", "--curve", h3_file, "--construction", "1", "--s", "3",
+                   "--E", str(path), expect=2)
+    assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj.update(generator=[[1.9, 2, 0.5]]),
+    lambda obj: obj.update(generator=[[True, False, True]]),
+    lambda obj: obj.update(N=3.0),
+    lambda obj: obj.update(k=True),
+], ids=["generator-float", "generator-bool", "N-float", "k-bool"])
+def test_code_info_non_integer_rejected(tmp_path, edit):
+    obj = {"field": {"p": 3, "e": 2}, "N": 3, "k": 1, "generator": [[1, 2, 0]]}
+    edit(obj)
+    proc = code_info_on(tmp_path, obj)
     assert json.loads(proc.stderr)["error"] == "Usage"

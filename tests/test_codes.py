@@ -503,9 +503,9 @@ def variant(code, data, places=None):
 def stratum_rows(code):
     """(first row, row count) of each stratum block of an ag_code generator."""
     out, r = [], 0
-    for st in rrspace.basis_strata(code.curve, code.G):
-        out.append((r, st.count))
-        r += st.count
+    for _, A in rrspace.basis_strata(code.curve, code.G):
+        out.append((r, A.degree + 1))
+        r += A.degree + 1
     return out
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import kummerlcp as K
@@ -13,7 +14,7 @@ from kummerlcp.errors import (
     UnsupportedPlaceStructureError,
 )
 
-from conftest import hermitian, random_curve
+from conftest import BIG_FIELDS, hermitian, random_big_curve, random_curve
 
 
 def riemann_hurwitz_genus(curve):
@@ -95,6 +96,20 @@ def test_places_match_per_x_scan_on_random_curves():
         assert curve.split_x_values() == [x for x in range(f.q) if x not in root_xs
                                           and len(fibers[x]) == curve.m]
         assert [curve.fiber(x) for x in range(f.q)] == fibers
+
+
+@pytest.mark.parametrize("p,e", BIG_FIELDS)
+def test_fiber_table_matches_f_at_above_add_table(p, e):
+    # the fiber table evaluates f from its roots and leading constant; f_at
+    # runs Horner on the expanded polynomial
+    rng = random.Random(p ** e)
+    for _ in range(2):
+        curve = random_big_curve(rng, p, e)
+        f = curve.field
+        assert curve.leading != 1
+        mth_power = f.vpow(np.arange(f.q), curve.m)
+        for x in range(f.q):
+            assert curve.fiber(x) == tuple(np.nonzero(mth_power == curve.f_at(x))[0].tolist())
 
 
 def test_genus_matches_riemann_hurwitz_on_random_curves():

@@ -1,9 +1,12 @@
 import pytest
 
 import kummerlcp as K
+from kummerlcp import nonspecial
+from kummerlcp.codes import verify_lcp_conditions
 from kummerlcp.errors import (
     ConditionViolationError,
     ENotCertifiedError,
+    InternalInvariantError,
     NeedTwoFibersError,
     NotSeparableError,
     SRangeViolationError,
@@ -63,6 +66,29 @@ def test_pole_shift_partial_eval_set(h3, h3_E):
         assert res.code_g.N == 16
         assert (res.code_g.k, res.code_h.k) == (16 - 3 * s, 3 * s)
         assert res.report.verdict and res.report.conditions.passed
+
+
+@pytest.mark.parametrize("construction", ["1", "2", "R"])
+def test_repeated_eval_x_counts_once(h3, construction):
+    Q = [h3.root_place(k) for k in range(3)]
+    E2 = K.Divisor.of((K.Place.infinity(), -3), (Q[0], 2), (Q[1], 3))
+    xs = h3.split_x_values()
+    assert xs == [1, 2, 3, 4, 6, 8]
+    once = K.build(h3, construction, 4, E2=E2, eval_x=xs)
+    twice = K.build(h3, construction, 4, E2=E2, eval_x=[xs[0]] + xs + [xs[-1]])
+    assert twice.to_json() == once.to_json()
+    assert [c.b for c in twice.certificates[1:]] == (xs if construction != "R" else xs[1:])
+
+
+def test_verifier_raises_invariant_violations(h3, h3_E, monkeypatch):
+    res = K.lcp_pole_shift(h3, h3_E, 3)
+    names = [c.name for c in res.report.conditions.checks]
+    assert "gcd(G,H) criterion" in names and "lmd(G,H)-D criterion" in names
+    # the criterion's accept cross-check now disagrees; the verifier must not
+    # drop the criterion rows and pass
+    monkeypatch.setattr(nonspecial, "dim_by_formula", lambda qtuple, alpha: 5)
+    with pytest.raises(InternalInvariantError):
+        verify_lcp_conditions(h3, res.d_places, res.G, res.H, res.certificates)
 
 
 def test_pair_construction(h3):

@@ -6,10 +6,10 @@ import pytest
 import kummerlcp as K
 from kummerlcp import linalg, poly
 from kummerlcp.curve import BUNDLE, INF, ROOT
-from kummerlcp.errors import UnsupportedSupportError
+from kummerlcp.errors import DivisionByZeroError, UnsupportedSupportError
 from kummerlcp.rrspace import dim_with_simple_affine_drops, evaluation_rows
 
-from conftest import random_curve, random_tuple
+from conftest import BIG_FIELDS, random_big_curve, random_curve, random_tuple
 
 
 def divmod_linear(field, a, root_enc):
@@ -219,6 +219,37 @@ def test_evaluation_rows_match_scalar_evaluation():
         assert rows.dtype == np.int64
         assert rows.tolist() == scalar_rows(curve, D, places).tolist()
         checked += 1
+
+
+@pytest.mark.parametrize("p,e", BIG_FIELDS)
+def test_evaluation_rows_match_scalar_evaluation_above_add_table(p, e):
+    rng = random.Random(p ** e)
+    checked = 0
+    while checked < 8:
+        curve = random_big_curve(rng, p, e, max_m=8)
+        places = affine_places(curve)
+        D = random_ramified_divisor(rng, curve, -3, 6)
+        if len(places) < 12 or not any(
+                any(K.restrict_to_xline(curve, D, i).root_coeffs) for i in range(curve.m)):
+            continue
+        places = rng.sample(places, 12)
+        assert evaluation_rows(curve, D, places).tolist() == \
+            scalar_rows(curve, D, places).tolist()
+        checked += 1
+
+
+def test_evaluation_rows_at_a_root_point(h3):
+    # at x = a_k a factor (x - a_k)^(-A_k) is a pole when A_k > 0 and a zero
+    # when A_k < 0, and y = 0 there
+    a, _ = h3.roots[1]
+    point = [K.Place.affine(a, 0)]
+    inf = K.Place.infinity()
+    with pytest.raises(DivisionByZeroError):
+        evaluation_rows(h3, K.Divisor.of((inf, 8), (h3.root_place(1), 2)), point)
+    D = K.Divisor.of((inf, 8), (h3.root_place(1), -2))
+    assert [K.restrict_to_xline(h3, D, i).root_coeffs[1] for i in range(4)] == [-1, -1, 0, 0]
+    rows = evaluation_rows(h3, D, point)
+    assert rows.shape == (4, 1) and not rows.any()
 
 
 def test_evaluation_rows_with_drops_random():
