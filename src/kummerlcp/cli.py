@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -86,9 +87,15 @@ def _load_divisor(curve: KummerCurve, path: str) -> Divisor:
 
 
 def _code_from_json(field: Field, obj: dict, path: str) -> LinearCode:
-    """A stored code whose generator is an integer matrix of encodings in [0, q)."""
-    data = np.asarray(obj["generator"])
-    if data.dtype.kind not in "iu" or data.ndim != 2 or np.any((data < 0) | (data >= field.q)):
+    """A stored code whose generator is an integer matrix of encodings in [0, q).
+
+    numpy reads a JSON true or false among integers as 1 or 0, so the
+    entries' own types are checked as well."""
+    rows = obj["generator"]
+    data = np.asarray(rows)
+    if (data.dtype.kind not in "iu" or data.ndim != 2
+            or np.any((data < 0) | (data >= field.q))
+            or bool in map(type, chain.from_iterable(rows))):
         raise UsageError(f"input file {path}: generator is not a matrix over [0, {field.q})")
     return LinearCode(field, Matrix(field, data.astype(np.int64)), json_int(obj["N"]),
                       json_int(obj["k"]))

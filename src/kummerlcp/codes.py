@@ -9,26 +9,56 @@ lmd(G,H) - D after reduction along a caller-supplied chain of principal
 divisors).
 
 Ranks over evaluation places are taken fiber by fiber when the columns
-allow it (fiber_block_rank).  Suppose the columns fall into groups of m
+allow it (fiber_block_rank).  Suppose some columns fall into groups of m
 points (x_f, y_0), ..., (x_f, y_{m-1}) with distinct nonzero y_t, one group
-per x_f.  Multiplying each group by its Vandermonde matrix
-X_f[t, i] = y_t^(-i) is an invertible column operation, so it leaves the
-rank of any matrix unchanged.  On a completely split fiber y_t = y_0 zeta^t
-with zeta a primitive m-th root of unity, and since p does not divide m,
-sum_t zeta^(t (j - i)) is m for i = j and 0 otherwise: a row y^j h(x)
-becomes m h(x_f) in character column j and 0 in the other m - 1.  The
-transformed matrix is then checked as it stands: if every row is nonzero
-in at most one character group (column i of every fiber), it is
-block-diagonal up to a permutation of rows and columns, and its rank is
-the sum of the m block ranks, each block about N/m columns wide.  The
-verdict rests on that check of the data, not on how the matrix was built:
-a matrix that fails it (a row mixing strata, a partial fiber) takes the
-dense elimination, which stays the fallback and the test oracle.
+per x_f, the whole fibers.  Multiplying each group by its Vandermonde
+matrix X_f[t, i] = y_t^(-i) is an invertible column operation, so it leaves
+the rank of any matrix unchanged.  On a completely split fiber
+y_t = y_0 zeta^t with zeta a primitive m-th root of unity, and since p does
+not divide m, sum_t zeta^(t (j - i)) is m for i = j and 0 otherwise: a row
+y^j h(x) becomes m h(x_f) in character column j and 0 in the other m - 1.
+The other columns (a lone point, as construction R keeps of its first
+fiber) are border columns B and are left as they are.  The transformed
+matrix is then checked as it stands: every row must be nonzero in at most
+one character group W_j (column j of every whole fiber).  The verdict rests
+on that check of the data, not on how the matrix was built: a matrix that
+fails it (a row mixing strata) takes the dense elimination, which stays the
+fallback and the test oracle.
+
+Border residual lemma.  Let the rows that pass the check fall into the
+groups j (fiber part inside W_j) and Z (fiber part zero).  Eliminating
+[W_j | B_j] with the border columns last leaves rank(W_j) pivot rows and,
+below them, rows that vanish on W_j; only their border part R_j is left.
+The pivot rows are independent on the disjoint column sets W_j, so any
+relation among all the rows gives them weight zero, and
+
+    rank = sum_j rank(W_j) + rank [R_0; ...; R_{m-1}; Z's border part].
+
+Without border columns the second term is zero and the matrix is
+block-diagonal up to a permutation of rows and columns.
+
+Affine drops.  For H = ram - (c affine places) the generator is K H', where
+H' holds a basis of L(ram) at D, Phi the same basis at the c drops and
+K = null_space(Phi^T) (rrspace.evaluation_parts).  K H' mixes strata, so the
+rank is taken on H' and Phi instead.  In the row space of
+
+    M_aug = [[G, 0], [H', Phi]]
+
+a vector a G + b H' has drop part b Phi, which is zero exactly when b is in
+the row space of K.  Projecting onto the last c coordinates therefore has
+image row space(Phi) and kernel row space [G; K H'] (padded with zeros), so
+
+    rank [G; K H'] = rank(M_aug) - rank(Phi)
+
+for every input.  Phi's columns are border columns in the lemma above.
+Each code brings its own drop columns, so a stack of codes with different
+drops is ranked by the same identity with the rank of every Phi subtracted.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
@@ -123,7 +153,7 @@ class LinearCode:
     curve: KummerCurve | None = None
     G: Divisor | None = None
     places: tuple[Place, ...] = ()
-    # (generator, its character blocks or None), see character_blocks
+    # (generator, its CharacterBlocks or None), see character_blocks
     _blocks: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def to_json(self) -> dict:
@@ -135,66 +165,137 @@ class LinearCode:
         }
 
 
-def _fiber_layout(field: Field, m: int,
-                  places: Sequence[Place]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Column indices grouped by x, one row of m per fiber, and each fiber's
-    Vandermonde matrices vand[f, t, i] = y_t^(-i); None unless every x that
-    occurs carries exactly m distinct nonzero y."""
+@dataclass(frozen=True, eq=False)
+class CharacterBlocks:
+    """A code's rows in bordered fiber-block form (module docstring).
+
+    parts[j] for j < m holds the rows living in character group j: the
+    group's column of every whole fiber, then the border columns.  parts[m]
+    holds the rows whose fiber part is zero, border columns only.  The
+    border columns are the columns off whole fibers, then the code's drop
+    columns Phi, whose rank is drop_rank.
+    """
+
+    parts: tuple[np.ndarray, ...]
+    fibers: int
+    lone: int
+    drops: int
+    drop_rank: int
+
+
+def _fiber_layout(field: Field, m: int, places: Sequence[Place]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Column indices of the whole fibers, one row of m per fiber, each whole
+    fiber's Vandermonde matrices vand[f, t, i] = y_t^(-i), and the indices
+    of the other (border) columns, ascending.  A whole fiber is an x
+    carried by exactly m columns with distinct nonzero y.  None when there
+    is no whole fiber or a place is not an affine point of GF(q)^2."""
     N = len(places)
-    if N == 0 or N % m or any(p.kind != AFFINE for p in places):
+    if any(p.kind != AFFINE for p in places):
         return None
     xs = np.fromiter((p.x for p in places), dtype=np.int64, count=N)
     ys = np.fromiter((p.y for p in places), dtype=np.int64, count=N)
-    if np.any((xs < 0) | (xs >= field.q) | (ys <= 0) | (ys >= field.q)):
+    if np.any((xs < 0) | (xs >= field.q) | (ys < 0) | (ys >= field.q)):
         return None
-    cols = np.argsort(xs, kind="stable").reshape(-1, m)
-    fx, fy = xs[cols], ys[cols]
-    # sorted by x and cut into runs of m: each run one x, neighbours different
-    if np.any(fx != fx[:, :1]) or np.any(fx[1:, 0] == fx[:-1, 0]):
-        return None
+    order = np.argsort(xs, kind="stable")
+    sx = xs[order]
+    starts = np.flatnonzero(np.concatenate(([True], sx[1:] != sx[:-1])))
+    counts = np.concatenate((starts[1:], [N])) - starts
+    cols = order[starts[counts == m, None] + np.arange(m)]
+    fy = ys[cols]
     sy = np.sort(fy, axis=1)
-    if np.any(sy[:, 1:] == sy[:, :-1]):
+    whole = (sy[:, 0] > 0) & np.all(sy[:, 1:] != sy[:, :-1], axis=1)
+    if not whole.any():
         return None
+    cols, fy = cols[whole], fy[whole]
     vand = np.ones(fy.shape + (m,), dtype=np.int64)
     inv_y = field.vinv(fy)
     for i in range(1, m):
         vand[:, :, i] = field.vmul(vand[:, :, i - 1], inv_y)
-    return cols, vand
+    border = np.ones(N, dtype=bool)
+    border[cols] = False
+    return cols, vand, np.flatnonzero(border)
 
 
-def _split_by_character(field: Field, cols: np.ndarray, vand: np.ndarray,
-                        data: np.ndarray) -> tuple[np.ndarray, ...] | None:
-    """data with each fiber's columns multiplied by its Vandermonde matrix,
-    cut into the m character blocks; None when a row is nonzero in two
-    character groups."""
-    A = data[:, cols]  # rows x fibers x points
+def _character_split(field: Field, m: int, places: Sequence[Place], rows: np.ndarray,
+                     phi: np.ndarray | None) -> CharacterBlocks | None:
+    """rows (with drop columns phi, or None) in bordered fiber-block form:
+    each whole fiber's columns multiplied by its Vandermonde matrix, and the
+    rows cut by character group.  None when there is no whole fiber or a
+    row is nonzero in two character groups."""
+    layout = _fiber_layout(field, m, places)
+    if layout is None:
+        return None
+    cols, vand, lone = layout
+    A = rows[:, cols]  # rows x fibers x points
     out = field.vmul(A[:, :, 0, None], vand[None, :, 0, :])
-    for t in range(1, cols.shape[1]):
+    for t in range(1, m):
         out = field.vadd(out, field.vmul(A[:, :, t, None], vand[None, :, t, :]))
     live = np.any(out != 0, axis=1)  # rows x character groups
     if np.any(live.sum(axis=1) > 1):
         return None
-    group = np.where(live.any(axis=1), live.argmax(axis=1), -1)
-    return tuple(out[group == j, :, j] for j in range(cols.shape[1]))
+    group = np.where(live.any(axis=1), live.argmax(axis=1), m)
+    border = rows[:, lone]
+    if phi is not None:
+        border = np.hstack([border, phi])
+    parts = [out[group == j, :, j] for j in range(m)]
+    if border.shape[1]:
+        parts = [np.hstack([part, border[group == j]]) for j, part in enumerate(parts)]
+    parts.append(border[group == m])
+    return CharacterBlocks(
+        tuple(parts), len(cols), len(lone),
+        0 if phi is None else phi.shape[1],
+        0 if phi is None else linalg.rank(field, phi),
+    )
 
 
-def character_blocks(code: LinearCode) -> tuple[np.ndarray, ...] | None:
-    """The generator after the per-fiber character transform, cut into its
-    m character blocks: block j holds column j of every fiber for the rows
-    living there.  None when the columns are not whole fibers or a row is
-    nonzero in two character groups; the dense path then decides.
+def character_blocks(code: LinearCode) -> CharacterBlocks | None:
+    """The generator in bordered fiber-block form (module docstring), or
+    None when its columns hold no whole fiber or a row is nonzero in two
+    character groups; the dense path then decides.
 
     Computed once per generator object and kept on the code, so a new
     generator is transformed afresh (Matrix data is not edited in place).
+    evaluation_code binds the form of H' and Phi to a generator K H'.
     """
     gen = code.generator
     if code._blocks is None or code._blocks[0] is not gen:
-        layout = None
+        blocks = None
         if code.curve is not None and gen.cols == len(code.places):
-            layout = _fiber_layout(code.field, code.curve.m, code.places)
-        blocks = None if layout is None else _split_by_character(code.field, *layout, gen.data)
+            blocks = _character_split(code.field, code.curve.m, code.places, gen.data, None)
         code._blocks = (gen, blocks)
     return code._blocks[1]
+
+
+def _bordered_rank(field: Field, splits: Sequence[CharacterBlocks]) -> int:
+    """Rank of the stack of the codes in splits, by the border residual lemma
+    and the M_aug identity, each code's drop columns kept apart."""
+    fibers, lone, m = splits[0].fibers, splits[0].lone, len(splits[0].parts) - 1
+    drops = sum(b.drops for b in splits)
+    total = -sum(b.drop_rank for b in splits)
+    residuals = []
+    for j, width in enumerate([fibers] * m + [0]):
+        if len(splits) == 1 or not drops:
+            M = np.vstack([b.parts[j] for b in splits])
+        else:  # each code's drop columns after the shared ones, zero for the others
+            shared = width + lone
+            M = np.zeros((sum(len(b.parts[j]) for b in splits), shared + drops),
+                         dtype=np.int64)
+            r, c = 0, shared
+            for b in splits:
+                part = b.parts[j]
+                M[r:r + len(part), :shared] = part[:, :shared]
+                M[r:r + len(part), c:c + b.drops] = part[:, shared:]
+                r, c = r + len(part), c + b.drops
+        if width and len(M):
+            M, pivots = linalg.echelon(field, M)
+            block_rank = bisect_left(pivots, width)
+            total += block_rank
+            M = M[block_rank:len(pivots)]
+        residuals.append(M[:, width:])
+    if lone + drops:
+        total += linalg.rank(field, np.vstack(residuals))
+    return total
 
 
 def fiber_block_rank(*codes: LinearCode) -> int:
@@ -202,29 +303,24 @@ def fiber_block_rank(*codes: LinearCode) -> int:
 
     When every code has character blocks over the same field, places and
     m, the stack's transform is the stack of the transforms, and the rank
-    is the sum over j of the ranks of the stacked j-th blocks; otherwise it
-    is the dense rank of the stack.
+    comes from the blocks by the border residual lemma and the M_aug
+    identity; otherwise it is the dense rank of the stack.
     """
     first = codes[0]
     field = first.field
-    parts = [character_blocks(c) for c in codes]
-    if all(p is not None for p in parts) and all(
+    splits = [character_blocks(c) for c in codes]
+    if all(b is not None for b in splits) and all(
         (c.field, c.places, c.curve.m) == (field, first.places, first.curve.m) for c in codes
     ):
-        return sum(
-            linalg.rank(field, np.vstack(group))
-            for group in zip(*parts)
-            if any(len(b) for b in group)
-        )
+        return _bordered_rank(field, splits)
     return linalg.rank(field, _stacked([c.generator for c in codes]))
 
 
-def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
-    """The evaluation code C(D, G) for D the sum of the given affine places.
-
-    Within the window 2g-2 < deg G < N the dimension is checked against
-    deg G + 1 - g; outside it the generator is reduced to a row basis.
-    """
+def evaluation_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
+    """C(D, G) for D the sum of the given affine places, its generator the
+    evaluation rows of L(G) as they are (rrspace.evaluation_rows) and k
+    their rank.  When G drops affine places, the bordered form of H' and
+    Phi is bound to the generator K H'."""
     places = tuple(eval_places)
     if len(set(places)) != len(places):
         raise SupportOverlapError("evaluation places must be pairwise distinct")
@@ -234,22 +330,33 @@ def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> Lin
     overlap = set(places) & set(G.support())
     if overlap:
         raise SupportOverlapError(f"G and D share support: {sorted(p.id() for p in overlap)}")
-
-    rows = rrspace.evaluation_rows(curve, G, places)
-    N = len(places)
     field = curve.field
-    code = LinearCode(field, Matrix(field, rows), N, 0, curve, G, places)
-    k = code.k = fiber_block_rank(code)
+    rows, basis, phi = rrspace.evaluation_parts(curve, G, places)
+    code = LinearCode(field, Matrix(field, rows), len(places), 0, curve, G, places)
+    if phi is not None:
+        code._blocks = (code.generator, _character_split(field, curve.m, places, basis, phi))
+    code.k = fiber_block_rank(code)
+    return code
+
+
+def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
+    """The evaluation code C(D, G) for D the sum of the given affine places.
+
+    Within the window 2g-2 < deg G < N the dimension is checked against
+    deg G + 1 - g; outside it the generator is reduced to a row basis.
+    """
+    code = evaluation_code(curve, eval_places, G)
     g = curve.genus()
     deg = G.degree()
-    if 2 * g - 2 < deg < N:
+    if 2 * g - 2 < deg < code.N:
         expected = deg + 1 - g
-        if k != expected:
+        if code.k != expected:
             raise InternalInvariantError(
-                f"rank {k} does not match deg G + 1 - g = {expected}"
+                f"rank {code.k} does not match deg G + 1 - g = {expected}"
             )
-    if k < rows.shape[0]:
-        code.generator = Matrix(field, linalg.row_space_basis(field, rows))
+    if code.k < code.generator.rows:
+        code.generator = Matrix(code.field, linalg.row_space_basis(code.field,
+                                                                   code.generator.data))
     return code
 
 

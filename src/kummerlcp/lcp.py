@@ -34,12 +34,14 @@ from .errors import (
     ConditionViolationError,
     DegenerateEvaluationError,
     ENotCertifiedError,
+    FieldMismatchError,
     InternalInvariantError,
     NeedTwoFibersError,
     NotSeparableError,
     SRangeViolationError,
     UnsupportedPlaceStructureError,
 )
+from .field import FieldElement, json_int
 from .nonspecial import (
     DivisorFamily,
     divisor_nonspecial_g,
@@ -91,10 +93,21 @@ def _require_infinity(curve: KummerCurve) -> Place:
     return Place.infinity()
 
 
+def _x_encoding(curve: KummerCurve, x) -> int:
+    if not isinstance(x, FieldElement):
+        return json_int(x)
+    if x.field != curve.field:
+        raise FieldMismatchError(f"eval_x entry over {x.field}, curve over {curve.field}")
+    return x.enc
+
+
 def _split_setup(curve: KummerCurve, eval_x) -> list[tuple[int, list[Place]]]:
-    """The split fibers over eval_x (every split x when None), each x once, ascending."""
+    """The split fibers over eval_x (every split x when None), each x once,
+    ascending.  An entry is a FieldElement of the curve's field or an integer
+    encoding, read by json_int's rule: a float, bool or string raises
+    TypeError."""
     if eval_x is not None:
-        eval_x = [x.enc if hasattr(x, "enc") else int(x) for x in eval_x]
+        eval_x = [_x_encoding(curve, x) for x in eval_x]
     return curve.split_fibers(eval_x)
 
 

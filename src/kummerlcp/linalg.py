@@ -83,8 +83,15 @@ def _eliminate(field: Field, M: np.ndarray, reduce: bool) -> list[int]:
     return pivots
 
 
+def echelon(field: Field, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form (copy; leading 1s, each pivot column cleared below
+    its pivot) and the pivot column indices."""
+    R = np.array(M, dtype=np.int64, copy=True)
+    return R, _eliminate(field, R, reduce=False)
+
+
 def rank(field: Field, M: np.ndarray) -> int:
-    return len(_eliminate(field, np.array(M, dtype=np.int64, copy=True), reduce=False))
+    return len(echelon(field, M)[1])
 
 
 def rref(field: Field, M: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -134,6 +134,25 @@ def _split_affine_drops(D: Divisor) -> tuple[Divisor, list[Place]]:
     return Divisor((p, c) for p, c in D.items() if p.kind != AFFINE), drops
 
 
+def evaluation_parts(
+    curve: KummerCurve, D: Divisor, places: Sequence[Place]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(rows, H', Phi): evaluation_rows(curve, D, places), and the pieces it
+    is made of when D drops affine places.
+
+    With ram the ramified part of D, H' is rr_basis(curve, ram) at places and
+    Phi the same basis at the drops, one column per drop; rows is then
+    null_space(Phi^T) H'.  Without drops Phi is None and rows is H'.
+    """
+    ram, drops = _split_affine_drops(D)
+    basis = _basis_rows(curve, ram, places)
+    if not drops:
+        return basis, basis, None
+    field = curve.field
+    phi = _basis_rows(curve, ram, drops)
+    return linalg.matmul(field, linalg.null_space(field, phi.T), basis), basis, phi
+
+
 def evaluation_rows(curve: KummerCurve, D: Divisor, places: Sequence[Place]) -> np.ndarray:
     """Values of a basis of L(D) at affine places: row j is basis function j,
     column i is place i.
@@ -143,11 +162,12 @@ def evaluation_rows(curve: KummerCurve, D: Divisor, places: Sequence[Place]) -> 
     drops inside L(ram) for the ramified part ram, and each row is the
     combination of rr_basis(curve, ram) given by a null_space row.
     """
+    return evaluation_parts(curve, D, places)[0]
+
+
+def _basis_rows(curve: KummerCurve, D: Divisor, places: Sequence[Place]) -> np.ndarray:
+    """rr_basis(curve, D) evaluated at places, for D without affine support."""
     field = curve.field
-    ram, drops = _split_affine_drops(D)
-    if drops:
-        combos = linalg.null_space(field, evaluation_rows(curve, ram, drops).T)
-        return linalg.matmul(field, combos, evaluation_rows(curve, ram, places))
     xs = np.array([p.x for p in places], dtype=np.int64)
     ys = np.array([p.y for p in places], dtype=np.int64)
     shifted = [field.vsub(xs, root_enc) for root_enc, _ in curve.roots]
@@ -174,5 +194,5 @@ def dim_with_simple_affine_drops(curve: KummerCurve, D: Divisor) -> int:
     """
     ram, drops = _split_affine_drops(D)
     return dim_by_decomposition(curve, ram) - linalg.rank(
-        curve.field, evaluation_rows(curve, ram, drops)
+        curve.field, _basis_rows(curve, ram, drops)
     )

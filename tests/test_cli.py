@@ -4,7 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import kummerlcp as K
+from kummerlcp import linalg
+from kummerlcp.codes import character_blocks
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -151,6 +156,61 @@ def test_lcp_verify_rejects_forged_generators(tmp_path, h3_result):
     assert out["verdict"] == "NOT_LCP"
 
 
+@pytest.fixture(scope="module")
+def h3_punctured_result():
+    """An H3 construction-R result at s = 2: D is R_2 and five whole fibers."""
+    h3 = K.curve_from_json(H3_SPEC)
+    return h3, K.build(h3, "R", 2)
+
+
+def test_lcp_verify_construction_r(tmp_path, h3_punctured_result):
+    _, res = h3_punctured_result
+    out = json.loads(verify_edited(tmp_path, res.to_json(), lambda obj: None).stdout)
+    assert out["verdict"] == "LCP" and out["rank_of_stack"] == 21
+    assert out["stored_ranks_ok"] is True and out["stored_codes_match"] is True
+
+
+def test_lcp_verify_construction_r_forged_h(tmp_path, h3_punctured_result):
+    _, res = h3_punctured_result
+    f, G = res.code_g.field, res.code_g.generator.data
+    # unit rows on the columns that are not pivots of G: the stored pair stays
+    # complementary, but H's rows are not C(D, H)
+    _, pivots = linalg.rref(f, G)
+    free = [c for c in range(res.code_g.N) if c not in pivots]
+    forged = np.eye(res.code_g.N, dtype=np.int64)[free]
+    assert forged.shape == res.code_h.generator.data.shape
+
+    def forge(obj):
+        obj["codes"][1]["generator"] = forged.tolist()
+
+    out = json.loads(verify_edited(tmp_path, res.to_json(), forge).stdout)
+    assert out["rank_of_stack"] == 21 and out["stored_ranks_ok"] is True
+    assert out["stored_codes_match"] is False
+    assert out["verdict"] == "NOT_LCP"
+
+
+def test_lcp_verify_construction_r_forged_g_on_bordered_path(tmp_path, h3_punctured_result):
+    h3, res = h3_punctured_result
+    # C(D, G') for G' of G's degree but another support: stratum-pure rows of
+    # the right shape and rank, so the stored G takes the bordered path
+    G2 = res.G + K.Divisor.of((h3.root_place(0), 1), (K.Place.infinity(), -1))
+    other = K.ag_code(h3, res.d_places, G2)
+    assert other.generator.data.shape == res.code_g.generator.data.shape
+    assert other.generator != res.code_g.generator
+    stored = K.LinearCode(other.field, other.generator, other.N, other.k, h3, None,
+                          res.d_places)
+    blocks = character_blocks(stored)
+    assert blocks is not None and blocks.lone == 1
+
+    def forge(obj):
+        obj["codes"][0]["generator"] = other.generator.to_json()
+
+    out = json.loads(verify_edited(tmp_path, res.to_json(), forge).stdout)
+    assert out["stored_ranks_ok"] is True
+    assert out["stored_codes_match"] is False
+    assert out["verdict"] == "NOT_LCP"
+
+
 @pytest.mark.parametrize("key", ["curve", "G", "H", "D", "certificates", "codes"])
 def test_lcp_verify_missing_key(tmp_path, h3_result, key):
     proc = verify_edited(tmp_path, h3_result, lambda obj: obj.pop(key), expect=2)
@@ -170,9 +230,10 @@ def test_lcp_verify_missing_key(tmp_path, h3_result, key):
     lambda obj: obj["G"]["coeffs"][0].update(c=obj["G"]["coeffs"][0]["c"] + 0.5),
     lambda obj: obj["codes"][0].update(k=15.0),
     lambda obj: obj["codes"][1]["generator"][0].__setitem__(0, 1.5),
+    lambda obj: obj["codes"][0]["generator"][1].__setitem__(3, True),
 ], ids=["codes-not-list", "one-code", "code-without-N", "ragged-generator",
         "place-not-string", "bad-mult", "coeff-without-c", "mult-float", "b-float",
-        "G-coeff-float", "k-float", "generator-float"])
+        "G-coeff-float", "k-float", "generator-float", "generator-bool-among-ints"])
 def test_lcp_verify_malformed_entries(tmp_path, h3_result, edit):
     proc = verify_edited(tmp_path, h3_result, edit, expect=2)
     assert json.loads(proc.stderr)["error"] == "Usage"
@@ -435,9 +496,12 @@ def test_divisor_non_integer_coefficient_rejected(h3_file, tmp_path):
 @pytest.mark.parametrize("edit", [
     lambda obj: obj.update(generator=[[1.9, 2, 0.5]]),
     lambda obj: obj.update(generator=[[True, False, True]]),
+    lambda obj: obj.update(generator=[[1, True, 0]]),
+    lambda obj: obj.update(generator=[[1, 2, False]]),
     lambda obj: obj.update(N=3.0),
     lambda obj: obj.update(k=True),
-], ids=["generator-float", "generator-bool", "N-float", "k-bool"])
+], ids=["generator-float", "generator-bool", "generator-true-among-ints",
+        "generator-false-among-ints", "N-float", "k-bool"])
 def test_code_info_non_integer_rejected(tmp_path, edit):
     obj = {"field": {"p": 3, "e": 2}, "N": 3, "k": 1, "generator": [[1, 2, 0]]}
     edit(obj)

@@ -12,6 +12,7 @@ from kummerlcp.codes import (
     _chain_divisor,
     character_blocks,
     encode_messages,
+    evaluation_code,
     fiber_block_rank,
 )
 from kummerlcp.errors import (
@@ -415,10 +416,14 @@ def h3_constructions(h3):
 
 def test_fiber_block_rank_all_h3_constructions(h3_constructions):
     for res in h3_constructions:
-        # construction R's first fiber is partial, so it takes the dense path
-        fast = res.construction != "R"
-        assert_ranks_agree(res.code_g, res.code_h, fast=(fast, fast))
-        assert res.report.rank_of_stack == (24 if fast else 21)
+        assert_ranks_agree(res.code_g, res.code_h)
+        assert res.report.rank_of_stack == (21 if res.construction == "R" else 24)
+        if res.construction == "R":
+            # R_2 is a border column of both codes; H's K H' is ranked from H'
+            # and its one drop column at R_1
+            g_blocks, h_blocks = character_blocks(res.code_g), character_blocks(res.code_h)
+            assert (g_blocks.lone, g_blocks.drops) == (1, 0)
+            assert (h_blocks.lone, h_blocks.drops, h_blocks.drop_rank) == (1, 1, 1)
 
 
 def random_branch_divisor(rng, curve):
@@ -426,13 +431,6 @@ def random_branch_divisor(rng, curve):
     if curve.d_inf == 1:
         entries.append((K.Place.infinity(), rng.randint(-3, 12)))
     return K.Divisor(entries)
-
-
-def evaluation_code(curve, D, places):
-    """The unreduced evaluation rows of L(D) at places, as a code."""
-    f = curve.field
-    rows = rrspace.evaluation_rows(curve, D, places)
-    return K.LinearCode(f, K.Matrix(f, rows), len(places), rows.shape[0], curve, D, tuple(places))
 
 
 def test_fiber_block_rank_random_divisors(bundle_curve, gk2):
@@ -446,7 +444,7 @@ def test_fiber_block_rank_random_divisors(bundle_curve, gk2):
         chosen = rng.sample(fibers, rng.randint(1, min(6, len(fibers))))
         places = [p for _, fiber in chosen for p in fiber]
         rng.shuffle(places)  # the columns need not come fiber by fiber
-        c1, c2 = (evaluation_code(curve, random_branch_divisor(rng, curve), places)
+        c1, c2 = (evaluation_code(curve, places, random_branch_divisor(rng, curve))
                   for _ in range(2))
         assert_ranks_agree(c1, c2)
         checked += 1
@@ -494,6 +492,12 @@ def h3_pole_shift(h3):
     return K.lcp_pole_shift(h3, E, 3)
 
 
+@pytest.fixture(scope="module")
+def h3_punctured(h3):
+    E = K.Divisor.of((h3.root_place(1), 1), (h3.root_place(2), 2))
+    return K.lcp_punctured(h3, E, 3)
+
+
 def variant(code, data, places=None):
     f = code.field
     places = code.places if places is None else tuple(places)
@@ -524,22 +528,177 @@ def test_fiber_block_rank_planted_deficits(h3_pole_shift):
     assert fiber_block_rank(dependent, other) == N - 1
 
 
-def test_fiber_block_rank_falls_back_to_dense(h3, h3_pole_shift):
+def test_fiber_block_rank_falls_back_to_dense(h3, h3_pole_shift, h3_punctured):
     code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
     f, rows = code.field, code.generator.data
     offsets = stratum_rows(code)
     mixed = rows.copy()
     mixed[offsets[0][0]] = f.vadd(rows[offsets[0][0]], rows[offsets[1][0]])
     assert_ranks_agree(variant(code, mixed), other, fast=(False, True))
-    # partial fibers: the last column dropped, and 2 + 4 + 2 points on three fibers
-    partial = variant(code, rows[:, :-1], code.places[:-1])
-    assert_ranks_agree(partial, variant(other, other.generator.data[:, :-1], partial.places),
-                       fast=(False, False))
-    fibers = [fiber for _, fiber in h3.split_fibers()]
-    places = fibers[0][:2] + fibers[1] + fibers[2][2:]
-    assert len(places) % h3.m == 0
-    assert_ranks_agree(evaluation_code(h3, code.G, places),
-                       evaluation_code(h3, other.G, places), fast=(False, False))
+    # the same on construction R's G, whose R_2 column is a border column
+    code, other = h3_punctured.code_g, h3_punctured.code_h
+    rows = code.generator.data
+    offsets = stratum_rows(code)
+    mixed = rows.copy()
+    mixed[offsets[0][0]] = f.vadd(rows[offsets[0][0]], rows[offsets[1][0]])
+    assert_ranks_agree(variant(code, mixed), other, fast=(False, True))
     # the [I | 0] forgery has unit rows, nonzero in every character group
     forged = variant(code, np.eye(code.k, code.N, dtype=np.int64))
     assert character_blocks(forged) is None and fiber_block_rank(forged) == code.k
+    # a generator replaced after the fact loses H' and Phi: K H' mixes strata
+    h_rows = other.generator.data
+    assert character_blocks(variant(other, h_rows)) is None
+    assert fiber_block_rank(variant(other, h_rows)) == other.k
+
+
+# --- bordered blocks: lone points and affine drops ----------------------------------
+
+def test_bordered_rank_partial_fibers(h3, h3_pole_shift):
+    code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
+    rows = code.generator.data
+    # the last column dropped: five whole fibers and three lone points
+    partial = variant(code, rows[:, :-1], code.places[:-1])
+    partial_other = variant(other, other.generator.data[:, :-1], partial.places)
+    assert_ranks_agree(partial, partial_other)
+    assert character_blocks(partial).lone == 3
+    # 2 + 4 + 2 points on three fibers: one whole fiber and four lone points
+    fibers = [fiber for _, fiber in h3.split_fibers()]
+    places = fibers[0][:2] + fibers[1] + fibers[2][2:]
+    c1, c2 = (evaluation_code(h3, places, c.G) for c in (code, other))
+    assert_ranks_agree(c1, c2)
+    assert (character_blocks(c1).fibers, character_blocks(c1).lone) == (1, 4)
+    # no whole fiber at all: the dense path decides
+    lone_only = fibers[0][:2] + fibers[1][:3] + fibers[2][:1]
+    c1, c2 = (evaluation_code(h3, lone_only, c.G) for c in (code, other))
+    assert_ranks_agree(c1, c2, fast=(False, False))
+
+
+def planted_code(monkeypatch, code, basis, phi):
+    """An evaluation code on code's curve, places and divisor whose H' and Phi
+    are the given arrays, its generator null_space(Phi^T) H' as in
+    rrspace.evaluation_parts."""
+    f = code.field
+    rows = linalg.matmul(f, linalg.null_space(f, phi.T), basis)
+    with monkeypatch.context() as patch:
+        patch.setattr(rrspace, "evaluation_parts", lambda *args: (rows, basis, phi))
+        return evaluation_code(code.curve, code.places, code.G)
+
+
+def test_bordered_rank_planted_deficits(monkeypatch, h3_punctured):
+    res = h3_punctured
+    g_code, h_code = res.code_g, res.code_h
+    f, N, k1, k2 = g_code.field, g_code.N, g_code.k, h_code.k
+    assert g_code.places[0] == res.d_places[0]  # column 0 is R_2, the border column
+    r1 = next(p for p in res.H.support() if p.kind == "aff")
+    ram = res.H + K.Divisor.of((r1, 1))
+    basis = rrspace.evaluation_rows(res.curve, ram, g_code.places)
+    phi = rrspace.evaluation_rows(res.curve, ram, [r1])
+    G = g_code.generator.data
+
+    def plant(g_rows, h_basis, h_phi):
+        """The planted G and H, their ranks checked against dense elimination."""
+        c1 = variant(g_code, g_rows)
+        c2 = planted_code(monkeypatch, h_code, h_basis, h_phi)
+        assert_ranks_agree(c1, c2)
+        return c1, c2
+
+    # unplanted: H' and Phi as evaluation_code builds them
+    c1, c2 = plant(G, basis, phi)
+    assert c2.generator == h_code.generator and fiber_block_rank(c1, c2) == N
+    # a zero border column in both codes: the square stack loses one rank
+    zero_g, zero_b = G.copy(), basis.copy()
+    zero_g[:, 0] = zero_b[:, 0] = 0
+    assert fiber_block_rank(*plant(zero_g, zero_b, phi)) == N - 1
+    # the border column a copy of fiber column 5 in both codes
+    copy_g, copy_b = G.copy(), basis.copy()
+    copy_g[:, 0], copy_b[:, 0] = G[:, 5], basis[:, 5]
+    assert fiber_block_rank(*plant(copy_g, copy_b, phi)) == N - 1
+    # a duplicated row of G, and of H' with its Phi row: the row spaces stay
+    c1, c2 = plant(np.vstack([G, G[1:2]]), np.vstack([basis, basis[2:3]]),
+                   np.vstack([phi, phi[2:3]]))
+    assert (fiber_block_rank(c1), fiber_block_rank(c2), fiber_block_rank(c1, c2)) == (k1, k2, N)
+    assert c2.generator.rows == k2 + 1
+    # two drop columns, the second twice the first: rank(Phi) = 1, K unchanged
+    c1, c2 = plant(G, basis, np.hstack([phi, f.vmul(phi, 2)]))
+    assert (character_blocks(c2).drops, character_blocks(c2).drop_rank) == (2, 1)
+    assert (fiber_block_rank(c2), fiber_block_rank(c1, c2)) == (k2, N)
+
+
+@pytest.fixture(scope="module")
+def hyperelliptic():
+    """y^2 = x (x-1) (x-2) (x-3) (x-4) over GF(11): genus 2, and L(4 Q_inf) is
+    spanned by 1, x, x^2, functions of x alone."""
+    F = K.field_create(11, 1)
+    return K.curve_create(F, 2, 1, [(a, 1) for a in range(5)])
+
+
+def test_bordered_rank_dependent_drop_columns(hyperelliptic):
+    curve = hyperelliptic
+    fibers = [fiber for _, fiber in curve.split_fibers()]
+    inf = K.Place.infinity()
+    # both points of one fiber dropped: the two Phi columns are equal
+    H = K.Divisor.of((inf, 4), (fibers[0][0], -1), (fibers[0][1], -1))
+    assert rrspace.dim_with_simple_affine_drops(curve, H) == 2
+    places = [p for fiber in fibers[1:] for p in fiber]
+    code = evaluation_code(curve, places, H)
+    blocks = character_blocks(code)
+    assert (blocks.drops, blocks.drop_rank, blocks.lone) == (2, 1, 0)
+    assert code.k == dense_rank(code) == 2
+    G = K.Divisor.of((inf, len(places) - 1))
+    other = evaluation_code(curve, places, G)
+    assert_ranks_agree(other, code)
+    # one lone point from a further fiber, and drops from two more fibers
+    lone = fibers[1][0]
+    places = [p for fiber in fibers[2:] for p in fiber] + [lone]
+    H2 = K.Divisor.of((inf, 4), (fibers[0][0], -1), (fibers[0][1], -1), (fibers[1][1], -1))
+    c1, c2 = evaluation_code(curve, places, G), evaluation_code(curve, places, H2)
+    assert_ranks_agree(c1, c2)
+    blocks = character_blocks(c2)
+    assert (blocks.drops, blocks.drop_rank, blocks.lone, c2.k) == (3, 2, 1, 1)
+
+
+def test_bordered_rank_gf1021_construction_r():
+    F = K.field_create(1021, 1)
+    curve = K.curve_create(F, 4, 1, [(1, 1), (2, 1), (3, 1)])
+    E = K.Divisor.of((curve.root_place(1), 1), (curve.root_place(2), 2))
+    xs = curve.split_x_values()
+    for fibers in (48, 144):
+        N = 4 * fibers - 3
+        s = (N - 3) // 6  # the middle of (g-1)/n < s < (N-m-g+2)/n, n = 3
+        res = K.lcp_punctured(curve, E, s, xs[:fibers])
+        assert_ranks_agree(res.code_g, res.code_h)
+        assert res.report.rank_of_stack == N == res.code_g.k + res.code_h.k
+
+
+def test_bordered_rank_random_lone_points_and_drops(bundle_curve, gk2):
+    rng = random.Random(63)
+    curves = [bundle_curve, gk2] + [random_curve(rng) for _ in range(120)]
+    checked = lone_seen = deficits = dependent = 0
+    for curve in curves:
+        fibers = [fiber for _, fiber in curve.split_fibers()]
+        if len(fibers) < 2:
+            continue
+        rng.shuffle(fibers)
+        whole = [p for fiber in fibers[:rng.randint(1, min(5, len(fibers) - 1))]
+                 for p in fiber]
+        off = [p for p in curve.rational_places() if p.kind == "aff" and p not in whole]
+        n_lone = rng.randint(1, 2)
+        if len(off) < n_lone + 3:
+            continue
+        rng.shuffle(off)
+        places, pool = whole + off[:n_lone], off[n_lone:]
+        rng.shuffle(places)
+
+        def with_drops():
+            drops = rng.sample(pool, rng.randint(1, 3))
+            return random_branch_divisor(rng, curve) - K.Divisor((p, 1) for p in drops)
+
+        c1, c2 = (evaluation_code(curve, places, with_drops()) for _ in range(2))
+        assert_ranks_agree(c1, c2)
+        b1, b2 = character_blocks(c1), character_blocks(c2)
+        assert b1.drops >= 1 and b2.drops >= 1
+        checked += 1
+        lone_seen += b1.lone >= 1
+        deficits += fiber_block_rank(c1) < c1.generator.rows
+        dependent += b1.drop_rank < b1.drops
+    assert checked >= 40 and lone_seen >= 40 and deficits >= 5 and dependent >= 4

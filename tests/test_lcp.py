@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import kummerlcp as K
@@ -6,6 +7,7 @@ from kummerlcp.codes import verify_lcp_conditions
 from kummerlcp.errors import (
     ConditionViolationError,
     ENotCertifiedError,
+    FieldMismatchError,
     InternalInvariantError,
     NeedTwoFibersError,
     NotSeparableError,
@@ -78,6 +80,28 @@ def test_repeated_eval_x_counts_once(h3, construction):
     twice = K.build(h3, construction, 4, E2=E2, eval_x=[xs[0]] + xs + [xs[-1]])
     assert twice.to_json() == once.to_json()
     assert [c.b for c in twice.certificates[1:]] == (xs if construction != "R" else xs[1:])
+
+
+@pytest.mark.parametrize("construction", ["1", "2", "R"])
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, "1"], ids=["float", "whole-float", "bool", "str"])
+def test_eval_x_entries_must_be_integers(h3, construction, bad):
+    Q = [h3.root_place(k) for k in range(3)]
+    E2 = K.Divisor.of((K.Place.infinity(), -3), (Q[0], 2), (Q[1], 3))
+    with pytest.raises(TypeError):
+        K.build(h3, construction, 4, E2=E2, eval_x=[bad, 2, 3, 4, 6, 8])
+
+
+@pytest.mark.parametrize("construction", ["1", "2", "R"])
+def test_eval_x_field_elements_and_numpy_integers(h3, gf4, construction):
+    Q = [h3.root_place(k) for k in range(3)]
+    E2 = K.Divisor.of((K.Place.infinity(), -3), (Q[0], 2), (Q[1], 3))
+    xs = [1, 2, 3, 4, 6, 8]
+    plain = K.build(h3, construction, 4, E2=E2, eval_x=xs).to_json()
+    elements = [K.FieldElement(h3.field, x) for x in xs]
+    assert K.build(h3, construction, 4, E2=E2, eval_x=elements).to_json() == plain
+    assert K.build(h3, construction, 4, E2=E2, eval_x=np.array(xs)).to_json() == plain
+    with pytest.raises(FieldMismatchError):
+        K.build(h3, construction, 4, E2=E2, eval_x=[K.FieldElement(gf4, 1)] + xs[1:])
 
 
 def test_verifier_raises_invariant_violations(h3, h3_E, monkeypatch):
