@@ -8,31 +8,32 @@ degree sum, gcd degree g-1, and non-specialness of gcd(G,H) and of
 lmd(G,H) - D after reduction along a caller-supplied chain of principal
 divisors).
 
-Ranks over evaluation places are taken fiber by fiber when the columns
-allow it (fiber_block_rank).  Suppose some columns fall into groups of m
+Ranks over evaluation places are taken fiber by fiber (fiber_block_rank).
+The codes evaluate the Riemann-Roch bases y^i x^j prod_k (x - a_k)^(-A_k)
+stratum by stratum (rrspace), so the stratum i of every generator row is
+known when the row is built.  Suppose some columns fall into groups of m
 points (x_f, y_0), ..., (x_f, y_{m-1}) with distinct nonzero y_t, one group
-per x_f, the whole fibers.  Multiplying each group by its Vandermonde
-matrix X_f[t, i] = y_t^(-i) is an invertible column operation, so it leaves
-the rank of any matrix unchanged.  On a completely split fiber
-y_t = y_0 zeta^t with zeta a primitive m-th root of unity, and since p does
-not divide m, sum_t zeta^(t (j - i)) is m for i = j and 0 otherwise: a row
-y^j h(x) becomes m h(x_f) in character column j and 0 in the other m - 1.
-The other columns (a lone point, as construction R keeps of its first
-fiber) are border columns B and are left as they are.  The transformed
-matrix is then checked as it stands: every row must be nonzero in at most
-one character group W_j (column j of every whole fiber).  The verdict rests
-on that check of the data, not on how the matrix was built: a matrix that
-fails it (a row mixing strata) takes the dense elimination, which stays the
-fallback and the test oracle.
+per x_f, the whole fibers.  A stratum-i row restricted to such a group is
+c (y_t^i)_t.  The matrix V[t, i] = y_t^i is an invertible Vandermonde
+matrix, so a column operation on the group sends the row to c in slot i and
+0 in the other m - 1, with c = (value at the group's first point) y_0^(-i).
+After it the stratum-i rows live in the columns W_i (slot i of every group)
+and the border columns B, the columns off whole fibers (a lone point, as
+construction R keeps of its first fiber).  Scaling W_i's columns by
+y_0^(-i) changes neither rank [W_i | B_i] nor the border rows left below its
+pivots, so block i is just the stratum-i rows at the first column of each
+group, then at the border columns.  This needs no roots of unity and no
+check of the data, only the strata, which codes built by evaluation_code
+carry; any other generator (a stored or replaced one) takes the dense
+elimination, which stays the fallback and the test oracle.
 
-Border residual lemma.  Let the rows that pass the check fall into the
-groups j (fiber part inside W_j) and Z (fiber part zero).  Eliminating
-[W_j | B_j] with the border columns last leaves rank(W_j) pivot rows and,
-below them, rows that vanish on W_j; only their border part R_j is left.
-The pivot rows are independent on the disjoint column sets W_j, so any
-relation among all the rows gives them weight zero, and
+Border residual lemma.  Eliminating [W_i | B_i] with the border columns
+last leaves rank(W_i) pivot rows and, below them, rows that vanish on W_i;
+only their border part R_i is left.  The pivot rows are independent on the
+disjoint column sets W_i, so any relation among all the rows gives them
+weight zero, and
 
-    rank = sum_j rank(W_j) + rank [R_0; ...; R_{m-1}; Z's border part].
+    rank = sum_i rank(W_i) + rank [R_0; ...; R_{m-1}].
 
 Without border columns the second term is zero and the matrix is
 block-diagonal up to a permutation of rows and columns.
@@ -40,7 +41,7 @@ block-diagonal up to a permutation of rows and columns.
 Affine drops.  For H = ram - (c affine places) the generator is K H', where
 H' holds a basis of L(ram) at D, Phi the same basis at the c drops and
 K = null_space(Phi^T) (rrspace.evaluation_parts).  K H' mixes strata, so the
-rank is taken on H' and Phi instead.  In the row space of
+rank is taken on the stratum-pure H' and Phi instead.  In the row space of
 
     M_aug = [[G, 0], [H', Phi]]
 
@@ -74,6 +75,7 @@ from .errors import (
     QTupleSizeError,
     ShapeMismatchError,
     SupportOverlapError,
+    UnsupportedPlaceStructureError,
     UnsupportedSupportError,
 )
 from .field import Field, json_int
@@ -153,7 +155,7 @@ class LinearCode:
     curve: KummerCurve | None = None
     G: Divisor | None = None
     places: tuple[Place, ...] = ()
-    # (generator, its CharacterBlocks or None), see character_blocks
+    # (generator, its CharacterBlocks), see character_blocks
     _blocks: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def to_json(self) -> dict:
@@ -169,11 +171,10 @@ class LinearCode:
 class CharacterBlocks:
     """A code's rows in bordered fiber-block form (module docstring).
 
-    parts[j] for j < m holds the rows living in character group j: the
-    group's column of every whole fiber, then the border columns.  parts[m]
-    holds the rows whose fiber part is zero, border columns only.  The
-    border columns are the columns off whole fibers, then the code's drop
-    columns Phi, whose rank is drop_rank.
+    parts[i] holds the stratum-i rows: their values at the first column of
+    every whole fiber, then at the border columns.  The border columns are
+    the columns off whole fibers, then the code's drop columns Phi, whose
+    rank is drop_rank.
     """
 
     parts: tuple[np.ndarray, ...]
@@ -183,116 +184,94 @@ class CharacterBlocks:
     drop_rank: int
 
 
-def _fiber_layout(field: Field, m: int, places: Sequence[Place]
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Column indices of the whole fibers, one row of m per fiber, each whole
-    fiber's Vandermonde matrices vand[f, t, i] = y_t^(-i), and the indices
-    of the other (border) columns, ascending.  A whole fiber is an x
-    carried by exactly m columns with distinct nonzero y.  None when there
-    is no whole fiber or a place is not an affine point of GF(q)^2."""
-    N = len(places)
+def _check_curve_points(curve: KummerCurve, places: Sequence[Place]) -> None:
+    """Raise unless places are pairwise distinct rational affine points of
+    the curve off the roots of f: encodings in [0, q), f(x) != 0 and
+    y^m = f(x).  Evaluation places and affine drops must be such points."""
+    if len(set(places)) != len(places):
+        raise SupportOverlapError("evaluation places must be pairwise distinct")
     if any(p.kind != AFFINE for p in places):
-        return None
-    xs = np.fromiter((p.x for p in places), dtype=np.int64, count=N)
-    ys = np.fromiter((p.y for p in places), dtype=np.int64, count=N)
-    if np.any((xs < 0) | (xs >= field.q) | (ys < 0) | (ys >= field.q)):
-        return None
+        raise UnsupportedSupportError("evaluation places must be affine")
+    field = curve.field
+    xs = np.array([p.x for p in places], dtype=np.int64)
+    ys = np.array([p.y for p in places], dtype=np.int64)
+    on_curve = (xs >= 0) & (xs < field.q) & (ys >= 0) & (ys < field.q)
+    if on_curve.all():
+        fx = curve.f_values(xs)
+        on_curve = (fx != 0) & (field.vpow(ys, curve.m) == fx)
+    if not on_curve.all():
+        bad = places[int(np.argmin(on_curve))]
+        raise UnsupportedPlaceStructureError(
+            f"{bad.id()} is not a rational affine point of the curve off the roots of f")
+
+
+def _affine_support(*divisors: Divisor) -> list[Place]:
+    """The affine places in the divisors' supports (their drops), each once."""
+    return list(dict.fromkeys(p for D in divisors for p in D.support() if p.kind == AFFINE))
+
+
+def _fiber_layout(m: int, places: Sequence[Place]) -> tuple[np.ndarray, np.ndarray]:
+    """The first column of every whole fiber, and the other (border) columns,
+    ascending.  For places that pass _check_curve_points a whole fiber
+    is an x carried by m columns: their y are distinct and nonzero."""
+    xs = np.array([p.x for p in places], dtype=np.int64)
     order = np.argsort(xs, kind="stable")
-    sx = xs[order]
-    starts = np.flatnonzero(np.concatenate(([True], sx[1:] != sx[:-1])))
-    counts = np.concatenate((starts[1:], [N])) - starts
-    cols = order[starts[counts == m, None] + np.arange(m)]
-    fy = ys[cols]
-    sy = np.sort(fy, axis=1)
-    whole = (sy[:, 0] > 0) & np.all(sy[:, 1:] != sy[:, :-1], axis=1)
-    if not whole.any():
-        return None
-    cols, fy = cols[whole], fy[whole]
-    vand = np.ones(fy.shape + (m,), dtype=np.int64)
-    inv_y = field.vinv(fy)
-    for i in range(1, m):
-        vand[:, :, i] = field.vmul(vand[:, :, i - 1], inv_y)
-    border = np.ones(N, dtype=bool)
-    border[cols] = False
-    return cols, vand, np.flatnonzero(border)
+    starts = np.flatnonzero(np.diff(xs[order], prepend=-1))
+    whole = starts[np.diff(starts, append=len(xs)) == m]
+    border = np.ones(len(xs), dtype=bool)
+    border[order[whole[:, None] + np.arange(m)]] = False
+    return order[whole], np.flatnonzero(border)
 
 
-def _character_split(field: Field, m: int, places: Sequence[Place], rows: np.ndarray,
-                     phi: np.ndarray | None) -> CharacterBlocks | None:
-    """rows (with drop columns phi, or None) in bordered fiber-block form:
-    each whole fiber's columns multiplied by its Vandermonde matrix, and the
-    rows cut by character group.  None when there is no whole fiber or a
-    row is nonzero in two character groups."""
-    layout = _fiber_layout(field, m, places)
-    if layout is None:
-        return None
-    cols, vand, lone = layout
-    A = rows[:, cols]  # rows x fibers x points
-    out = field.vmul(A[:, :, 0, None], vand[None, :, 0, :])
-    for t in range(1, m):
-        out = field.vadd(out, field.vmul(A[:, :, t, None], vand[None, :, t, :]))
-    live = np.any(out != 0, axis=1)  # rows x character groups
-    if np.any(live.sum(axis=1) > 1):
-        return None
-    group = np.where(live.any(axis=1), live.argmax(axis=1), m)
-    border = rows[:, lone]
+def _character_split(field: Field, m: int, places: Sequence[Place], basis: np.ndarray,
+                     strata: np.ndarray, phi: np.ndarray | None) -> CharacterBlocks:
+    """The bordered fiber-block form of the rows basis, whose row r lies in
+    stratum strata[r], with drop columns phi (or None)."""
+    first, lone = _fiber_layout(m, places)
+    rows = basis[:, np.concatenate([first, lone])]
     if phi is not None:
-        border = np.hstack([border, phi])
-    parts = [out[group == j, :, j] for j in range(m)]
-    if border.shape[1]:
-        parts = [np.hstack([part, border[group == j]]) for j, part in enumerate(parts)]
-    parts.append(border[group == m])
+        rows = np.hstack([rows, phi])
     return CharacterBlocks(
-        tuple(parts), len(cols), len(lone),
+        tuple(rows[strata == i] for i in range(m)), len(first), len(lone),
         0 if phi is None else phi.shape[1],
         0 if phi is None else linalg.rank(field, phi),
     )
 
 
 def character_blocks(code: LinearCode) -> CharacterBlocks | None:
-    """The generator in bordered fiber-block form (module docstring), or
-    None when its columns hold no whole fiber or a row is nonzero in two
-    character groups; the dense path then decides.
-
-    Computed once per generator object and kept on the code, so a new
-    generator is transformed afresh (Matrix data is not edited in place).
-    evaluation_code binds the form of H' and Phi to a generator K H'.
-    """
-    gen = code.generator
-    if code._blocks is None or code._blocks[0] is not gen:
-        blocks = None
-        if code.curve is not None and gen.cols == len(code.places):
-            blocks = _character_split(code.field, code.curve.m, code.places, gen.data, None)
-        code._blocks = (gen, blocks)
-    return code._blocks[1]
+    """The generator in bordered fiber-block form (module docstring), or None
+    when the code was not built by evaluation_code or its generator object
+    was replaced since (Matrix data is not edited in place); the dense path
+    then decides.  ag_code rebinds the blocks to the row basis it puts in the
+    generator's place, which spans the same row space."""
+    if code._blocks is not None and code._blocks[0] is code.generator:
+        return code._blocks[1]
+    return None
 
 
 def _bordered_rank(field: Field, splits: Sequence[CharacterBlocks]) -> int:
     """Rank of the stack of the codes in splits, by the border residual lemma
-    and the M_aug identity, each code's drop columns kept apart."""
-    fibers, lone, m = splits[0].fibers, splits[0].lone, len(splits[0].parts) - 1
+    and the M_aug identity, each code's drop columns after the shared ones
+    and zero in the other codes' rows."""
+    fibers, lone, m = splits[0].fibers, splits[0].lone, len(splits[0].parts)
+    shared = fibers + lone
     drops = sum(b.drops for b in splits)
     total = -sum(b.drop_rank for b in splits)
     residuals = []
-    for j, width in enumerate([fibers] * m + [0]):
-        if len(splits) == 1 or not drops:
-            M = np.vstack([b.parts[j] for b in splits])
-        else:  # each code's drop columns after the shared ones, zero for the others
-            shared = width + lone
-            M = np.zeros((sum(len(b.parts[j]) for b in splits), shared + drops),
-                         dtype=np.int64)
-            r, c = 0, shared
-            for b in splits:
-                part = b.parts[j]
-                M[r:r + len(part), :shared] = part[:, :shared]
-                M[r:r + len(part), c:c + b.drops] = part[:, shared:]
-                r, c = r + len(part), c + b.drops
-        if width and len(M):
+    for i in range(m):
+        M = np.zeros((sum(len(b.parts[i]) for b in splits), shared + drops), dtype=np.int64)
+        r, c = 0, shared
+        for b in splits:
+            part = b.parts[i]
+            M[r:r + len(part), :shared] = part[:, :shared]
+            M[r:r + len(part), c:c + b.drops] = part[:, shared:]
+            r, c = r + len(part), c + b.drops
+        if fibers and len(M):
             M, pivots = linalg.echelon(field, M)
-            block_rank = bisect_left(pivots, width)
+            block_rank = bisect_left(pivots, fibers)
             total += block_rank
             M = M[block_rank:len(pivots)]
-        residuals.append(M[:, width:])
+        residuals.append(M[:, fibers:])
     if lone + drops:
         total += linalg.rank(field, np.vstack(residuals))
     return total
@@ -301,40 +280,37 @@ def _bordered_rank(field: Field, splits: Sequence[CharacterBlocks]) -> int:
 def fiber_block_rank(*codes: LinearCode) -> int:
     """Rank of the codes' stacked generators.
 
-    When every code has character blocks over the same field, places and
-    m, the stack's transform is the stack of the transforms, and the rank
-    comes from the blocks by the border residual lemma and the M_aug
-    identity; otherwise it is the dense rank of the stack.
+    When every code has character blocks over the same field, places and m,
+    the rank comes from the blocks by the border residual lemma and the
+    M_aug identity; otherwise it is the dense rank of the stack.
     """
     first = codes[0]
-    field = first.field
     splits = [character_blocks(c) for c in codes]
-    if all(b is not None for b in splits) and all(
-        (c.field, c.places, c.curve.m) == (field, first.places, first.curve.m) for c in codes
+    if None not in splits and all(
+        (c.field, c.places, c.curve.m) == (first.field, first.places, first.curve.m)
+        for c in codes
     ):
-        return _bordered_rank(field, splits)
-    return linalg.rank(field, _stacked([c.generator for c in codes]))
+        return _bordered_rank(first.field, splits)
+    return linalg.rank(first.field, _stacked([c.generator for c in codes]))
 
 
 def evaluation_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
-    """C(D, G) for D the sum of the given affine places, its generator the
+    """C(D, G) for D the sum of the given places, its generator the
     evaluation rows of L(G) as they are (rrspace.evaluation_rows) and k
-    their rank.  When G drops affine places, the bordered form of H' and
-    Phi is bound to the generator K H'."""
+    their rank.  The places, and the affine places G drops, must be distinct
+    rational affine points of the curve off the roots of f.  The code's character blocks, built from the
+    strata of the basis rows (H' and Phi when G drops affine places), are
+    bound to the generator."""
     places = tuple(eval_places)
-    if len(set(places)) != len(places):
-        raise SupportOverlapError("evaluation places must be pairwise distinct")
-    for p in places:
-        if p.kind != AFFINE:
-            raise UnsupportedSupportError("evaluation places must be affine")
+    _check_curve_points(curve, places)
     overlap = set(places) & set(G.support())
     if overlap:
         raise SupportOverlapError(f"G and D share support: {sorted(p.id() for p in overlap)}")
+    _check_curve_points(curve, _affine_support(G))
     field = curve.field
-    rows, basis, phi = rrspace.evaluation_parts(curve, G, places)
+    rows, basis, phi, strata = rrspace.evaluation_parts(curve, G, places)
     code = LinearCode(field, Matrix(field, rows), len(places), 0, curve, G, places)
-    if phi is not None:
-        code._blocks = (code.generator, _character_split(field, curve.m, places, basis, phi))
+    code._blocks = (code.generator, _character_split(field, curve.m, places, basis, strata, phi))
     code.k = fiber_block_rank(code)
     return code
 
@@ -343,7 +319,8 @@ def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> Lin
     """The evaluation code C(D, G) for D the sum of the given affine places.
 
     Within the window 2g-2 < deg G < N the dimension is checked against
-    deg G + 1 - g; outside it the generator is reduced to a row basis.
+    deg G + 1 - g; outside it the generator is reduced to a row basis, which
+    keeps the character blocks.
     """
     code = evaluation_code(curve, eval_places, G)
     g = curve.genus()
@@ -355,8 +332,10 @@ def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> Lin
                 f"rank {code.k} does not match deg G + 1 - g = {expected}"
             )
     if code.k < code.generator.rows:
+        blocks = character_blocks(code)
         code.generator = Matrix(code.field, linalg.row_space_basis(code.field,
                                                                    code.generator.data))
+        code._blocks = (code.generator, blocks)
     return code
 
 
@@ -525,10 +504,13 @@ def verify_lcp_conditions(
 ) -> ConditionReport:
     """Check the sufficient conditions for (C(D,G), C(D,H)) to be an LCP.
 
-    The certificates must telescope lmd(G,H) - D onto a divisor supported on
-    ramified places (minus possibly some coefficient -1 affine places); a
-    chain that leaves other support standing is rejected.
+    The places of D, and the affine places G and H drop, must be distinct
+    rational affine points of the curve off the roots of f.  The certificates must telescope lmd(G,H) - D onto a
+    divisor supported on ramified places (minus possibly some coefficient -1
+    affine places); a chain that leaves other support standing is rejected.
     """
+    _check_curve_points(curve, d_places)
+    _check_curve_points(curve, _affine_support(G, H))
     report = ConditionReport()
     g = curve.genus()
     N = len(d_places)

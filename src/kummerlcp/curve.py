@@ -206,6 +206,14 @@ class KummerCurve:
     def f_at(self, x_enc: int) -> int:
         return poly.eval_at(self.field, self.f_poly, x_enc)
 
+    def f_values(self, xs: np.ndarray) -> np.ndarray:
+        """f at an array of x encodings, from its factored form."""
+        field = self.field
+        vals = np.full(len(xs), self.leading, dtype=np.int64)
+        for a, lam in self.roots:
+            vals = field.vmul(vals, field.vpow(field.vsub(xs, a), lam))
+        return vals
+
     def signed_multiplicity(self, place: Place) -> int:
         """Valuation of f at the x-line place below: lambda_k, or -deg f at infinity."""
         if place.kind == INF:
@@ -275,9 +283,7 @@ class KummerCurve:
         if self._fibers is None:
             field = self.field
             vals = np.arange(field.q, dtype=np.int64)
-            f_vals = np.full(field.q, self.leading, dtype=np.int64)
-            for a, lam in self.roots:
-                f_vals = field.vmul(f_vals, field.vpow(field.vsub(vals, a), lam))
+            f_vals = self.f_values(vals)
             powers = field.vpow(vals, self.m)
             counts = np.bincount(powers, minlength=field.q)
             ys = np.argsort(powers, kind="stable")  # stable: ascending y within a value

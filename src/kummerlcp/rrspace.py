@@ -136,21 +136,25 @@ def _split_affine_drops(D: Divisor) -> tuple[Divisor, list[Place]]:
 
 def evaluation_parts(
     curve: KummerCurve, D: Divisor, places: Sequence[Place]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(rows, H', Phi): evaluation_rows(curve, D, places), and the pieces it
-    is made of when D drops affine places.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """(rows, H', Phi, strata): evaluation_rows(curve, D, places), and the
+    pieces it is made of.
 
     With ram the ramified part of D, H' is rr_basis(curve, ram) at places and
-    Phi the same basis at the drops, one column per drop; rows is then
-    null_space(Phi^T) H'.  Without drops Phi is None and rows is H'.
+    strata[r] the stratum i of its row r (the basis function is y^i times a
+    function of x).  When D drops affine places, Phi is the same basis at the
+    drops, one column per drop, and rows is null_space(Phi^T) H'; otherwise
+    Phi is None and rows is H'.
     """
     ram, drops = _split_affine_drops(D)
     basis = _basis_rows(curve, ram, places)
+    strata = np.array([i for i, a in basis_strata(curve, ram) for _ in range(a.degree + 1)],
+                      dtype=np.int64)
     if not drops:
-        return basis, basis, None
+        return basis, basis, None, strata
     field = curve.field
     phi = _basis_rows(curve, ram, drops)
-    return linalg.matmul(field, linalg.null_space(field, phi.T), basis), basis, phi
+    return linalg.matmul(field, linalg.null_space(field, phi.T), basis), basis, phi, strata
 
 
 def evaluation_rows(curve: KummerCurve, D: Divisor, places: Sequence[Place]) -> np.ndarray:

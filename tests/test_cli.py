@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,7 @@ import numpy as np
 import pytest
 
 import kummerlcp as K
-from kummerlcp import linalg
-from kummerlcp.codes import character_blocks
+from kummerlcp import cli, linalg, rrspace
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -189,18 +190,14 @@ def test_lcp_verify_construction_r_forged_h(tmp_path, h3_punctured_result):
     assert out["verdict"] == "NOT_LCP"
 
 
-def test_lcp_verify_construction_r_forged_g_on_bordered_path(tmp_path, h3_punctured_result):
+def test_lcp_verify_construction_r_forged_g_of_another_divisor(tmp_path, h3_punctured_result):
     h3, res = h3_punctured_result
-    # C(D, G') for G' of G's degree but another support: stratum-pure rows of
-    # the right shape and rank, so the stored G takes the bordered path
+    # C(D, G') for G' of G's degree but another support: an evaluation code of
+    # the right shape and rank, but not C(D, G)
     G2 = res.G + K.Divisor.of((h3.root_place(0), 1), (K.Place.infinity(), -1))
     other = K.ag_code(h3, res.d_places, G2)
     assert other.generator.data.shape == res.code_g.generator.data.shape
     assert other.generator != res.code_g.generator
-    stored = K.LinearCode(other.field, other.generator, other.N, other.k, h3, None,
-                          res.d_places)
-    blocks = character_blocks(stored)
-    assert blocks is not None and blocks.lone == 1
 
     def forge(obj):
         obj["codes"][0]["generator"] = other.generator.to_json()
@@ -209,6 +206,106 @@ def test_lcp_verify_construction_r_forged_g_on_bordered_path(tmp_path, h3_punctu
     assert out["stored_ranks_ok"] is True
     assert out["stored_codes_match"] is False
     assert out["verdict"] == "NOT_LCP"
+
+
+@pytest.fixture(scope="module")
+def gf1021_punctured_result():
+    """Construction R on y^4 = (x-1)(x-2)(x-3) over GF(1021) at s = 31 on the
+    first 48 split fibers: D is R_2 and 47 whole fibers, N = 189."""
+    curve = K.curve_create(K.field_create(1021, 1), 4, 1, [(1, 1), (2, 1), (3, 1)])
+    E = K.Divisor.of((curve.root_place(1), 1), (curve.root_place(2), 2))
+    return K.lcp_punctured(curve, E, 31, curve.split_x_values()[:48]).to_json()
+
+
+def verify_in_process(monkeypatch, tmp_path, result):
+    """lcp-verify on result through cli.main in this process: the output, and
+    the number of dense linalg.rank calls over all N columns."""
+    N = len(result["D"])
+    dense_calls = []
+    rank = linalg.rank
+
+    def counting_rank(field, M):
+        dense_calls.append(M.shape[1] == N)
+        return rank(field, M)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(result))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["lcp-verify", "--result", str(path)]) == 0
+    return json.loads(out.getvalue()), sum(dense_calls)
+
+
+def test_lcp_verify_gf1021_construction_r_on_fiber_blocks(monkeypatch, tmp_path,
+                                                         gf1021_punctured_result):
+    # both stored codes equal the rebuilt ones, whose blocks rank everything
+    out, dense_calls = verify_in_process(monkeypatch, tmp_path, gf1021_punctured_result)
+    assert out["verdict"] == "LCP" and out["rank_of_stack"] == 189
+    assert out["stored_ranks_ok"] is True and out["stored_codes_match"] is True
+    assert dense_calls == 0
+
+
+def test_lcp_verify_row_reduced_generator(monkeypatch, tmp_path, gf1021_punctured_result):
+    # a stored G that spans C(D, G) but is not the rebuilt generator byte for
+    # byte is ranked densely, and still verifies
+    result = json.loads(json.dumps(gf1021_punctured_result))
+    stored = np.array(result["codes"][0]["generator"], dtype=np.int64)
+    reduced = linalg.row_space_basis(K.field_create(1021, 1), stored)
+    assert reduced.shape == stored.shape and not np.array_equal(reduced, stored)
+    result["codes"][0]["generator"] = reduced.tolist()
+    out, dense_calls = verify_in_process(monkeypatch, tmp_path, result)
+    assert out["verdict"] == "LCP" and out["rank_of_stack"] == 189
+    assert out["stored_ranks_ok"] is True and out["stored_codes_match"] is True
+    assert dense_calls > 0
+
+
+@pytest.fixture(scope="module")
+def off_curve_results():
+    """Construction 1 on y^4 = (x-1)(x-2)(x-3) over GF(1021) on 10 fibers at
+    s = 5, and on H3 at s = 3."""
+    gf1021 = K.curve_create(K.field_create(1021, 1), 4, 1, [(1, 1), (2, 1), (3, 1)])
+    h3 = K.curve_from_json(H3_SPEC)
+    return {"gf1021": (gf1021, K.build(gf1021, "1", 5, eval_x=gf1021.split_x_values()[:10])),
+            "h3": (h3, K.build(h3, "1", 3))}
+
+
+@pytest.mark.parametrize("name,place", [
+    ("gf1021", "aff:4:1"),  # f(4) = 6 is not a 4th power: no points over x = 4
+    ("h3", "aff:1:1"),
+    ("h3", "aff:99:1"),
+    ("h3", "aff:1:99"),
+], ids=["gf1021-empty-fiber", "h3-off-curve", "x-outside-field", "y-outside-field"])
+def test_lcp_verify_rejects_places_off_the_curve(tmp_path, off_curve_results, name, place):
+    curve, res = off_curve_results[name]
+    # the place added to D, G raised by one at infinity, and both codes
+    # regenerated as a row basis of the evaluation rows where they exist
+    D = list(res.d_places) + [K.parse_place(curve, place)]
+    G = res.G + K.Divisor.of((K.Place.infinity(), 1))
+    obj = res.to_json()
+    obj["D"].append(place)
+    obj["G"] = G.to_json()
+    if max(D[-1].x, D[-1].y) < curve.field.q:
+        f = curve.field
+        for code, divisor in zip(obj["codes"], (G, res.H)):
+            rows = linalg.row_space_basis(f, rrspace.evaluation_rows(curve, divisor, D))
+            code.update(N=len(D), k=len(rows), generator=rows.tolist())
+    proc = verify_edited(tmp_path, obj, lambda obj: None, expect=2)
+    assert json.loads(proc.stderr)["error"] == "UnsupportedPlaceStructure"
+
+
+@pytest.mark.parametrize("place", ["aff:1:1", "aff:0:0", "aff:99:1"],
+                         ids=["off-curve", "over-a-root", "x-outside-field"])
+def test_lcp_verify_rejects_drops_off_the_curve(tmp_path, h3_punctured_result, place):
+    _, res = h3_punctured_result
+
+    def edit(obj):  # H drops the given place instead of R_1
+        for entry in obj["H"]["coeffs"]:
+            if entry["place"].startswith("aff:"):
+                entry["place"] = place
+
+    proc = verify_edited(tmp_path, res.to_json(), edit, expect=2)
+    assert json.loads(proc.stderr)["error"] == "UnsupportedPlaceStructure"
 
 
 @pytest.mark.parametrize("key", ["curve", "G", "H", "D", "certificates", "codes"])

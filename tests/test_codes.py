@@ -21,6 +21,7 @@ from kummerlcp.errors import (
     FieldMismatchError,
     ShapeMismatchError,
     SupportOverlapError,
+    UnsupportedPlaceStructureError,
 )
 
 from conftest import FIELD_CHOICES, random_curve
@@ -498,67 +499,79 @@ def h3_punctured(h3):
     return K.lcp_punctured(h3, E, 3)
 
 
-def variant(code, data, places=None):
+def variant(code, data):
+    """A code on code's curve, places and divisor with the given generator,
+    made by hand: it carries no character blocks."""
     f = code.field
-    places = code.places if places is None else tuple(places)
-    return K.LinearCode(f, K.Matrix(f, data), len(places), len(data), code.curve, code.G, places)
+    return K.LinearCode(f, K.Matrix(f, data), code.N, len(data), code.curve, code.G,
+                        code.places)
 
 
-def stratum_rows(code):
-    """(first row, row count) of each stratum block of an ag_code generator."""
-    out, r = [], 0
-    for _, A in rrspace.basis_strata(code.curve, code.G):
-        out.append((r, A.degree + 1))
-        r += A.degree + 1
-    return out
+def parts_of(code):
+    """(H', row strata, Phi) of an evaluation code, from rrspace.evaluation_parts."""
+    _, basis, phi, strata = rrspace.evaluation_parts(code.curve, code.G, code.places)
+    return basis, strata, phi
 
 
-def test_fiber_block_rank_planted_deficits(h3_pole_shift):
+def planted_code(monkeypatch, code, basis, strata, phi=None):
+    """An evaluation code on code's curve, places and divisor whose H', row
+    strata and Phi are the given arrays, its generator H' or, with drops,
+    null_space(Phi^T) H' as in rrspace.evaluation_parts."""
+    f = code.field
+    rows = basis if phi is None else linalg.matmul(f, linalg.null_space(f, phi.T), basis)
+    with monkeypatch.context() as patch:
+        patch.setattr(rrspace, "evaluation_parts", lambda *args: (rows, basis, phi, strata))
+        return evaluation_code(code.curve, code.places, code.G)
+
+
+def test_fiber_block_rank_planted_deficits(monkeypatch, h3_pole_shift):
     code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
-    f, rows, N = code.field, code.generator.data, code.N
-    dup = variant(code, np.vstack([rows, rows[2:3]]))
+    f, N = code.field, code.N
+    basis, strata, _ = parts_of(code)
+    assert np.array_equal(basis, code.generator.data)
+    dup = planted_code(monkeypatch, code, np.vstack([basis, basis[2:3]]),
+                       np.append(strata, strata[2]))
     assert_ranks_agree(dup, other)
-    assert fiber_block_rank(dup) == code.k and fiber_block_rank(dup, other) == N
-    r0, count = next(v for v in stratum_rows(code) if v[1] >= 2)
-    dep = rows.copy()
-    dep[r0 + count - 1] = f.vadd(f.vmul(rows[r0], 2), rows[r0 + 1])
-    dependent = variant(code, dep)
+    assert dup.k == code.k and fiber_block_rank(dup, other) == N
+    # the last row of a stratum replaced by a combination of its first two
+    i = next(i for i in range(code.curve.m) if np.count_nonzero(strata == i) >= 3)
+    r0, last = np.flatnonzero(strata == i)[[0, -1]]
+    dep = basis.copy()
+    dep[last] = f.vadd(f.vmul(basis[r0], 2), basis[r0 + 1])
+    dependent = planted_code(monkeypatch, code, dep, strata)
     assert_ranks_agree(dependent, other)
-    assert fiber_block_rank(dependent) == code.k - 1
+    assert dependent.k == code.k - 1
     assert fiber_block_rank(dependent, other) == N - 1
 
 
-def test_fiber_block_rank_falls_back_to_dense(h3, h3_pole_shift, h3_punctured):
-    code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
-    f, rows = code.field, code.generator.data
-    offsets = stratum_rows(code)
-    mixed = rows.copy()
-    mixed[offsets[0][0]] = f.vadd(rows[offsets[0][0]], rows[offsets[1][0]])
-    assert_ranks_agree(variant(code, mixed), other, fast=(False, True))
-    # the same on construction R's G, whose R_2 column is a border column
-    code, other = h3_punctured.code_g, h3_punctured.code_h
-    rows = code.generator.data
-    offsets = stratum_rows(code)
-    mixed = rows.copy()
-    mixed[offsets[0][0]] = f.vadd(rows[offsets[0][0]], rows[offsets[1][0]])
-    assert_ranks_agree(variant(code, mixed), other, fast=(False, True))
-    # the [I | 0] forgery has unit rows, nonzero in every character group
+def test_fiber_block_rank_falls_back_to_dense(h3_pole_shift, h3_punctured):
+    # a generator made by hand carries no strata, so its ranks are dense,
+    # even when its rows are the evaluation code's own
+    for res in (h3_pole_shift, h3_punctured):
+        code, other = res.code_g, res.code_h
+        f, rows = code.field, code.generator.data
+        assert_ranks_agree(variant(code, rows), other, fast=(False, True))
+        strata = parts_of(code)[1]
+        mixed = rows.copy()
+        mixed[0] = f.vadd(rows[0], rows[np.argmax(strata != strata[0])])
+        assert_ranks_agree(variant(code, mixed), other, fast=(False, True))
+    # the [I | 0] forgery
     forged = variant(code, np.eye(code.k, code.N, dtype=np.int64))
     assert character_blocks(forged) is None and fiber_block_rank(forged) == code.k
-    # a generator replaced after the fact loses H' and Phi: K H' mixes strata
-    h_rows = other.generator.data
-    assert character_blocks(variant(other, h_rows)) is None
-    assert fiber_block_rank(variant(other, h_rows)) == other.k
+    # a generator replaced after the fact loses the blocks: K H' mixes strata
+    rebuilt = evaluation_code(other.curve, other.places, other.G)
+    assert character_blocks(rebuilt) is not None
+    rebuilt.generator = K.Matrix(f, rebuilt.generator.data)
+    assert character_blocks(rebuilt) is None and fiber_block_rank(rebuilt) == other.k
 
 
 # --- bordered blocks: lone points and affine drops ----------------------------------
 
 def test_bordered_rank_partial_fibers(h3, h3_pole_shift):
     code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
-    rows = code.generator.data
     # the last column dropped: five whole fibers and three lone points
-    partial = variant(code, rows[:, :-1], code.places[:-1])
-    partial_other = variant(other, other.generator.data[:, :-1], partial.places)
+    partial, partial_other = (evaluation_code(h3, code.places[:-1], c.G) for c in (code, other))
+    assert np.array_equal(partial.generator.data, code.generator.data[:, :-1])
     assert_ranks_agree(partial, partial_other)
     assert character_blocks(partial).lone == 3
     # 2 + 4 + 2 points on three fibers: one whole fiber and four lone points
@@ -567,21 +580,11 @@ def test_bordered_rank_partial_fibers(h3, h3_pole_shift):
     c1, c2 = (evaluation_code(h3, places, c.G) for c in (code, other))
     assert_ranks_agree(c1, c2)
     assert (character_blocks(c1).fibers, character_blocks(c1).lone) == (1, 4)
-    # no whole fiber at all: the dense path decides
+    # no whole fiber at all: every column is a border column
     lone_only = fibers[0][:2] + fibers[1][:3] + fibers[2][:1]
     c1, c2 = (evaluation_code(h3, lone_only, c.G) for c in (code, other))
-    assert_ranks_agree(c1, c2, fast=(False, False))
-
-
-def planted_code(monkeypatch, code, basis, phi):
-    """An evaluation code on code's curve, places and divisor whose H' and Phi
-    are the given arrays, its generator null_space(Phi^T) H' as in
-    rrspace.evaluation_parts."""
-    f = code.field
-    rows = linalg.matmul(f, linalg.null_space(f, phi.T), basis)
-    with monkeypatch.context() as patch:
-        patch.setattr(rrspace, "evaluation_parts", lambda *args: (rows, basis, phi))
-        return evaluation_code(code.curve, code.places, code.G)
+    assert_ranks_agree(c1, c2)
+    assert (character_blocks(c1).fibers, character_blocks(c1).lone) == (0, 6)
 
 
 def test_bordered_rank_planted_deficits(monkeypatch, h3_punctured):
@@ -589,22 +592,21 @@ def test_bordered_rank_planted_deficits(monkeypatch, h3_punctured):
     g_code, h_code = res.code_g, res.code_h
     f, N, k1, k2 = g_code.field, g_code.N, g_code.k, h_code.k
     assert g_code.places[0] == res.d_places[0]  # column 0 is R_2, the border column
-    r1 = next(p for p in res.H.support() if p.kind == "aff")
-    ram = res.H + K.Divisor.of((r1, 1))
-    basis = rrspace.evaluation_rows(res.curve, ram, g_code.places)
-    phi = rrspace.evaluation_rows(res.curve, ram, [r1])
-    G = g_code.generator.data
+    G, g_strata, _ = parts_of(g_code)
+    basis, strata, phi = parts_of(h_code)
+    assert phi.shape[1] == 1  # H drops R_1
 
-    def plant(g_rows, h_basis, h_phi):
+    def plant(g_rows, h_basis, h_phi, g_labels=g_strata, h_labels=strata):
         """The planted G and H, their ranks checked against dense elimination."""
-        c1 = variant(g_code, g_rows)
-        c2 = planted_code(monkeypatch, h_code, h_basis, h_phi)
+        c1 = planted_code(monkeypatch, g_code, g_rows, g_labels)
+        c2 = planted_code(monkeypatch, h_code, h_basis, h_labels, h_phi)
         assert_ranks_agree(c1, c2)
         return c1, c2
 
     # unplanted: H' and Phi as evaluation_code builds them
     c1, c2 = plant(G, basis, phi)
-    assert c2.generator == h_code.generator and fiber_block_rank(c1, c2) == N
+    assert (c1.generator, c2.generator) == (g_code.generator, h_code.generator)
+    assert fiber_block_rank(c1, c2) == N
     # a zero border column in both codes: the square stack loses one rank
     zero_g, zero_b = G.copy(), basis.copy()
     zero_g[:, 0] = zero_b[:, 0] = 0
@@ -615,7 +617,8 @@ def test_bordered_rank_planted_deficits(monkeypatch, h3_punctured):
     assert fiber_block_rank(*plant(copy_g, copy_b, phi)) == N - 1
     # a duplicated row of G, and of H' with its Phi row: the row spaces stay
     c1, c2 = plant(np.vstack([G, G[1:2]]), np.vstack([basis, basis[2:3]]),
-                   np.vstack([phi, phi[2:3]]))
+                   np.vstack([phi, phi[2:3]]), np.append(g_strata, g_strata[1]),
+                   np.append(strata, strata[2]))
     assert (fiber_block_rank(c1), fiber_block_rank(c2), fiber_block_rank(c1, c2)) == (k1, k2, N)
     assert c2.generator.rows == k2 + 1
     # two drop columns, the second twice the first: rank(Phi) = 1, K unchanged
@@ -702,3 +705,55 @@ def test_bordered_rank_random_lone_points_and_drops(bundle_curve, gk2):
         deficits += fiber_block_rank(c1) < c1.generator.rows
         dependent += b1.drop_rank < b1.drops
     assert checked >= 40 and lone_seen >= 40 and deficits >= 5 and dependent >= 4
+
+
+def test_bordered_rank_outside_window(bundle_curve, gk2):
+    # deg G >= N: ag_code replaces the evaluation rows by a row basis, and
+    # the character blocks stay bound to it because the row space is the same
+    rng = random.Random(64)
+    curves = [bundle_curve, gk2] + [random_curve(rng) for _ in range(120)]
+    checked = with_drops = 0
+    for curve in curves:
+        fibers = [fiber for _, fiber in curve.split_fibers()]
+        if len(fibers) < 2 or curve.d_inf != 1:
+            continue
+        rng.shuffle(fibers)
+        places = [p for fiber in fibers[1:rng.randint(2, min(6, len(fibers)))] for p in fiber]
+        places += fibers[0][:rng.randint(0, 2)]  # lone points
+        drops = rng.sample(fibers[0][2:], rng.randint(0, min(2, len(fibers[0]) - 2)))
+        G = random_branch_divisor(rng, curve) - K.Divisor((p, 1) for p in drops)
+        g = curve.genus()
+        excess = len(places) - G.degree() + rng.randint(2 * g - 1, 2 * g + 4)
+        G = G + K.Divisor.of((K.Place.infinity(), excess))
+        c1 = K.ag_code(curve, places, G)
+        c2 = K.ag_code(curve, places, random_branch_divisor(rng, curve))
+        assert G.degree() >= c1.N and c1.generator.rows == c1.k
+        assert c1.k < len(rrspace.evaluation_rows(curve, G, places))
+        assert_ranks_agree(c1, c2)
+        checked += 1
+        with_drops += bool(drops)
+    assert checked >= 25 and with_drops >= 12
+
+
+@pytest.mark.parametrize("place", ["aff:1:1", "aff:0:0", "aff:99:1", "aff:1:99"],
+                         ids=["off-curve", "over-a-root", "x-outside-field", "y-outside-field"])
+def test_evaluation_places_must_be_curve_points(h3, h3_pole_shift, place):
+    res = h3_pole_shift
+    D = list(res.d_places) + [K.parse_place(h3, place)]
+    G = res.G + K.Divisor.of((K.Place.infinity(), 1))
+    with pytest.raises(UnsupportedPlaceStructureError):
+        K.ag_code(h3, D, G)
+    with pytest.raises(UnsupportedPlaceStructureError):
+        K.verify_lcp_conditions(h3, D, G, res.H, res.certificates)
+
+
+@pytest.mark.parametrize("place", ["aff:1:1", "aff:0:0", "aff:99:1"],
+                         ids=["off-curve", "over-a-root", "x-outside-field"])
+def test_dropped_places_must_be_curve_points(h3, h3_punctured, place):
+    res = h3_punctured
+    r1 = next(p for p in res.H.support() if p.kind == "aff")
+    H = res.H + K.Divisor.of((r1, 1), (K.parse_place(h3, place), -1))
+    with pytest.raises(UnsupportedPlaceStructureError):
+        K.ag_code(h3, res.d_places, H)
+    with pytest.raises(UnsupportedPlaceStructureError):
+        K.verify_lcp_conditions(h3, res.d_places, res.G, H, res.certificates)
