@@ -66,7 +66,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg, rrspace
-from .curve import AFFINE, Divisor, KummerCurve, Place
+from .curve import AFFINE, Divisor, KummerCurve, Place, check_curve_points
 from .errors import (
     CertificateInvalidError,
     FieldMismatchError,
@@ -75,7 +75,6 @@ from .errors import (
     QTupleSizeError,
     ShapeMismatchError,
     SupportOverlapError,
-    UnsupportedPlaceStructureError,
     UnsupportedSupportError,
 )
 from .field import Field, json_int
@@ -184,35 +183,9 @@ class CharacterBlocks:
     drop_rank: int
 
 
-def _check_curve_points(curve: KummerCurve, places: Sequence[Place]) -> None:
-    """Raise unless places are pairwise distinct rational affine points of
-    the curve off the roots of f: encodings in [0, q), f(x) != 0 and
-    y^m = f(x).  Evaluation places and affine drops must be such points."""
-    if len(set(places)) != len(places):
-        raise SupportOverlapError("evaluation places must be pairwise distinct")
-    if any(p.kind != AFFINE for p in places):
-        raise UnsupportedSupportError("evaluation places must be affine")
-    field = curve.field
-    xs = np.array([p.x for p in places], dtype=np.int64)
-    ys = np.array([p.y for p in places], dtype=np.int64)
-    on_curve = (xs >= 0) & (xs < field.q) & (ys >= 0) & (ys < field.q)
-    if on_curve.all():
-        fx = curve.f_values(xs)
-        on_curve = (fx != 0) & (field.vpow(ys, curve.m) == fx)
-    if not on_curve.all():
-        bad = places[int(np.argmin(on_curve))]
-        raise UnsupportedPlaceStructureError(
-            f"{bad.id()} is not a rational affine point of the curve off the roots of f")
-
-
-def _affine_support(*divisors: Divisor) -> list[Place]:
-    """The affine places in the divisors' supports (their drops), each once."""
-    return list(dict.fromkeys(p for D in divisors for p in D.support() if p.kind == AFFINE))
-
-
 def _fiber_layout(m: int, places: Sequence[Place]) -> tuple[np.ndarray, np.ndarray]:
     """The first column of every whole fiber, and the other (border) columns,
-    ascending.  For places that pass _check_curve_points a whole fiber
+    ascending.  For places that pass check_curve_points a whole fiber
     is an x carried by m columns: their y are distinct and nonzero."""
     xs = np.array([p.x for p in places], dtype=np.int64)
     order = np.argsort(xs, kind="stable")
@@ -298,15 +271,13 @@ def evaluation_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor
     """C(D, G) for D the sum of the given places, its generator the
     evaluation rows of L(G) as they are (rrspace.evaluation_rows) and k
     their rank.  The places, and the affine places G drops, must be distinct
-    rational affine points of the curve off the roots of f.  The code's character blocks, built from the
-    strata of the basis rows (H' and Phi when G drops affine places), are
-    bound to the generator."""
+    rational affine points of the curve off the roots of f (evaluation_parts
+    checks them); the code's character blocks, built from the strata of the
+    basis rows (H' and Phi when G drops affine places), are bound to it."""
     places = tuple(eval_places)
-    _check_curve_points(curve, places)
     overlap = set(places) & set(G.support())
     if overlap:
         raise SupportOverlapError(f"G and D share support: {sorted(p.id() for p in overlap)}")
-    _check_curve_points(curve, _affine_support(G))
     field = curve.field
     rows, basis, phi, strata = rrspace.evaluation_parts(curve, G, places)
     code = LinearCode(field, Matrix(field, rows), len(places), 0, curve, G, places)
@@ -509,8 +480,9 @@ def verify_lcp_conditions(
     divisor supported on ramified places (minus possibly some coefficient -1
     affine places); a chain that leaves other support standing is rejected.
     """
-    _check_curve_points(curve, d_places)
-    _check_curve_points(curve, _affine_support(G, H))
+    check_curve_points(curve, d_places)
+    check_curve_points(curve, [p for p in dict.fromkeys(G.support() + H.support())
+                               if p.kind == AFFINE])
     report = ConditionReport()
     g = curve.genus()
     N = len(d_places)

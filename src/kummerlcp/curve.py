@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,9 @@ from .errors import (
     MultiplicityOutOfRangeError,
     NoTotallyRamifiedPlaceError,
     PoleAtPlaceError,
+    SupportOverlapError,
     UnsupportedPlaceStructureError,
+    UnsupportedSupportError,
 )
 from .field import Field, FieldElement, field_from_json, json_int
 
@@ -387,6 +389,29 @@ class KummerCurve:
 
     def __repr__(self) -> str:
         return f"KummerCurve(y^{self.m} = f, deg f = {self.deg_f}, over {self.field!r})"
+
+
+def check_curve_points(curve: KummerCurve, places: Sequence[Place]) -> None:
+    """Raise unless places are pairwise distinct rational affine points of
+    the curve off the roots of f: encodings in [0, q), f(x) != 0 and
+    y^m = f(x).  Evaluation places and affine drops must be such points."""
+    if not places:
+        return
+    if len(set(places)) != len(places):
+        raise SupportOverlapError("places must be pairwise distinct")
+    if any(p.kind != AFFINE for p in places):
+        raise UnsupportedSupportError("places must be affine")
+    field = curve.field
+    xs = np.array([p.x for p in places], dtype=np.int64)
+    ys = np.array([p.y for p in places], dtype=np.int64)
+    on_curve = (xs >= 0) & (xs < field.q) & (ys >= 0) & (ys < field.q)
+    if on_curve.all():
+        fx = curve.f_values(xs)
+        on_curve = (fx != 0) & (field.vpow(ys, curve.m) == fx)
+    if not on_curve.all():
+        bad = places[int(np.argmin(on_curve))]
+        raise UnsupportedPlaceStructureError(
+            f"{bad.id()} is not a rational affine point of the curve off the roots of f")
 
 
 def curve_create(field: Field, m: int, leading: int | FieldElement,

@@ -12,15 +12,21 @@ Every table comes from one construction.  Multiplication by the generator
 is an e x e matrix M over GF(p) acting on digit vectors: the companion
 matrix of the modulus, or [[g]] for a prime field.  The modulus scan tests
 the order of M by matrix powers, the log/antilog tables are the digit
-vectors of M^k e_0 (filled by doubling), negation and inversion are
-read off the logs, and prime fields run the same digit-wise code as every
-other field.  Fields up to q = 2^20 are supported.
+vectors of M^k e_0 (filled by doubling), and every other table is read off
+the logs, in prime fields too.  Fields up to q = 2^20 are supported.
 
 Multiplication is one antilog lookup for every field: log 0 is the sentinel
-2(q-1), and the antilog table holds two periods of the generator's powers
-followed by zeros, so log a + log b lands in the zero tail exactly when a or
-b is 0 and never needs reducing mod q-1.  Addition is digit-wise mod p;
-small fields (q <= 2048) read it from a full q x q table instead.
+S = 2(q-1), and the antilog table holds two periods of the generator's
+powers followed by zeros, so log a + log b lands in the zero tail exactly
+when a or b is 0 and never needs reducing mod q-1.  Addition, in every
+field, is a + b = exp[log a + zech[d + S]] with d = log b - log a and a
+Zech-logarithm table of 4(q-1) + 1 int32 entries; the operand cases fall
+in disjoint ranges of d.  For two units |d| <= q-2 and the entry is
+Z(d mod (q-1)) = log(1 + g^d), or S (the zero tail) when 1 + g^d = 0.  For
+a = 0 and a unit b, d is in [-S, -q] and the entry is d; for a unit a and
+b = 0, d is in [q, S] and the entry is 0; for a = b = 0, d = 0 and
+S + Z(0) is in the zero tail.  1 + g^n is g^n with its digit 0 raised by
+one mod p, and no entry exceeds 2(q-1) < 2^21 in size.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .errors import (
 )
 
 MAX_FIELD_SIZE = 1 << 20
-_FULL_TABLE_LIMIT = 2048
 _DIGIT_CHUNK = 1 << 16  # rows per int64 product while filling the log tables
 
 _FIELD_CACHE: dict[tuple[int, int], "Field"] = {}
@@ -152,7 +157,7 @@ class Field:
     __slots__ = (
         "p", "e", "q", "modulus",
         "_exp", "_log", "_digit_pows",
-        "_add_flat", "_neg_t", "_inv_t",
+        "_zech", "_neg_t", "_inv_t",
     )
 
     def __init__(self, p: int, e: int):
@@ -172,7 +177,7 @@ class Field:
         # -1 is encoded as p - 1, so negation multiplies by g^log(p - 1)
         self._neg_t = self._log_affine(1, int(self._log[p - 1]))
         self._inv_t = self._log_affine(-1, 0)
-        self._add_flat = self._build_add_table() if q <= _FULL_TABLE_LIMIT else None
+        self._build_zech_table()
 
     # -- construction helpers -------------------------------------------
 
@@ -214,14 +219,16 @@ class Field:
         out[0] = 0
         return out
 
-    def _build_add_table(self) -> np.ndarray:
-        # addition on the low i + 1 digits is the Kronecker sum of GF(p)'s
-        # table, scaled to digit i, and addition on the low i digits
-        p = self.p
-        add = digit_add = np.add.outer(np.arange(p), np.arange(p)) % p
-        for pw in self._digit_pows[1:]:
-            add = (digit_add[:, None, :, None] * pw + add[None, :, None, :]).reshape(p * pw, -1)
-        return add.reshape(-1)
+    def _build_zech_table(self) -> None:
+        # slice by slice: d for a = 0, Z(d mod (q-1)) for |d| <= q-1, 0 for b = 0
+        p, q1 = self.p, self.q - 1
+        zech = self._zech = np.zeros(4 * q1 + 1, dtype=np.int32)
+        zech[:q1] = np.arange(-2 * q1, -q1, dtype=np.int32)
+        for lo in range(0, q1, _DIGIT_CHUNK):
+            g_n = self._exp[lo:min(lo + _DIGIT_CHUNK, q1)]
+            zech[q1 + lo:q1 + lo + len(g_n)] = self._log[g_n + np.where(g_n % p == p - 1, 1 - p, 1)]
+        zech[2 * q1:3 * q1] = zech[q1:2 * q1]
+        zech[3 * q1] = zech[q1]
 
     # -- identity / equality ---------------------------------------------
 
@@ -237,9 +244,8 @@ class Field:
     # -- scalar arithmetic on encodings -----------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_flat is not None:
-            return int(self._add_flat[a * self.q + b])
-        return sum((((a // pw) + (b // pw)) % self.p) * pw for pw in self._digit_pows)
+        la = self._log.item(a)
+        return self._exp.item(la + self._zech.item(self._log.item(b) - la + 2 * (self.q - 1)))
 
     def neg(self, a: int) -> int:
         return int(self._neg_t[a])
@@ -271,14 +277,10 @@ class Field:
     # -- vectorized arithmetic on int64 numpy arrays ----------------------
 
     def vadd(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self._add_flat is not None:
-            return self._add_flat[a * self.q + b]
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for pw in self._digit_pows:
-            out += (((a // pw) + (b // pw)) % self.p) * pw
-        return out
+        la = self._log[np.asarray(a, dtype=np.int64)]
+        d = self._log[np.asarray(b, dtype=np.int64)] - la
+        d += 2 * (self.q - 1)
+        return self._exp[la + self._zech[d]]
 
     def vneg(self, a):
         a = np.asarray(a, dtype=np.int64)
@@ -297,9 +299,6 @@ class Field:
         if np.any(a == 0):
             raise DivisionByZeroError("inverse of zero")
         return self._inv_t[a]
-
-    def vdiv(self, a, b):
-        return self.vmul(a, self.vinv(b))
 
     def vpow(self, a, k: int):
         a = np.asarray(a, dtype=np.int64)

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import linalg, poly
 from .curve import AFFINE, BUNDLE, INF, ROOT, CurveFunction, Divisor, KummerCurve, Place
+from .curve import check_curve_points
 from .errors import UnsupportedSupportError
 
 
@@ -126,11 +127,12 @@ def dim_by_decomposition(curve: KummerCurve, D: Divisor) -> int:
     return total
 
 
-def _split_affine_drops(D: Divisor) -> tuple[Divisor, list[Place]]:
+def _split_affine_drops(curve: KummerCurve, D: Divisor) -> tuple[Divisor, list[Place]]:
     """D's ramified part, and the affine places it drops (coefficient -1)."""
     drops = [p for p, c in D.items() if p.kind == AFFINE]
     if any(D.coeff(p) != -1 for p in drops):
         raise UnsupportedSupportError("affine coefficients other than -1 are not supported")
+    check_curve_points(curve, drops)
     return Divisor((p, c) for p, c in D.items() if p.kind != AFFINE), drops
 
 
@@ -144,9 +146,11 @@ def evaluation_parts(
     strata[r] the stratum i of its row r (the basis function is y^i times a
     function of x).  When D drops affine places, Phi is the same basis at the
     drops, one column per drop, and rows is null_space(Phi^T) H'; otherwise
-    Phi is None and rows is H'.
+    Phi is None and rows is H'.  The places and the drops must pass
+    check_curve_points (a place may also be a drop).
     """
-    ram, drops = _split_affine_drops(D)
+    check_curve_points(curve, places)
+    ram, drops = _split_affine_drops(curve, D)
     basis = _basis_rows(curve, ram, places)
     strata = np.array([i for i, a in basis_strata(curve, ram) for _ in range(a.degree + 1)],
                       dtype=np.int64)
@@ -196,7 +200,7 @@ def dim_with_simple_affine_drops(curve: KummerCurve, D: Divisor) -> int:
     conditions on L(ramified part) and the dimension falls by the rank of
     the evaluation map, which is exact.
     """
-    ram, drops = _split_affine_drops(D)
+    ram, drops = _split_affine_drops(curve, D)
     return dim_by_decomposition(curve, ram) - linalg.rank(
         curve.field, _basis_rows(curve, ram, drops)
     )

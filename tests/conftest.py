@@ -160,7 +160,7 @@ def random_curve(rng: random.Random, max_m: int = 12, max_deg: int = 12,
             return curve
 
 
-# above the 2048-element addition table: two digit-wise fields and a prime field
+# fields with q > 2048: two extension fields and a prime field
 BIG_FIELDS = [(2, 12), (5, 5), (2053, 1)]
 
 

@@ -276,16 +276,20 @@ def off_curve_results():
     ("h3", "aff:99:1"),
     ("h3", "aff:1:99"),
 ], ids=["gf1021-empty-fiber", "h3-off-curve", "x-outside-field", "y-outside-field"])
-def test_lcp_verify_rejects_places_off_the_curve(tmp_path, off_curve_results, name, place):
+def test_lcp_verify_rejects_places_off_the_curve(monkeypatch, tmp_path, off_curve_results,
+                                                 name, place):
     curve, res = off_curve_results[name]
     # the place added to D, G raised by one at infinity, and both codes
-    # regenerated as a row basis of the evaluation rows where they exist
+    # regenerated as a row basis of the evaluation rows where they exist;
+    # rrspace refuses to evaluate off the curve, so its place check is
+    # switched off here, in this process only, to forge the generators
     D = list(res.d_places) + [K.parse_place(curve, place)]
     G = res.G + K.Divisor.of((K.Place.infinity(), 1))
     obj = res.to_json()
     obj["D"].append(place)
     obj["G"] = G.to_json()
     if max(D[-1].x, D[-1].y) < curve.field.q:
+        monkeypatch.setattr(rrspace, "check_curve_points", lambda curve, places: None)
         f = curve.field
         for code, divisor in zip(obj["codes"], (G, res.H)):
             rows = linalg.row_space_basis(f, rrspace.evaluation_rows(curve, divisor, D))

@@ -203,16 +203,17 @@ def check_tables_against_reference(f, sample=20000):
     """Compare the field's tables with a scalar digit walk of the generator's
     powers and digit-wise arithmetic.  The antilog table must be the walk
     twice, then 2(q-1) + 1 zeros, and log 0 the sentinel 2(q-1).  Addition
-    and multiplication are checked on every pair when the field has an add
-    table (in row blocks of the q x q grid), else on a seeded sample of
-    pairs; scalar add and mul on 50 sampled pairs, and scalar mul on every
-    pair with a zero operand."""
+    and multiplication are checked on every pair when q <= 2048 (in row
+    blocks of the q x q grid), else on a seeded sample of pairs; scalar add
+    and mul on 50 sampled pairs, and scalar mul on every pair with a zero
+    operand."""
     q, p = f.q, f.p
     exp = powers_of_x(generator_tail(f), p)
     log = np.full(q, -1, dtype=np.int64)
     log[exp] = np.arange(q - 1)
     assert f._exp.dtype == f._log.dtype == np.int64, f
     assert f._exp.shape == (4 * (q - 1) + 1,) and f._log.shape == (q,), f
+    assert f._zech.dtype == np.int32 and f._zech.shape == (4 * (q - 1) + 1,), f
     assert np.array_equal(f._exp[:q - 1], exp), f
     assert np.array_equal(f._exp[q - 1:2 * (q - 1)], exp), f
     assert not f._exp[2 * (q - 1):].any(), f
@@ -226,7 +227,7 @@ def check_tables_against_reference(f, sample=20000):
         return np.where((a == 0) | (b == 0), 0, exp[(log[a] + log[b]) % (q - 1)])
 
     blocks = ([(np.arange(s, min(s + 256, q))[:, None], np.arange(q)[None, :])
-               for s in range(0, q, 256)] if f._add_flat is not None
+               for s in range(0, q, 256)] if q <= 2048
               else [tuple(np.random.default_rng(q).integers(0, q, (2, sample)))])
     for a, b in blocks:
         assert np.array_equal(f.vadd(a, b), digitwise(f, np.add, a, b)), f
@@ -248,33 +249,49 @@ TABLE_FIELDS = _prime_powers(4096)
 
 @pytest.mark.parametrize("p,e", [(p, e) for p, e in TABLE_FIELDS if e > 1])
 def test_tables_match_scalar_reference_extension_fields(p, e):
-    f = K.Field(p, e)  # uncached: the q <= 2048 add table takes up to 32 MB
-    assert (f._add_flat is None) == (f.q > 2048)
+    f = K.Field(p, e)  # uncached, so the cache does not keep every field
     check_tables_against_reference(f)
 
 
 @pytest.mark.parametrize("lo,hi", [(2, 1000), (1000, 2000), (2000, 3000), (3000, 4097)])
 def test_tables_match_scalar_reference_prime_fields(lo, hi):
-    # includes primes above the full-table limit, e.g. 4093, which add digit-wise
+    # primes above 2048, e.g. 4093, are checked on a sample of pairs
     primes = [p for p, e in TABLE_FIELDS if e == 1 and lo <= p < hi]
     assert primes
     for p in primes:
-        f = K.Field(p, 1)
-        assert (f._add_flat is None) == (p > 2048)
-        check_tables_against_reference(f, sample=5000)
+        check_tables_against_reference(K.Field(p, 1), sample=5000)
 
 
 @pytest.mark.parametrize("p,exp,log", [(2, [1, 1, 0, 0, 0], [2, 0]),
                                        (3, [1, 2, 1, 2, 0, 0, 0, 0, 0], [4, 0, 1])])
 def test_tables_shortest_periods(p, exp, log):
     # q - 1 <= 2: the periods of the antilog table and its zero tail are
-    # shortest (the prime-field cross-test above also covers both fields)
+    # shortest, and every range of the Zech table is one or two entries long
+    # (the prime-field cross-test above also covers both fields)
+    zech = {2: [-2, 2, 2, 2, 0], 3: [-4, -3, 1, 4, 1, 4, 1, 0, 0]}[p]
     f = K.Field(p, 1)
-    assert f._exp.tolist() == exp and f._log.tolist() == log
-    assert [[f.mul(a, b) for b in range(p)] for a in range(p)] == \
-        [[a * b % p for b in range(p)] for a in range(p)]
-    grid = np.arange(p)
-    assert np.array_equal(f.vmul(grid[:, None], grid[None, :]), np.outer(grid, grid) % p)
+    assert f._exp.tolist() == exp and f._log.tolist() == log and f._zech.tolist() == zech
+    for op, vop, ref in ((f.add, f.vadd, np.add), (f.mul, f.vmul, np.multiply)):
+        assert [[op(a, b) for b in range(p)] for a in range(p)] == \
+            [[ref(a, b) % p for b in range(p)] for a in range(p)]
+        grid = np.arange(p)
+        assert np.array_equal(vop(grid[:, None], grid[None, :]),
+                              ref.outer(grid, grid) % p)
+
+
+@pytest.mark.parametrize("p,e", [(2, 8), (3, 5), (1021, 1), (2, 20)])
+def test_addition_with_zero_and_opposite_operands(p, e):
+    # each range of the Zech table: a + 0, 0 + b, 0 + 0, and a + (-a), the
+    # unit case whose sum is 0; scalar add against vadd on the same pairs
+    f = K.field_create(p, e)
+    a = np.arange(f.q) if f.q <= 4096 else np.random.default_rng(e).integers(0, f.q, 4096)
+    zero, neg = np.zeros_like(a), f.vneg(a)
+    assert np.array_equal(f.vadd(a, zero), a) and np.array_equal(f.vadd(zero, a), a)
+    assert not f.vadd(a, neg).any() and not f.vadd(neg, a).any()
+    assert f.vadd(0, 0) == f.add(0, 0) == 0
+    b = np.random.default_rng(f.q).integers(0, f.q, a.size)
+    for x, y in ((a, zero), (zero, a), (a, neg), (a, b)):
+        assert f.vadd(x, y).tolist() == [f.add(int(s), int(t)) for s, t in zip(x, y)]
 
 
 def test_gf2_16_tables_on_a_sample():
@@ -296,9 +313,9 @@ def test_log_tables_filled_in_small_chunks(monkeypatch, p, e):
     ref = K.field_create(p, e)
     monkeypatch.setattr(K.field, "_DIGIT_CHUNK", 7)
     small = K.field.Field(p, e)
-    for name in ("_exp", "_log", "_neg_t", "_inv_t", "_add_flat"):
+    for name in ("_exp", "_log", "_neg_t", "_inv_t", "_zech"):
         a, b = getattr(ref, name), getattr(small, name)
-        assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_gf3_10_modulus():
@@ -309,10 +326,9 @@ def test_gf3_10_modulus():
     assert x_generates_all_units(f.modulus[:-1], 3)
 
 
-def test_tableless_field_path():
-    # GF(5^5) = 3125 exceeds the add-table limit; ops must still agree with axioms
+def test_field_axioms_gf5_5():
+    # GF(5^5), q = 3125: the operations on random pairs agree with the axioms
     f = K.field_create(5, 5)
-    assert f._add_flat is None
     rng = random.Random(7)
     for _ in range(500):
         a, b = rng.randrange(f.q), rng.randrange(f.q)

@@ -6,8 +6,12 @@ import pytest
 import kummerlcp as K
 from kummerlcp import linalg, poly
 from kummerlcp.curve import BUNDLE, INF, ROOT
-from kummerlcp.errors import DivisionByZeroError, UnsupportedSupportError
-from kummerlcp.rrspace import dim_with_simple_affine_drops, evaluation_rows
+from kummerlcp.errors import (
+    DivisionByZeroError,
+    UnsupportedPlaceStructureError,
+    UnsupportedSupportError,
+)
+from kummerlcp.rrspace import _basis_rows, dim_with_simple_affine_drops, evaluation_rows
 
 from conftest import BIG_FIELDS, random_big_curve, random_curve, random_tuple
 
@@ -240,16 +244,36 @@ def test_evaluation_rows_match_scalar_evaluation_above_add_table(p, e):
 
 def test_evaluation_rows_at_a_root_point(h3):
     # at x = a_k a factor (x - a_k)^(-A_k) is a pole when A_k > 0 and a zero
-    # when A_k < 0, and y = 0 there
+    # when A_k < 0, and y = 0 there.  evaluation_rows refuses the point, so
+    # the factored evaluation behind it is called directly
     a, _ = h3.roots[1]
     point = [K.Place.affine(a, 0)]
     inf = K.Place.infinity()
+    with pytest.raises(UnsupportedPlaceStructureError):
+        evaluation_rows(h3, K.Divisor.of((inf, 8)), point)
     with pytest.raises(DivisionByZeroError):
-        evaluation_rows(h3, K.Divisor.of((inf, 8), (h3.root_place(1), 2)), point)
+        _basis_rows(h3, K.Divisor.of((inf, 8), (h3.root_place(1), 2)), point)
     D = K.Divisor.of((inf, 8), (h3.root_place(1), -2))
     assert [K.restrict_to_xline(h3, D, i).root_coeffs[1] for i in range(4)] == [-1, -1, 0, 0]
-    rows = evaluation_rows(h3, D, point)
+    rows = _basis_rows(h3, D, point)
     assert rows.shape == (4, 1) and not rows.any()
+
+
+@pytest.mark.parametrize("x,y", [(99, 1), (-1, 1), (1, 1), (1, 99)],
+                         ids=["x-outside-field", "negative-x", "off-curve", "y-outside-field"])
+def test_places_off_the_curve_rejected(h3, x, y):
+    # as an evaluation place and as a drop, the place must be refused before
+    # its encodings index the field tables: past q they are out of range,
+    # and a negative one wraps around to a wrong value
+    bad = K.Place.affine(x, y)
+    D = K.Divisor.of((K.Place.infinity(), 8))
+    good = h3.split_fibers()[0][1]
+    with pytest.raises(UnsupportedPlaceStructureError):
+        evaluation_rows(h3, D, [bad])
+    with pytest.raises(UnsupportedPlaceStructureError):
+        evaluation_rows(h3, D - K.Divisor.of((bad, 1)), good)
+    with pytest.raises(UnsupportedPlaceStructureError):
+        dim_with_simple_affine_drops(h3, D - K.Divisor.of((bad, 1)))
 
 
 def test_evaluation_rows_with_drops_random():
