@@ -12,10 +12,9 @@ from .codes import (
     divisor_gcd,
     divisor_lmd,
     encode_messages,
+    fiber_block_rank,
     is_lcp,
     min_distance,
-    rank,
-    stack_rank,
     verify_lcp_conditions,
 )
 from .curve import (
@@ -35,7 +34,6 @@ from .nonspecial import (
     FamilyObstruction,
     Feasibility,
     classify,
-    divisor_classify,
     divisor_nonspecial_g,
     divisor_nonspecial_gminus1,
     nonspecial_effective_g,
@@ -69,14 +67,14 @@ __all__ = [
     "CertStep", "Classification", "CurveFunction", "Divisor", "DivisorFamily",
     "FamilyObstruction", "Feasibility", "Field", "FieldElement", "KummerCurve",
     "LcpConstruction", "LcpReport", "LinearCode", "Matrix", "MaximalElement",
-    "MinDistance", "Place", "QTuple", "XLineDivisor", "ag_code", "build", "classify",
-    "curve_create", "curve_from_json", "dim_by_class_count", "dim_by_decomposition",
-    "dim_by_formula", "divisor_classify", "divisor_gcd", "divisor_lmd",
+    "MinDistance", "Place", "QTuple", "XLineDivisor", "ag_code", "build",
+    "classify", "curve_create", "curve_from_json", "dim_by_class_count",
+    "dim_by_decomposition", "dim_by_formula", "divisor_gcd", "divisor_lmd",
     "divisor_nonspecial_g", "divisor_nonspecial_gminus1", "encode_messages",
-    "evaluation_rows", "field_create", "field_from_json", "gap_count", "is_lcp",
-    "lcp_pair", "lcp_pole_shift", "lcp_punctured", "maximal_elements_below",
-    "min_distance", "mth_roots", "nonspecial_effective_g", "nonspecial_g",
-    "nonspecial_gminus1", "parse_place", "rank", "restrict_to_xline", "rr_basis",
-    "separable_family", "stack_rank", "stratum_shift", "support_feasibility", "t_val",
+    "evaluation_rows", "fiber_block_rank", "field_create", "field_from_json",
+    "gap_count", "is_lcp", "lcp_pair", "lcp_pole_shift", "lcp_punctured",
+    "maximal_elements_below", "min_distance", "mth_roots", "nonspecial_effective_g",
+    "nonspecial_g", "nonspecial_gminus1", "parse_place", "restrict_to_xline",
+    "rr_basis", "separable_family", "stratum_shift", "support_feasibility", "t_val",
     "unit_multiplicity_family", "verify_lcp_conditions",
 ]

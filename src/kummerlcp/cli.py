@@ -26,7 +26,6 @@ from .codes import (
     fiber_block_rank,
     is_lcp,
     min_distance,
-    rank,
     verify_lcp_conditions,
 )
 from .curve import Divisor, KummerCurve, curve_from_json, parse_place
@@ -253,7 +252,7 @@ def _load_code(path: str) -> LinearCode:
     if gen.cols != code.N or code.k != gen.rows:
         raise UsageError(f"input file {path}: a {gen.rows} x {gen.cols} generator cannot hold "
                          f"an [{code.N}, {code.k}] code")
-    if rank(gen) != code.k:
+    if fiber_block_rank(code) != code.k:
         raise UsageError(f"input file {path}: the {gen.rows} generator rows are dependent")
     return code
 

@@ -80,6 +80,8 @@ from .errors import (
 from .field import Field, json_int
 from .nonspecial import divisor_nonspecial_gminus1
 
+EXHAUSTIVE_LIMIT = 1 << 20  # min_distance exhausts at most this many codewords
+
 
 @dataclass(frozen=True, eq=False)
 class Matrix:
@@ -112,25 +114,6 @@ class Matrix:
 
     def to_json(self) -> list[list[int]]:
         return self.data.tolist()
-
-
-def rank(matrix: Matrix) -> int:
-    """Row rank via deterministic Gaussian elimination."""
-    return linalg.rank(matrix.field, matrix.data)
-
-
-def _stacked(matrices: Sequence[Matrix]) -> np.ndarray:
-    first = matrices[0]
-    for other in matrices[1:]:
-        if other.field != first.field:
-            raise FieldMismatchError("stacked matrices live over different fields")
-        if other.cols != first.cols:
-            raise ShapeMismatchError(f"column counts differ: {first.cols} vs {other.cols}")
-    return np.vstack([mat.data for mat in matrices])
-
-
-def stack_rank(m1: Matrix, m2: Matrix) -> int:
-    return linalg.rank(m1.field, _stacked([m1, m2]))
 
 
 def divisor_gcd(A: Divisor, B: Divisor) -> Divisor:
@@ -196,19 +179,21 @@ def _fiber_layout(m: int, places: Sequence[Place]) -> tuple[np.ndarray, np.ndarr
     return order[whole], np.flatnonzero(border)
 
 
-def _character_split(field: Field, m: int, places: Sequence[Place], basis: np.ndarray,
+def _character_split(m: int, places: Sequence[Place], rows: np.ndarray, basis: np.ndarray,
                      strata: np.ndarray, phi: np.ndarray | None) -> CharacterBlocks:
-    """The bordered fiber-block form of the rows basis, whose row r lies in
-    stratum strata[r], with drop columns phi (or None)."""
+    """The bordered fiber-block form of the generator rows that
+    evaluation_parts made from the rows basis, whose row r lies in stratum
+    strata[r], and the drop columns phi (or None)."""
     first, lone = _fiber_layout(m, places)
-    rows = basis[:, np.concatenate([first, lone])]
+    cols = basis[:, np.concatenate([first, lone])]
+    drops = drop_rank = 0
     if phi is not None:
-        rows = np.hstack([rows, phi])
-    return CharacterBlocks(
-        tuple(rows[strata == i] for i in range(m)), len(first), len(lone),
-        0 if phi is None else phi.shape[1],
-        0 if phi is None else linalg.rank(field, phi),
-    )
+        cols = np.hstack([cols, phi])
+        # rows = null_space(Phi^T) H' has a row per basis vector of Phi's left
+        # kernel, so rank(Phi) = len(basis) - len(rows), with no elimination
+        drops, drop_rank = phi.shape[1], len(basis) - len(rows)
+    return CharacterBlocks(tuple(cols[strata == i] for i in range(m)), len(first), len(lone),
+                           drops, drop_rank)
 
 
 def character_blocks(code: LinearCode) -> CharacterBlocks | None:
@@ -251,20 +236,26 @@ def _bordered_rank(field: Field, splits: Sequence[CharacterBlocks]) -> int:
 
 
 def fiber_block_rank(*codes: LinearCode) -> int:
-    """Rank of the codes' stacked generators.
+    """Rank of the codes' stacked generators, the one rank of codes.
 
-    When every code has character blocks over the same field, places and m,
-    the rank comes from the blocks by the border residual lemma and the
-    M_aug identity; otherwise it is the dense rank of the stack.
+    The generators must live over one field and have equal column counts.
+    When every code has character blocks over the same places and m, the
+    rank comes from the blocks by the border residual lemma and the M_aug
+    identity; otherwise it is the dense rank of the stack.
     """
     first = codes[0]
+    for other in codes[1:]:
+        if other.field != first.field:
+            raise FieldMismatchError("codes live over different fields")
+        if other.generator.cols != first.generator.cols:
+            raise ShapeMismatchError(
+                f"column counts differ: {first.generator.cols} vs {other.generator.cols}")
     splits = [character_blocks(c) for c in codes]
     if None not in splits and all(
-        (c.field, c.places, c.curve.m) == (first.field, first.places, first.curve.m)
-        for c in codes
+        (c.places, c.curve.m) == (first.places, first.curve.m) for c in codes
     ):
         return _bordered_rank(first.field, splits)
-    return linalg.rank(first.field, _stacked([c.generator for c in codes]))
+    return linalg.rank(first.field, np.vstack([c.generator.data for c in codes]))
 
 
 def evaluation_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
@@ -281,7 +272,7 @@ def evaluation_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor
     field = curve.field
     rows, basis, phi, strata = rrspace.evaluation_parts(curve, G, places)
     code = LinearCode(field, Matrix(field, rows), len(places), 0, curve, G, places)
-    code._blocks = (code.generator, _character_split(field, curve.m, places, basis, strata, phi))
+    code._blocks = (code.generator, _character_split(curve.m, places, rows, basis, strata, phi))
     code.k = fiber_block_rank(code)
     return code
 
@@ -322,13 +313,13 @@ class MinDistance:
         }
 
 
-def min_distance(code: LinearCode, exhaustive_limit: int = 1 << 20) -> MinDistance:
+def min_distance(code: LinearCode) -> MinDistance:
     """Exact minimum weight by exhausting q^k codewords when feasible,
     otherwise the designed lower bound N - deg G."""
     if code.k == 0:
         return MinDistance(math.inf, True)
     q = code.field.q
-    if q**code.k > exhaustive_limit:
+    if q**code.k > EXHAUSTIVE_LIMIT:
         bound = code.N - code.G.degree() if code.G is not None else 1
         return MinDistance(max(1, bound), False)
     total = q**code.k
@@ -373,8 +364,6 @@ class LcpReport:
 
 def is_lcp(c1: LinearCode, c2: LinearCode) -> LcpReport:
     """Unconditional LCP test: k1 + k2 = N and the stacked generators have rank N."""
-    if c1.field != c2.field:
-        raise FieldMismatchError("codes live over different fields")
     if c1.N != c2.N:
         raise ShapeMismatchError(f"lengths differ: {c1.N} vs {c2.N}")
     r = fiber_block_rank(c1, c2)

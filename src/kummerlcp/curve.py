@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedPlaceStructureError,
     UnsupportedSupportError,
 )
-from .field import Field, FieldElement, field_from_json, json_int
+from .field import Field, FieldElement, encoding, field_from_json, json_int
 
 INF = "inf"
 ROOT = "root"
@@ -324,10 +324,7 @@ class KummerCurve:
         When gcd(deg f, m) > 1 the infinite places are omitted and the
         enumeration is partial (see has_rational_infinity).
         """
-        out: list[Place] = []
-        if self.d_inf == 1:
-            out.append(Place.infinity())
-        out.extend(Place.root(k) for k, d in enumerate(self.root_gcds) if d == 1)
+        out = self.totally_ramified_places()
         root_xs = {a for a, _ in self.roots}
         for x0 in np.nonzero(self._fiber_table()[2])[0].tolist():
             if x0 not in root_xs:
@@ -357,15 +354,14 @@ class KummerCurve:
         if kind == "x-b":
             if b is None:
                 raise UnsupportedPlaceStructureError("x-b requires the value b")
-            b_enc = b.enc if isinstance(b, FieldElement) else int(b)
+            b_enc = encoding(self.field, b)
             if not 0 <= b_enc < self.field.q:
                 raise UnsupportedPlaceStructureError(
                     f"b = {b_enc} is not an element of GF({self.field.q})"
                 )
             for k, (a, _) in enumerate(self.roots):
                 if a == b_enc:
-                    place, _ = self.branch_divisor_entry(k, self.m // self.root_gcds[k])
-                    return Divisor([(place, self.m // self.root_gcds[k]),
+                    return Divisor([self.branch_divisor_entry(k, self.m // self.root_gcds[k]),
                                     self._infinity_entry(-self.m)])
             ys = self.fiber(b_enc)
             if len(ys) != self.m:
@@ -416,24 +412,26 @@ def check_curve_points(curve: KummerCurve, places: Sequence[Place]) -> None:
 
 def curve_create(field: Field, m: int, leading: int | FieldElement,
                  roots: Iterable[tuple[int | FieldElement, int]]) -> KummerCurve:
-    """Validate and build a Kummer curve; root order is canonicalized."""
+    """Validate and build a Kummer curve; root order is canonicalized.  The
+    leading constant and roots are read by field.encoding, m and lambda by json_int."""
+    m = json_int(m)
     if m < 2:
         raise MultiplicityOutOfRangeError(f"m must be >= 2, got {m}")
     if m % field.p == 0:
         raise CharDividesMError(f"char {field.p} divides m = {m}")
-    lead_enc = leading.enc if isinstance(leading, FieldElement) else int(leading)
+    lead_enc = encoding(field, leading)
     if lead_enc % field.q == 0:
         raise MultiplicityOutOfRangeError("leading constant must be nonzero")
     norm: list[tuple[int, int]] = []
     for a, lam in roots:
-        a_enc = a.enc if isinstance(a, FieldElement) else int(a)
+        a_enc, lam = encoding(field, a), json_int(lam)
         if not 0 <= a_enc < field.q:
             raise DuplicateRootError(f"root encoding {a_enc} outside field")
         if not 1 <= lam <= m - 1:
             raise MultiplicityOutOfRangeError(
                 f"multiplicity {lam} at root {a_enc} outside [1, {m - 1}]"
             )
-        norm.append((a_enc, int(lam)))
+        norm.append((a_enc, lam))
     norm.sort()
     if len({a for a, _ in norm}) != len(norm):
         raise DuplicateRootError("roots must be pairwise distinct")
@@ -449,12 +447,8 @@ def curve_create(field: Field, m: int, leading: int | FieldElement,
 
 def curve_from_json(obj: dict) -> KummerCurve:
     field = field_from_json(obj["field"])
-    return curve_create(
-        field,
-        json_int(obj["m"]),
-        json_int(obj.get("leading", 1)),
-        [(json_int(r["a"]), json_int(r["lambda"])) for r in obj["roots"]],
-    )
+    return curve_create(field, obj["m"], obj.get("leading", 1),
+                        [(r["a"], r["lambda"]) for r in obj["roots"]])
 
 
 class CurveFunction:

@@ -158,10 +158,6 @@ class ConditionViolationError(KummerError):
         self.code = f"ConditionViolation({which})"
 
 
-class DegenerateEvaluationError(KummerError):
-    code = "DegenerateEvaluation"
-
-
 # --- CLI --------------------------------------------------------------------
 
 class UsageError(KummerError):

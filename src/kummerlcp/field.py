@@ -161,16 +161,17 @@ class Field:
     )
 
     def __init__(self, p: int, e: int):
+        # q <= 2^20 needs p <= 2^20 and e <= 20, checked before p**e and
+        # before the trial division of p, which a huge p or e would stall
+        if p > MAX_FIELD_SIZE or e > MAX_FIELD_SIZE.bit_length() - 1 or p**e > MAX_FIELD_SIZE:
+            raise TooLargeError(f"field size {p}^{e} exceeds {MAX_FIELD_SIZE}")
         if not _is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         if e < 1:
             raise TooLargeError(f"extension degree must be >= 1, got {e}")
-        q = p**e
-        if q > MAX_FIELD_SIZE:
-            raise TooLargeError(f"field size {p}^{e} exceeds {MAX_FIELD_SIZE}")
         self.p = p
         self.e = e
-        self.q = q
+        self.q = p**e
         self.modulus = _canonical_modulus(p, e)
         self._digit_pows = tuple(p**i for i in range(e))
         self._build_log_tables()
@@ -407,6 +408,16 @@ def json_int(value) -> int:
     raise TypeError(f"expected an integer, got {value!r}")
 
 
+def encoding(field: Field, value) -> int:
+    """The encoding of a FieldElement of field (FieldMismatchError for another
+    field's) or of an integer read by json_int.  The caller checks the range."""
+    if isinstance(value, FieldElement):
+        if value.field != field:
+            raise FieldMismatchError(f"an element of {value.field} where {field} is expected")
+        return value.enc
+    return json_int(value)
+
+
 def field_from_json(obj: dict) -> Field:
     f = field_create(json_int(obj["p"]), json_int(obj["e"]))
     if "modulus" in obj and [json_int(c) for c in obj["modulus"]] != list(f.modulus):
@@ -420,8 +431,8 @@ def mth_roots(field: Field, c, m: int) -> list[FieldElement]:
     Exhaustive over the field (vectorized): for c != 0 the count is 0 or
     gcd(m, q-1); for c = 0 the only root is 0.
     """
-    cenc = c.enc if isinstance(c, FieldElement) else int(c)
-    if m < 1:
+    cenc = encoding(field, c)
+    if json_int(m) < 1:
         raise ValueError("m must be >= 1")
     if cenc == 0:
         return [field.zero()]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import rrspace
 from .codes import (
     CertStep,
     LcpReport,
@@ -32,18 +31,17 @@ from .codes import (
 from .curve import Divisor, KummerCurve, Place
 from .errors import (
     ConditionViolationError,
-    DegenerateEvaluationError,
     ENotCertifiedError,
-    FieldMismatchError,
     InternalInvariantError,
     NeedTwoFibersError,
     NotSeparableError,
     SRangeViolationError,
     UnsupportedPlaceStructureError,
 )
-from .field import FieldElement, json_int
+from .field import encoding
 from .nonspecial import (
     DivisorFamily,
+    box_multiset,
     divisor_nonspecial_g,
     divisor_nonspecial_gminus1,
     nonspecial_effective_g,
@@ -93,21 +91,12 @@ def _require_infinity(curve: KummerCurve) -> Place:
     return Place.infinity()
 
 
-def _x_encoding(curve: KummerCurve, x) -> int:
-    if not isinstance(x, FieldElement):
-        return json_int(x)
-    if x.field != curve.field:
-        raise FieldMismatchError(f"eval_x entry over {x.field}, curve over {curve.field}")
-    return x.enc
-
-
 def _split_setup(curve: KummerCurve, eval_x) -> list[tuple[int, list[Place]]]:
     """The split fibers over eval_x (every split x when None), each x once,
     ascending.  An entry is a FieldElement of the curve's field or an integer
-    encoding, read by json_int's rule: a float, bool or string raises
-    TypeError."""
+    encoding (field.encoding)."""
     if eval_x is not None:
-        eval_x = [_x_encoding(curve, x) for x in eval_x]
+        eval_x = [encoding(curve.field, x) for x in eval_x]
     return curve.split_fibers(eval_x)
 
 
@@ -264,12 +253,10 @@ def lcp_punctured(
     alpha0 = E.coeff(inf)
     G = (E - Divisor.of((inf, alpha0))) + Divisor.of((inf, N - curve.m + alpha0 - s * n))
     zero_sum = Divisor((curve.root_place(k), 1) for k in range(n))
+    # deg(H + R_1) = g + s*n >= 2g on the s-range, so H + R_1 and H are both
+    # non-special and evaluation at R_1 is onto: dim L(H) = s*n (Riemann-Roch;
+    # ag_code and _finalize check the dimensions)
     H = E + s * zero_sum - Divisor.of((r1, 1))
-    # the evaluation functional at R_1 must be onto, else dim L(H) = dim L(H+R_1)
-    if rrspace.dim_with_simple_affine_drops(curve, H) != s * n:
-        raise DegenerateEvaluationError(
-            "evaluation at R_1 is degenerate; L(H) did not drop by one"
-        )
     certificates = [CertStep("y", None, s)]
     certificates.extend(CertStep("x-b", x0, -1) for x0, _ in fibers[1:])
     return _finalize("R", curve, s, d_places, G, H, E, None, certificates,
@@ -329,9 +316,7 @@ def _default_effective_g(curve: KummerCurve) -> Divisor:
     counts.append(betas[m - 2])
     if any(c < 0 for c in counts) or sum(counts) != n:
         raise ENotCertifiedError("no canonical effective divisor; pass E explicitly")
-    alpha: list[int] = []
-    for v, c in enumerate(counts):
-        alpha.extend([v] * c)
+    alpha = box_multiset(counts)
     if not nonspecial_effective_g(qtuple, alpha):
         raise ENotCertifiedError("no canonical effective divisor; pass E explicitly")
     return qtuple.divisor(alpha)

@@ -45,11 +45,6 @@ from .field import Field
 _SLICE_BYTES = 1 << 18  # bytes of one lifted slice of B, or accumulator block, in matmul
 
 
-def as_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.int64)
-    return arr.reshape(1, -1) if arr.ndim == 1 else arr
-
-
 def _eliminate(field: Field, M: np.ndarray, reduce: bool) -> list[int]:
     """Row-reduce M in place and return the pivot columns.
 
@@ -102,7 +97,7 @@ def rref(field: Field, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def null_space(field: Field, M: np.ndarray) -> np.ndarray:
     """Basis (rows) of {v : M v = 0}, one row per free column, deterministic."""
-    R, pivots = rref(field, as_matrix(M))
+    R, pivots = rref(field, M)
     free = [c for c in range(R.shape[1]) if c not in pivots]
     basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
@@ -145,9 +140,12 @@ def _layout(field: Field, k: int, cols: int) -> tuple[type, int, int, int]:
 
 
 def _operands(field: Field, A, B) -> tuple[np.ndarray, np.ndarray]:
-    """A and B as int64 matrices over field with matching inner dimension."""
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
+    """A and B as int64 matrices over field with matching inner dimension;
+    an array of floats, bools or objects raises TypeError, never cast."""
+    A, B = np.asarray(A), np.asarray(B)
+    if A.dtype.kind not in "iu" or B.dtype.kind not in "iu":
+        raise TypeError(f"matrix entries must be integers, got {A.dtype} and {B.dtype}")
+    A, B = A.astype(np.int64, copy=False), B.astype(np.int64, copy=False)
     if A.ndim != 2 or B.ndim != 2:
         raise ShapeMismatchError(f"matmul needs two matrices, got {A.ndim}-D and {B.ndim}-D")
     if A.shape[1] != B.shape[0]:

@@ -266,10 +266,12 @@ def _separable_multiset(m: int, n: int, alpha0: int) -> tuple[int, ...]:
     # the top block equals ceil((n - alpha0)/m); both expressions telescope to n
     if counts[m - 1] != -((alpha0 - n) // m) or sum(counts) != n:
         raise InternalInvariantError(f"box counts {counts} do not telescope to n = {n}")
-    out: list[int] = []
-    for v, c in enumerate(counts):
-        out.extend([v] * c)
-    return tuple(out)
+    return box_multiset(counts)
+
+
+def box_multiset(counts: Sequence[int]) -> tuple[int, ...]:
+    """Each value v repeated counts[v] times, ascending."""
+    return tuple(v for v, c in enumerate(counts) for _ in range(c))
 
 
 def unit_multiplicity_family(
@@ -305,10 +307,7 @@ def unit_multiplicity_family(
     counts.append(betas[m - 2] + 1)
     if sum(counts) != n:
         raise InternalInvariantError(f"box counts {counts} do not sum to n = {n}")
-    out: list[int] = []
-    for v, c in enumerate(counts):
-        out.extend([v] * c)
-    return DivisorFamily(qtuple, None, tuple(out))
+    return DivisorFamily(qtuple, None, box_multiset(counts))
 
 
 # --- divisor-level conveniences ----------------------------------------------
@@ -338,8 +337,3 @@ def divisor_nonspecial_gminus1(curve: KummerCurve, D: Divisor) -> bool:
 def divisor_nonspecial_g(curve: KummerCurve, D: Divisor) -> bool:
     qtuple = covering_tuple(curve, D)
     return nonspecial_g(qtuple, qtuple.alpha_of(D))
-
-
-def divisor_classify(curve: KummerCurve, D: Divisor) -> Classification:
-    qtuple = covering_tuple(curve, D)
-    return classify(qtuple, qtuple.alpha_of(D))

@@ -151,13 +151,11 @@ def evaluation_parts(
     """
     check_curve_points(curve, places)
     ram, drops = _split_affine_drops(curve, D)
-    basis = _basis_rows(curve, ram, places)
-    strata = np.array([i for i, a in basis_strata(curve, ram) for _ in range(a.degree + 1)],
-                      dtype=np.int64)
+    basis, strata = _basis_rows(curve, ram, places)
     if not drops:
         return basis, basis, None, strata
     field = curve.field
-    phi = _basis_rows(curve, ram, drops)
+    phi = _basis_rows(curve, ram, drops)[0]
     return linalg.matmul(field, linalg.null_space(field, phi.T), basis), basis, phi, strata
 
 
@@ -173,16 +171,21 @@ def evaluation_rows(curve: KummerCurve, D: Divisor, places: Sequence[Place]) -> 
     return evaluation_parts(curve, D, places)[0]
 
 
-def _basis_rows(curve: KummerCurve, D: Divisor, places: Sequence[Place]) -> np.ndarray:
-    """rr_basis(curve, D) evaluated at places, for D without affine support."""
+def _basis_rows(curve: KummerCurve, D: Divisor,
+                places: Sequence[Place]) -> tuple[np.ndarray, np.ndarray]:
+    """rr_basis(curve, D) evaluated at places, for D without affine support,
+    and the stratum i of each row (its basis function is y^i times a
+    function of x)."""
     field = curve.field
     xs = np.array([p.x for p in places], dtype=np.int64)
     ys = np.array([p.y for p in places], dtype=np.int64)
     shifted = [field.vsub(xs, root_enc) for root_enc, _ in curve.roots]
     strata = basis_strata(curve, D)
     rows = np.zeros((sum(a.degree + 1 for _, a in strata), len(places)), dtype=np.int64)
+    row_strata = np.zeros(len(rows), dtype=np.int64)
     r = 0
     for i, a in strata:
+        row_strata[r:r + a.degree + 1] = i
         rows[r] = field.vpow(ys, i)
         for x_minus_root, c in zip(shifted, a.root_coeffs):
             if c:
@@ -190,7 +193,7 @@ def _basis_rows(curve: KummerCurve, D: Divisor, places: Sequence[Place]) -> np.n
         for j in range(1, a.degree + 1):
             rows[r + j] = field.vmul(rows[r + j - 1], xs)
         r += a.degree + 1
-    return rows
+    return rows, row_strata
 
 
 def dim_with_simple_affine_drops(curve: KummerCurve, D: Divisor) -> int:
@@ -202,5 +205,5 @@ def dim_with_simple_affine_drops(curve: KummerCurve, D: Divisor) -> int:
     """
     ram, drops = _split_affine_drops(curve, D)
     return dim_by_decomposition(curve, ram) - linalg.rank(
-        curve.field, _basis_rows(curve, ram, drops)
+        curve.field, _basis_rows(curve, ram, drops)[0]
     )

@@ -15,12 +15,12 @@ from kummerlcp import cli, linalg, rrspace
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, expect: int = 0):
+def run_cli(*args, expect: int = 0, timeout: float | None = None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "kummerlcp", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     assert proc.returncode == expect, proc.stderr
     return proc
@@ -418,6 +418,15 @@ def test_malformed_json_rejected(tmp_path):
     path.write_text('{"field": {"p": 3, "e": 2}, "m": 4, "roots": [')
     proc = run_cli("curve-info", "--curve", str(path), expect=2)
     assert json.loads(proc.stderr)["error"] == "Usage"
+
+
+@pytest.mark.parametrize("field", [{"p": 3, "e": 10**20}, {"p": 1000000000000000003, "e": 1}],
+                         ids=["e-1e20", "p-19-digits"])
+def test_curve_info_refuses_huge_fields_at_once(tmp_path, field):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(H3_SPEC, field=field)))
+    proc = run_cli("curve-info", "--curve", str(path), expect=2, timeout=20)
+    assert json.loads(proc.stderr)["error"] == "TooLarge"
 
 
 def test_curve_without_field_rejected(tmp_path):

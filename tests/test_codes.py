@@ -115,9 +115,9 @@ def test_matmul_matches_scalar_triple_loop(p, e):
 
 def test_rank_identity_and_zero(gf9):
     ident = K.Matrix(gf9, np.eye(5, dtype=np.int64))
-    assert K.rank(ident) == 5
+    assert fiber_block_rank(K.LinearCode(gf9, ident, 5, 5)) == 5
     zero = K.Matrix(gf9, np.zeros((4, 7), dtype=np.int64))
-    assert K.rank(zero) == 0
+    assert fiber_block_rank(K.LinearCode(gf9, zero, 7, 4)) == 0
 
 
 def test_rank_idempotent_under_elimination(gf9):
@@ -146,10 +146,11 @@ def test_matrix_shape_errors(gf9, gf4):
     a = K.Matrix(gf9, np.zeros((2, 3), dtype=np.int64))
     b = K.Matrix(gf9, np.zeros((2, 4), dtype=np.int64))
     c = K.Matrix(gf4, np.zeros((2, 3), dtype=np.int64))
+    a, b, c = (K.LinearCode(mat.field, mat, mat.cols, mat.rows) for mat in (a, b, c))
     with pytest.raises(ShapeMismatchError):
-        K.stack_rank(a, b)
+        fiber_block_rank(a, b)
     with pytest.raises(FieldMismatchError):
-        K.stack_rank(a, c)
+        fiber_block_rank(a, c)
 
 
 def test_divisor_gcd_lmd(h3):
@@ -248,6 +249,18 @@ def test_encode_messages_rejects_entries_outside_field(h3, value):
     code = K.ag_code(h3, eval_places(h3), K.Divisor.of((K.Place.infinity(), 5)))
     with pytest.raises(ElementOutOfRangeError):
         encode_messages(code, np.array([[value, 0, 1]]))
+
+
+@pytest.mark.parametrize("messages", [
+    [[1.5, 2.9, 0]],
+    [[1.0, 2.0, 0.0]],
+    [[True, False, True]],
+    [["1", "2", "0"]],
+], ids=["float", "whole-float", "bool", "str"])
+def test_encode_messages_reads_integers_only(h3, messages):
+    code = K.ag_code(h3, eval_places(h3), K.Divisor.of((K.Place.infinity(), 5)))
+    with pytest.raises(TypeError):
+        encode_messages(code, messages)
 
 
 def reference_min_distance(code):
@@ -375,7 +388,7 @@ def test_k_equals_rank_in_window_random(h3):
         if not 2 * g - 2 < deg < len(places):
             continue
         code = K.ag_code(h3, places, D)
-        assert code.k == deg + 1 - g == K.rank(code.generator)
+        assert code.k == deg + 1 - g == linalg.rank(h3.field, code.generator.data)
         seen += 1
 
 

@@ -8,6 +8,7 @@ from kummerlcp.curve import CurveFunction
 from kummerlcp.errors import (
     CharDividesMError,
     DuplicateRootError,
+    FieldMismatchError,
     MultiplicityOutOfRangeError,
     NoTotallyRamifiedPlaceError,
     PoleAtPlaceError,
@@ -35,6 +36,35 @@ def test_curve_create_errors(gf9, gf4):
         K.curve_create(gf4, 3, 1, [(0, 3)])
     with pytest.raises(NoTotallyRamifiedPlaceError):
         K.curve_create(gf9, 4, 1, [(0, 2), (1, 2)])
+
+
+H3_ROOTS = [(0, 1), (5, 1), (7, 1)]
+
+
+@pytest.mark.parametrize("m,leading,roots", [
+    (4, 1.9, [(0.4, 1.6), (5, 1), (7.9, 1)]),
+    (4.0, 1, H3_ROOTS),
+    (4, 1.0, H3_ROOTS),
+    (4, True, H3_ROOTS),
+    (4, 1, [(0.0, 1), (5, 1), (7, 1)]),
+    (4, 1, [(0, 1.0), (5, 1), (7, 1)]),
+    (4, 1, [(0, 1), (5, True), (7, 1)]),
+    (4, "1", H3_ROOTS),
+], ids=["all-floats", "float-m", "float-leading", "bool-leading", "float-root",
+        "float-lambda", "bool-lambda", "str-leading"])
+def test_curve_create_reads_integers_only(gf9, m, leading, roots):
+    with pytest.raises(TypeError):
+        K.curve_create(gf9, m, leading, roots)
+
+
+def test_curve_create_field_elements(h3, gf9, gf4):
+    same = K.curve_create(gf9, np.int64(4), gf9.element(1),
+                          [(gf9.element(a), np.int32(lam)) for a, lam in H3_ROOTS])
+    assert same.to_json() == h3.to_json()
+    with pytest.raises(FieldMismatchError):
+        K.curve_create(gf9, 4, gf4.element(1), H3_ROOTS)
+    with pytest.raises(FieldMismatchError):
+        K.curve_create(gf9, 4, 1, [(gf4.element(0), 1), (5, 1), (7, 1)])
 
 
 def test_h3_structure(h3):
@@ -141,6 +171,18 @@ def test_principal_divisor_x_minus_split(h3):
     assert len(fiber) == 4
     for y0 in fiber:
         assert d.coeff(K.Place.affine(b, y0)) == 1
+
+
+def test_principal_divisor_b_integer_or_element(h3, gf4):
+    b = h3.split_x_values()[0]
+    want = h3.principal_divisor("x-b", b)
+    assert h3.principal_divisor("x-b", h3.field.element(b)) == want
+    assert h3.principal_divisor("x-b", np.int64(b)) == want
+    for bad in (2.7, float(b), True, str(b)):
+        with pytest.raises(TypeError):
+            h3.principal_divisor("x-b", bad)
+    with pytest.raises(FieldMismatchError):
+        h3.principal_divisor("x-b", gf4.element(1))
 
 
 def test_principal_divisor_unsupported():

@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kummerlcp as K
+from kummerlcp import field as field_mod
 from kummerlcp.errors import (
     DivisionByZeroError,
     FieldMismatchError,
@@ -56,6 +61,38 @@ def test_field_create_errors():
         K.field_create(2, 21)
     with pytest.raises(TooLargeError):
         K.field_create(3, 0)
+
+
+@pytest.mark.parametrize("p,e", [(3, 10**20), (1000000000000000003, 1)],
+                         ids=["e-1e20", "p-19-digits"])
+def test_huge_field_refused_at_once(p, e):
+    # a p or e far past 2^20 is refused before p**e is computed or p is
+    # trial-divided; in a child process, so that a stall fails on the timeout
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = ("import kummerlcp as K, sys\n"
+              "try:\n    K.field_create(int(sys.argv[1]), int(sys.argv[2]))\n"
+              "except K.errors.TooLargeError:\n    sys.exit(0)\n"
+              "sys.exit('accepted')\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(p), str(e)],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_huge_prime_is_not_trial_divided(monkeypatch):
+    real = field_mod._is_prime
+
+    def guarded(n):
+        assert n <= field_mod.MAX_FIELD_SIZE, f"primality test of {n}"
+        return real(n)
+
+    monkeypatch.setattr(field_mod, "_is_prime", guarded)
+    for p in (100000000000031, 1000000000000000003, (1 << 20) + 7):
+        with pytest.raises(TooLargeError):
+            K.field_create(p, 1)
+    with pytest.raises(NotPrimeError):  # at the bound p is still tested
+        K.field_create((1 << 20) - 1, 1)
 
 
 def test_gf729_exists(gf729):
@@ -368,6 +405,26 @@ def test_mth_roots_cardinality(p, e, m):
         for r in roots:
             assert f.pow(r.enc, m) == c
     assert total == f.q
+
+
+def test_mth_roots_reads_c_and_m_as_integers_or_elements(gf9, gf4):
+    assert K.mth_roots(gf9, gf9.element(1), 4) == K.mth_roots(gf9, np.int64(1), 4)
+    for c, m in [(1.9, 4), (1.0, 4), (True, 4), ("1", 4), (1, 4.0)]:
+        with pytest.raises(TypeError):
+            K.mth_roots(gf9, c, m)
+    with pytest.raises(FieldMismatchError):
+        K.mth_roots(gf9, gf4.element(1), 4)
+
+
+def test_encoding_one_rule(gf9, gf4):
+    assert field_mod.encoding(gf9, gf9.element(5)) == 5
+    assert field_mod.encoding(gf9, np.uint8(5)) == 5
+    assert field_mod.encoding(gf9, 12) == 12  # the range is the caller's
+    for bad in (5.0, 2.7, False, "5", None):
+        with pytest.raises(TypeError):
+            field_mod.encoding(gf9, bad)
+    with pytest.raises(FieldMismatchError):
+        field_mod.encoding(gf9, gf4.element(1))
 
 
 def test_mth_roots_m_equal_one(gf9):

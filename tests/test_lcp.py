@@ -1,8 +1,12 @@
+import math
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import kummerlcp as K
-from kummerlcp import nonspecial
+from kummerlcp import linalg, nonspecial, rrspace
 from kummerlcp.codes import verify_lcp_conditions
 from kummerlcp.errors import (
     ConditionViolationError,
@@ -14,6 +18,8 @@ from kummerlcp.errors import (
     SRangeViolationError,
 )
 from kummerlcp.lcp import _default_effective_g, _default_gminus1
+
+from conftest import FIELD_CHOICES
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +191,84 @@ def test_punctured_needs_two_fibers(h3):
     E = K.Divisor.of((h3.root_place(1), 1), (h3.root_place(2), 2))
     with pytest.raises(NeedTwoFibersError):
         K.lcp_punctured(h3, E, 1, eval_x=h3.split_x_values()[:1])
+
+
+def random_separable_curve(rng):
+    """y^m = c f(x) with f separable of degree n >= 2 prime to m, so infinity
+    is totally ramified, of genus >= 1 and with at least two split fibers."""
+    while True:
+        p, e = rng.choice(FIELD_CHOICES + [(5, 1), (7, 1), (11, 1), (13, 1)])
+        field = K.field_create(p, e)
+        m, n = rng.randint(2, 8), rng.randint(2, min(5, field.q - 1))
+        if m % p == 0 or math.gcd(m, n) != 1:
+            continue
+        roots = [(a, 1) for a in rng.sample(range(field.q), n)]
+        curve = K.curve_create(field, m, rng.randrange(1, field.q), roots)
+        if curve.genus() >= 1 and len(curve.split_x_values()) >= 2:
+            return curve
+
+
+def nonspecial_g_divisors(curve, rng, tries=300):
+    """Non-special divisors of degree g on the all-ramified tuple, drawn with
+    coefficients from a box around 0, negative ones included."""
+    qtuple = K.QTuple.all_ramified(curve)
+    g, m = curve.genus(), curve.m
+    found = set()
+    for _ in range(tries):
+        alpha = [rng.randint(-m, 2 * m) for _ in range(qtuple.n - 1)]
+        alpha.append(g - sum(alpha))
+        if K.nonspecial_g(qtuple, alpha):
+            found.add(qtuple.divisor(alpha))
+    return sorted(found, key=repr)
+
+
+def test_punctured_evaluation_at_r1_is_onto(h3):
+    # lcp_punctured does not check that evaluation at R_1 is onto: on the
+    # s-range deg(H + R_1) = g + s*n >= 2g, so H + R_1 and H are non-special
+    # and dim L(H) = dim L(H + R_1) - 1 = s*n (Riemann-Roch)
+    rng = random.Random(14)
+    cases = non_effective = 0
+    for curve in [h3] + [random_separable_curve(rng) for _ in range(8)]:
+        n, g, m = len(curve.roots), curve.genus(), curve.m
+        zero_sum = K.Divisor((curve.root_place(k), 1) for k in range(n))
+        N = m * len(curve.split_x_values())
+        r1 = K.Divisor.of((curve.split_fibers()[0][1][0], 1))
+        for E in nonspecial_g_divisors(curve, rng)[:6]:
+            assert nonspecial.divisor_nonspecial_g(curve, E)
+            non_effective += min(c for _, c in E.items()) < 0
+            for s in (s for s in range(1, N) if g - 1 < s * n < N - m - g + 2):
+                H = E + s * zero_sum - r1
+                assert rrspace.dim_by_decomposition(curve, H + r1) == s * n + 1
+                assert rrspace.dim_with_simple_affine_drops(curve, H) == s * n
+                cases += 1
+    assert cases >= 100 and non_effective >= 10
+
+
+@pytest.mark.parametrize("which", ["h3", "gf1021-48-fibers"])
+def test_punctured_build_eliminates_each_matrix_once(monkeypatch, h3, which):
+    # G: 4 stratum blocks and the border residual; H: null_space(Phi^T),
+    # then the same 5 (rank Phi is read off the kernel); the stack: 5; the
+    # two condition divisors: one rank each.  Basis rows: G at D, H' at D
+    # and at R_1, and each condition divisor at its drops
+    if which == "h3":
+        curve, s, xs = h3, 3, None
+    else:
+        curve = K.curve_create(K.field_create(1021, 1), 4, 1, [(1, 1), (2, 1), (3, 1)])
+        s, xs = 31, curve.split_x_values()[:48]
+    E = K.Divisor.of((curve.root_place(1), 1), (curve.root_place(2), 2))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_eliminate", counted("eliminate", linalg._eliminate))
+    monkeypatch.setattr(rrspace, "_basis_rows", counted("basis_rows", rrspace._basis_rows))
+    res = K.lcp_punctured(curve, E, s, xs)
+    assert res.report.verdict
+    assert calls == {"eliminate": 18, "basis_rows": 5}
 
 
 def test_pole_shift_on_bundle_curve(bundle_curve):

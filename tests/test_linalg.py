@@ -107,6 +107,22 @@ def test_matmul_rejects_shapes(gf9, A, B):
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, bool, object, str])
+def test_matmul_rejects_non_integer_arrays(gf9, side, dtype):
+    # entries are never cast: a float is not truncated, a bool or string not
+    # read as a number
+    A = np.ones((2, 2), dtype=np.uint8)
+    B = np.ones((2, 2), dtype=np.int32)
+    assert linalg.matmul(gf9, A, B).tolist() == [[2, 2], [2, 2]]
+    if side == "A":
+        A = A.astype(dtype)
+    else:
+        B = B.astype(dtype)
+    with pytest.raises(TypeError):
+        linalg.matmul(gf9, A, B)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
 @pytest.mark.parametrize("value", [-1, 9, 1 << 40])
 def test_matmul_rejects_entries_outside_field(gf9, side, value):
     A = np.ones((2, 3), dtype=np.int64)
