@@ -118,15 +118,15 @@ def _alpha_from_args(args) -> list[int]:
 
 def cmd_curve_info(args) -> dict:
     curve = _load_curve(args.curve)
-    places = curve.rational_places()
+    ramified = [p.id() for p in curve.totally_ramified_places()]
     split = curve.split_x_values()
     return {
         "genus": curve.genus(),
         "m": curve.m,
         "q": curve.field.q,
         "deg_f": curve.deg_f,
-        "rational_places": len(places),
-        "totally_ramified": [p.id() for p in curve.totally_ramified_places()],
+        "rational_places": len(ramified) + len(curve.affine_points()[0]),
+        "totally_ramified": ramified,
         "split_x_count": len(split),
         "max_code_length": curve.m * len(split),
         "partial": not curve.has_rational_infinity,
@@ -134,11 +134,14 @@ def cmd_curve_info(args) -> dict:
 
 
 def cmd_curve_places(args) -> dict:
+    """The ids of curve.rational_places(), formatted from the point arrays."""
     curve = _load_curve(args.curve)
-    places = curve.rational_places()
+    xs, ys = curve.affine_points()
+    ids = [p.id() for p in curve.totally_ramified_places()]
+    ids += map("aff:{}:{}".format, xs.tolist(), ys.tolist())
     return {
-        "count": len(places),
-        "places": [p.id() for p in places],
+        "count": len(ids),
+        "places": ids,
         "partial": not curve.has_rational_infinity,
     }
 

@@ -106,7 +106,8 @@ def parse_place(curve: "KummerCurve", s: str) -> Place:
 
 
 class Divisor:
-    """Finite formal Z-combination of places, stored sparsely."""
+    """Finite formal Z-combination of places, stored sparsely.  Coefficients
+    are read by field.json_int: a bool, float or str raises TypeError."""
 
     __slots__ = ("_coeffs",)
 
@@ -114,7 +115,7 @@ class Divisor:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         d: dict[Place, int] = {}
         for place, c in items:
-            c = int(c)
+            c = json_int(c)
             if c == 0:
                 continue
             d[place] = d.get(place, 0) + c
@@ -178,9 +179,7 @@ class Divisor:
 
     @staticmethod
     def from_json(curve: "KummerCurve", obj: dict) -> "Divisor":
-        return Divisor(
-            (parse_place(curve, e["place"]), json_int(e["c"])) for e in obj["coeffs"]
-        )
+        return Divisor((parse_place(curve, e["place"]), e["c"]) for e in obj["coeffs"])
 
 
 class KummerCurve:
@@ -317,19 +316,31 @@ class KummerCurve:
             out.append((x0, [Place.affine(x0, y0) for y0 in ys]))
         return out
 
+    def affine_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys): every rational affine point with f(x0) != 0, as int64
+        arrays sorted by x and, within a fiber, by y.
+
+        With first[x0] the number of points over smaller x, point j lies over
+        xs[j] and is entry start[x0] - first[x0] + j of the fiber table's ys.
+        """
+        ys, start, size = self._fiber_table()
+        size = size.copy()
+        size[[a for a, _ in self.roots]] = 0  # the single point y = 0 over a root is not affine
+        at = np.repeat(start + size - np.cumsum(size), size)
+        at += np.arange(len(at))
+        at = ys[at]  # before xs is built: one point-sized array less at the peak
+        return np.repeat(np.arange(self.field.q, dtype=np.int64), size), at
+
     def rational_places(self) -> list[Place]:
         """All enumerated rational places: infinity (if totally ramified),
-        totally ramified root places, and every affine point with f(x0) != 0.
+        totally ramified root places, and every affine point with f(x0) != 0
+        in the order of affine_points.
 
         When gcd(deg f, m) > 1 the infinite places are omitted and the
         enumeration is partial (see has_rational_infinity).
         """
-        out = self.totally_ramified_places()
-        root_xs = {a for a, _ in self.roots}
-        for x0 in np.nonzero(self._fiber_table()[2])[0].tolist():
-            if x0 not in root_xs:
-                out.extend(Place.affine(x0, y0) for y0 in self.fiber(x0))
-        return out
+        xs, ys = self.affine_points()
+        return self.totally_ramified_places() + list(map(Place.affine, xs.tolist(), ys.tolist()))
 
     # -- principal divisors ---------------------------------------------------
 

@@ -403,7 +403,7 @@ def field_create(p: int, e: int) -> Field:
 def json_int(value) -> int:
     """An integer read from JSON: a Python or numpy integer, never a bool, a
     float or a string, which int() would truncate or parse.  TypeError else."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, (int, np.integer)) and value.__class__ is not bool:
         return int(value)
     raise TypeError(f"expected an integer, got {value!r}")
 

@@ -70,6 +70,19 @@ def test_curve_places(h3_file):
     assert out["places"][0] == "inf"
 
 
+@pytest.mark.parametrize("name", ["h3", "bundle_curve", "gcd3_curve"])
+def test_curve_info_and_places_agree(name, request, tmp_path):
+    # gcd3_curve: y^3 = x(x-1)(x-2) over GF(7), gcd(deg f, m) = 3, a partial listing
+    curve = (K.curve_create(K.field_create(7, 1), 3, 1, [(0, 1), (1, 1), (2, 1)])
+             if name == "gcd3_curve" else request.getfixturevalue(name))
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve.to_json()))
+    info = json.loads(run_cli("curve-info", "--curve", str(path)).stdout)
+    listing = json.loads(run_cli("curve-places", "--curve", str(path)).stdout)
+    assert info["rational_places"] == listing["count"] == len(listing["places"])
+    assert info["partial"] == listing["partial"] == (curve.d_inf != 1)
+
+
 def test_dim_matches_spec_example(h3_file):
     out = json.loads(run_cli(
         "dim", "--curve", h3_file,

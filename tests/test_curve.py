@@ -1,9 +1,13 @@
+import contextlib
+import io
+import json
 import random
 
 import numpy as np
 import pytest
 
 import kummerlcp as K
+from kummerlcp import cli
 from kummerlcp.curve import CurveFunction
 from kummerlcp.errors import (
     CharDividesMError,
@@ -108,8 +112,17 @@ def test_fiber_partition(h3):
     assert count == len(h3.rational_places())
 
 
-def test_places_match_per_x_scan_on_random_curves():
+def _cli_json(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return json.loads(out.getvalue())
+
+
+def test_places_match_per_x_scan_on_random_curves(tmp_path):
+    # of these 40 curves, 10 have d_inf > 1 (a partial listing) and 11 a bundle root
     rng = random.Random(20261018)
+    path = str(tmp_path / "curve.json")
     for _ in range(40):
         curve = random_curve(rng)
         f = curve.field
@@ -123,6 +136,17 @@ def test_places_match_per_x_scan_on_random_curves():
         places += [K.Place.affine(x, y) for x in range(f.q) if x not in root_xs
                    for y in fibers[x]]
         assert curve.rational_places() == places
+        xs, ys = curve.affine_points()
+        assert xs.dtype == ys.dtype == np.int64
+        assert list(zip(xs.tolist(), ys.tolist())) == [(p.x, p.y) for p in places
+                                                       if p.kind == "aff"]
+        with open(path, "w") as fh:
+            json.dump(curve.to_json(), fh)
+        assert _cli_json("curve-info", "--curve", path)["rational_places"] == len(places)
+        listing = _cli_json("curve-places", "--curve", path)
+        assert listing["count"] == len(places)
+        assert listing["places"] == [p.id() for p in places]
+        assert listing["partial"] == (curve.d_inf != 1)
         assert curve.split_x_values() == [x for x in range(f.q) if x not in root_xs
                                           and len(fibers[x]) == curve.m]
         assert [curve.fiber(x) for x in range(f.q)] == fibers
@@ -255,6 +279,17 @@ def test_divisor_algebra(h3):
     assert (3 * d).coeff(p1) == 6
     assert d.support() == [p1, p2]
     assert hash(d) == hash(K.Divisor.of((p2, -1), (p1, 2)))
+
+
+def test_divisor_coefficients_are_integers():
+    inf = K.Place.infinity()
+    for bad in (2.7, True, "3"):
+        with pytest.raises(TypeError):
+            K.Divisor.of((inf, bad))
+    d = K.Divisor.of((inf, np.int64(2)))
+    assert d == K.Divisor.of((inf, 2)) and type(d.coeff(inf)) is int
+    with pytest.raises(TypeError):
+        2.5 * d
 
 
 def test_curve_serialization_roundtrip(h3, z_curve):

@@ -8,7 +8,10 @@ printed it when the file was written:
   `--seed 5 code-info --sample 40` on each result and each of its codes;
 - construction R on y^4 = (x-1)(x-2)(x-3) over GF(1021) at s = 1, 31, 62
   on the first 48 split fibers;
-- the three Z-curve construction-1 results of acceptance criterion 9.
+- the three Z-curve construction-1 results of acceptance criterion 9;
+- stdout of `curve-info` and `curve-places` on H3, on y^4 = x(x-1)^2 over
+  GF(25) (a bundle over x = 1), on y^23 = x(x+1) over GF(2^11) and on
+  y^7 = x(x-1)(x-2) over GF(5^6).
 
 A change that alters a verdict, a dimension, a basis order or any
 serialized byte fails here.  Rewrite the file only when an output change
@@ -43,6 +46,13 @@ H3_DIVISOR_FLAGS = {"1": [("--E", "E1_C1")],
                     "R": [("--E", "E_R")]}
 H3_CONSTRUCTIONS = [("1", s) for s in range(1, 8)] + [("2", s) for s in range(3, 8)] \
     + [("R", s) for s in range(1, 7)]
+# (p, e, m, roots) of the curves whose curve-info and curve-places are pinned
+# besides H3: a bundle curve and two bigfield-scan curves
+LISTED_CURVES = {
+    "bundle": (5, 2, 4, [(0, 1), (1, 2)]),
+    "gf2^11": (2, 11, 23, [(0, 1), (1, 1)]),
+    "gf5^6": (5, 6, 7, [(0, 1), (1, 1), (2, 1)]),
+}
 
 
 def _sha256(text: str) -> str:
@@ -101,6 +111,18 @@ def z_digests(results: dict) -> dict[str, str]:
             for s, res in results.items()}
 
 
+def curve_digests(workdir: Path) -> dict[str, str]:
+    curves = {"h3": hermitian(3)}
+    curves.update({name: K.curve_create(K.field_create(p, e), m, 1, roots)
+                   for name, (p, e, m, roots) in LISTED_CURVES.items()})
+    out = {}
+    for name, curve in curves.items():
+        path = _write(workdir / f"curve-{name}.json", curve.to_json())
+        for command in ("curve-info", "curve-places"):
+            out[f"{command} {name}"] = _sha256(_stdout(command, "--curve", path))
+    return out
+
+
 def _check(got: dict[str, str], prefix: str) -> None:
     want = {k: v for k, v in json.loads(DIGESTS.read_text()).items() if k.startswith(prefix)}
     assert sorted(got) == sorted(want)
@@ -115,6 +137,10 @@ def test_gf1021_construction_r_digests():
     _check(gf1021_digests(), "gf1021 ")
 
 
+def test_curve_listing_digests(tmp_path):
+    _check(curve_digests(tmp_path), "curve-")
+
+
 def test_z_curve_result_digests(z_lcp_results):
     _check(z_digests(z_lcp_results[0]), "z729 ")
 
@@ -122,6 +148,7 @@ def test_z_curve_result_digests(z_lcp_results):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = h3_digests(hermitian(3), Path(tmp))
+        digests.update(curve_digests(Path(tmp)))
     digests.update(gf1021_digests())
     digests.update(z_digests(z_pole_shift_results(make_z_curve())))
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
