@@ -210,27 +210,32 @@ def character_blocks(code: LinearCode) -> CharacterBlocks | None:
 def _bordered_rank(field: Field, splits: Sequence[CharacterBlocks]) -> int:
     """Rank of the stack of the codes in splits, by the border residual lemma
     and the M_aug identity, each code's drop columns after the shared ones
-    and zero in the other codes' rows."""
+    and zero in the other codes' rows.  The m character blocks that have rows
+    are eliminated as one stack, padded with zero rows."""
     fibers, lone, m = splits[0].fibers, splits[0].lone, len(splits[0].parts)
     shared = fibers + lone
     drops = sum(b.drops for b in splits)
     total = -sum(b.drop_rank for b in splits)
-    residuals = []
-    for i in range(m):
-        M = np.zeros((sum(len(b.parts[i]) for b in splits), shared + drops), dtype=np.int64)
+    sizes = [sum(len(b.parts[i]) for b in splits) for i in range(m)]
+    live = [i for i in range(m) if sizes[i]]
+    blocks = np.zeros((len(live), max(sizes), shared + drops), dtype=np.int64)
+    for M, i in zip(blocks, live):
         r, c = 0, shared
         for b in splits:
             part = b.parts[i]
             M[r:r + len(part), :shared] = part[:, :shared]
             M[r:r + len(part), c:c + b.drops] = part[:, shared:]
             r, c = r + len(part), c + b.drops
-        if fibers and len(M):
-            M, pivots = linalg.echelon(field, M)
-            block_rank = bisect_left(pivots, fibers)
+    if fibers:
+        blocks, pivots = linalg.echelons(field, blocks)
+        residuals = []
+        for M, piv in zip(blocks, pivots):
+            block_rank = bisect_left(piv, fibers)
             total += block_rank
-            M = M[block_rank:len(pivots)]
-        residuals.append(M[:, fibers:])
-    if lone + drops:
+            residuals.append(M[block_rank:len(piv), fibers:])
+    else:
+        residuals = [M[:sizes[i], fibers:] for M, i in zip(blocks, live)]
+    if lone + drops and live:
         total += linalg.rank(field, np.vstack(residuals))
     return total
 

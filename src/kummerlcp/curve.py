@@ -36,6 +36,7 @@ AFFINE = "aff"
 BUNDLE = "bundle"
 
 _KIND_RANK = {INF: 0, ROOT: 1, BUNDLE: 2, AFFINE: 3}
+_FIELD_SLICE = 1 << 14  # field elements per slice while the fiber table is built
 
 
 @dataclass(frozen=True)
@@ -280,15 +281,30 @@ class KummerCurve:
 
     def _fiber_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Whole-field fiber data, cached: (ys, start, size) such that the y
-        with y^m = f(x0) are ys[start[x0] : start[x0] + size[x0]], ascending."""
+        with y^m = f(x0) are ys[start[x0] : start[x0] + size[x0]], ascending.
+
+        The m-th powers and f are taken one slice of the field at a time, so
+        the temporaries of vpow and f_values stay slice-sized; besides the
+        table, only the powers (int32) and their counts span the field."""
         if self._fibers is None:
-            field = self.field
-            vals = np.arange(field.q, dtype=np.int64)
-            f_vals = self.f_values(vals)
-            powers = field.vpow(vals, self.m)
-            counts = np.bincount(powers, minlength=field.q)
+            field, q = self.field, self.field.q
+            slices = [(lo, min(lo + _FIELD_SLICE, q)) for lo in range(0, q, _FIELD_SLICE)]
+            powers = np.empty(q, dtype=np.int32)
+            for lo, hi in slices:
+                powers[lo:hi] = field.vpow(np.arange(lo, hi, dtype=np.int64), self.m)
+            counts = np.bincount(powers, minlength=q).astype(np.int32)  # running sums <= q
             ys = np.argsort(powers, kind="stable")  # stable: ascending y within a value
-            self._fibers = (ys, (np.cumsum(counts) - counts)[f_vals], counts[f_vals])
+            del powers
+            # start holds f(x0) until counts is turned into its running sum
+            start, size = np.empty(q, dtype=np.int64), np.empty(q, dtype=np.int64)
+            for lo, hi in slices:
+                start[lo:hi] = self.f_values(np.arange(lo, hi, dtype=np.int64))
+                size[lo:hi] = counts[start[lo:hi]]
+            np.cumsum(counts, out=counts)
+            for lo, hi in slices:
+                start[lo:hi] = counts[start[lo:hi]]
+            start -= size
+            self._fibers = (ys, start, size)
         return self._fibers
 
     def fiber(self, x_enc: int) -> tuple[int, ...]:

@@ -157,7 +157,7 @@ class Field:
     __slots__ = (
         "p", "e", "q", "modulus",
         "_exp", "_log", "_digit_pows",
-        "_zech", "_neg_t", "_inv_t",
+        "_zech", "_canon", "_neg_t", "_inv_t",
     )
 
     def __init__(self, p: int, e: int):
@@ -179,6 +179,7 @@ class Field:
         self._neg_t = self._log_affine(1, int(self._log[p - 1]))
         self._inv_t = self._log_affine(-1, 0)
         self._build_zech_table()
+        self._canon = None
 
     # -- construction helpers -------------------------------------------
 
@@ -230,6 +231,18 @@ class Field:
             zech[q1 + lo:q1 + lo + len(g_n)] = self._log[g_n + np.where(g_n % p == p - 1, 1 - p, 1)]
         zech[2 * q1:3 * q1] = zech[q1:2 * q1]
         zech[3 * q1] = zech[q1]
+
+    def _canon_table(self) -> np.ndarray:
+        """canon[k] = k mod (q-1) below S = 2(q-1) and S from there to 4(q-1),
+        int32: a sum of logs read back as a log, with the zero tail kept
+        (linalg).  Built on first use, once per field."""
+        if self._canon is None:
+            q1 = self.q - 1
+            canon = np.full(4 * q1 + 1, 2 * q1, dtype=np.int32)
+            canon[:q1] = np.arange(q1, dtype=np.int32)
+            canon[q1:2 * q1] = canon[:q1]
+            self._canon = canon
+        return self._canon
 
     # -- identity / equality ---------------------------------------------
 

@@ -1,11 +1,46 @@
 """Linear algebra over GF(q) on int64 encoding matrices.
 
-Elimination.  Pivoting is deterministic (first nonzero entry in column
-order) so echelon forms, ranks and null spaces are bit-reproducible.  Each
-pivot step is one Field.vmul (a log/antilog lookup) and one Field.vadd over
-the rows below it, so a dense n x n rank costs on the order of n^3 element
-operations; codes.fiber_block_rank keeps the ranks of fiber-structured
-generators off this path where it can.
+Elimination.  _eliminate row-reduces a stack of matrices of one shape in
+lockstep: one Python step per column for the whole stack, in which every
+matrix takes its own pivot, its own row swap and its own row updates.
+Pivoting is deterministic (the first nonzero entry at or below the matrix's
+current row, columns in order), so echelon forms, ranks and null spaces are
+bit-reproducible, and a matrix comes out of a stack exactly as it comes out
+alone.  A dense n x n rank costs on the order of n^3 element operations;
+codes.fiber_block_rank keeps the ranks of fiber-structured generators off
+the dense path and eliminates its character blocks as one stack.
+
+The stack is held as int32 logs, zero as the sentinel S = 2(q-1) of
+field.py, and read back into encodings once, at the end.  Besides the Zech
+table it uses canon: canon[k] = k mod (q-1) for k < S and S for
+S <= k <= 4(q-1).  With lp the log of the pivot, a row with log la below it,
+whose entry in the pivot column has log lf, becomes a - (f/p) P for the
+pivot row P (logs lP) through
+
+    k = canon[log(-1) + (q-1) - lp]                  log(-1/p)
+    lc = canon[canon[lf + k] + lP]                    log(-(f/p) P)
+    la' = canon[la + zech[lc - la + S]]               log(a - (f/p) P)
+
+Only rows whose factor f is nonzero are touched.  Every index lies in
+[0, 4(q-1)] and zero stays in the tail: log(-1) < q-1, so the first index is
+in [1, S); lf and k are units, so lf + k < S; canon[lf + k] + lP is below S
+for a unit entry of P and in [S, 4(q-1)) for a zero one; lc and la are in
+[0, q-2] or S, so the Zech index is in [0, 2S]; and la plus a Zech entry is
+in [0, 4(q-1)] and reaches the tail exactly when a - (f/p) P is zero
+(field.py).  Pivot rows are not scaled while the elimination runs: a later
+pivot row is zero in every earlier pivot column, so a pivot row's leading
+entry never changes, and the antilog gather at the end reads it scaled,
+exp[L + (q-1) - lp], which is in the antilog table's two periods for a unit
+and in its zero tail for zero.
+
+A matrix with fewer rows than the stack's is padded with zero rows, and in a
+stack of more than one matrix each gets one more zero row below (under a
+matrix whose rows are all pivots, the current row is that zero row).
+A zero row is never a pivot, since a pivot is a nonzero entry, and never
+updated, since its factor is zero; the only row swap moves a nonzero row up
+to the matrix's current row, which is then one of the matrix's own rows.  So
+zero rows stay zero where they are, and each matrix of the stack is
+eliminated step for step as it would be alone.
 
 Products.  matmul computes over the prime field in float BLAS, the
 FFLAS-FFPACK approach (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  An
@@ -45,44 +80,103 @@ from .field import Field
 _SLICE_BYTES = 1 << 18  # bytes of one lifted slice of B, or accumulator block, in matmul
 
 
-def _eliminate(field: Field, M: np.ndarray, reduce: bool) -> list[int]:
-    """Row-reduce M in place and return the pivot columns.
+def _eliminate(field: Field, stack: np.ndarray, reduce: bool) -> tuple[np.ndarray, list[list[int]]]:
+    """Row-reduce each matrix of the int64 stack (depth x rows x cols) in
+    lockstep (module docstring); the reduced stack, as a new array, and each
+    matrix's pivot columns.
 
     Each pivot row is scaled to a leading 1 and its column is cleared below
     it, and also above it when reduce is set (giving the RREF).
     """
-    rows, cols = M.shape
-    pivots: list[int] = []
-    r = 0
+    depth, rows, cols = stack.shape
+    q1 = field.q - 1
+    S = 2 * q1
+    canon, zech = field._canon_table(), field._zech
+    zero = canon[-1]  # S as an int32 scalar
+    negate = field._log.item(field.p - 1) + q1  # k = canon[negate - lp]
+    stride = rows + (depth > 1)
+    L = np.empty((depth, stride, cols), dtype=np.int32)
+    if depth > 1:
+        L[:, rows] = zero
+    L[:, :rows] = field._log.take(stack)
+    flat = L.reshape(depth * stride, cols)
+    base = np.arange(0, depth * stride, stride or 1)  # empty when there are no rows
+    cur = base  # each matrix's current row, as a row of flat
+    taken = np.zeros(depth * stride, dtype=bool)  # the pivot rows so far
+    # lp of each pivot row; every other row ends as a zero row, which reads
+    # back as zero under any shift up to q-1
+    lead = np.zeros((depth * stride, 1), dtype=np.int32)
+    steps: list[tuple[int, np.ndarray | None]] = []  # (column, which matrices pivot; None: all)
+    left = depth * rows
     for c in range(cols):
-        if r == rows:
+        if not left:
             break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p0 = r + int(nz[0])
-        if p0 != r:
-            M[[r, p0]] = M[[p0, r]]
-        pivot = int(M[r, c])
-        if pivot != 1:
-            M[r, c:] = field.vmul(M[r, c:], field.inv(pivot))
-        first = 0 if reduce else r + 1
-        sel = np.nonzero(M[first:, c])[0] + first
-        sel = sel[sel != r]
+        tail = flat[:, c:]
+        nz = tail[:, 0] != zero
+        piv = tail.take(cur, axis=0)
+        if S not in piv[:, 0].tolist():
+            # every current row is nonzero in c, so it is the first nonzero
+            src = dst = cur
+            has, n = None, depth
+        else:
+            free = nz > taken
+            src = free.reshape(depth, stride).argmax(axis=1) + base
+            has = free.take(src)
+            n = np.count_nonzero(has)
+            if not n:
+                continue
+            if n < depth:
+                src, dst = src[has], cur[has]
+            else:
+                dst, has = cur, None
+            piv = tail.take(src, axis=0)
+            tail[src] = tail.take(dst, axis=0)
+            tail[dst] = piv
+        cur = cur + (1 if has is None else has)
+        taken[dst] = True
+        lp = lead[dst] = piv[:, :1]
+        if reduce:
+            sel = nz if has is None else nz & np.repeat(has, stride)
+            sel[src] = False
+        else:
+            sel = nz > taken
+            if src is not dst:
+                sel[src] = False  # the pivot's row before the swap
+        sel = sel.nonzero()[0]
         if sel.size:
-            # row -= factor * pivot_row, as row + (-factor) * pivot_row
-            prod = field.vmul(field.vneg(M[sel, c])[:, None], M[r, c:][None, :])
-            M[sel, c:] = field.vadd(M[sel, c:], prod)
-        pivots.append(c)
-        r += 1
-    return pivots
+            # a run of consecutive rows (the dense case) is read and written
+            # as a slice, any other selection gathered
+            run = slice(sel[0], sel[-1] + 1) if sel[-1] - sel[0] < sel.size else sel
+            la = tail[run]
+            k = canon.take(negate - lp)
+            if n > 1:
+                which = sel // stride if has is None else (np.cumsum(has) - 1).take(sel // stride)
+                k, piv = k.take(which, axis=0), piv.take(which, axis=0)
+            lc = canon.take(canon.take(la[:, :1] + k) + piv)
+            lc -= la
+            lc += zero
+            lc = zech.take(lc)
+            lc += la
+            tail[run] = canon.take(lc)
+        steps.append((c, has))
+        left -= n
+    flat += q1 - lead  # pivot rows read back scaled
+    return (field._exp.take(L[:, :rows]),
+            [[c for c, has in steps if has is None or has[b]] for b in range(depth)])
+
+
+def echelons(field: Field, stack) -> tuple[np.ndarray, list[list[int]]]:
+    """Row echelon forms of a stack of matrices (depth x rows x cols),
+    eliminated in lockstep, and each one's pivot columns.  Pad a matrix with
+    fewer rows with zero rows: its form is its own, with zero rows below."""
+    return _eliminate(field, np.asarray(stack, dtype=np.int64), reduce=False)
 
 
 def echelon(field: Field, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Row echelon form (copy; leading 1s, each pivot column cleared below
     its pivot) and the pivot column indices."""
-    R = np.array(M, dtype=np.int64, copy=True)
-    return R, _eliminate(field, R, reduce=False)
+    R, pivots = echelons(field, np.asarray(M, dtype=np.int64)[None])
+    return R[0], pivots[0]
 
 
 def rank(field: Field, M: np.ndarray) -> int:
@@ -91,8 +185,8 @@ def rank(field: Field, M: np.ndarray) -> int:
 
 def rref(field: Field, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (copy) and the pivot column indices."""
-    R = np.array(M, dtype=np.int64, copy=True)
-    return R, _eliminate(field, R, reduce=True)
+    R, pivots = _eliminate(field, np.asarray(M, dtype=np.int64)[None], reduce=True)
+    return R[0], pivots[0]
 
 
 def null_space(field: Field, M: np.ndarray) -> np.ndarray:

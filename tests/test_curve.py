@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kummerlcp as K
 from kummerlcp import cli
+from kummerlcp import curve as curve_mod
 from kummerlcp.curve import CurveFunction
 from kummerlcp.errors import (
     CharDividesMError,
@@ -164,6 +169,40 @@ def test_fiber_table_matches_f_at_above_add_table(p, e):
         mth_power = f.vpow(np.arange(f.q), curve.m)
         for x in range(f.q):
             assert curve.fiber(x) == tuple(np.nonzero(mth_power == curve.f_at(x))[0].tolist())
+
+
+@pytest.mark.parametrize("p,e", BIG_FIELDS)
+def test_fiber_table_is_the_same_in_any_slices(monkeypatch, p, e):
+    # slices of 7 and of 1000 elements (not dividing q) against one slice
+    rng = random.Random(p * e)
+    for _ in range(2):
+        curve = random_big_curve(rng, p, e)
+        want = curve._fiber_table()
+        for width in (7, 1000):
+            monkeypatch.setattr(curve_mod, "_FIELD_SLICE", width)
+            curve._fibers = None
+            got = curve._fiber_table()
+            assert all(np.array_equal(a, b) and a.dtype == np.int64 for a, b in zip(got, want))
+
+
+def test_fiber_table_memory_on_gf2_20():
+    # y^41 = x(x+1) over GF(2^20): the table keeps three int64 arrays over the
+    # field (24 MB).  Built slice by slice it raises peak RSS about 28 MB above
+    # the field's own build; f and the m-th powers over the whole field at
+    # once raised it 52 MB.  In a child process, whose peak is this build's
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = ("import resource, kummerlcp as K\n"
+              "def peak():\n    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+              "f = K.field_create(2, 20)\n"
+              "before = peak()\n"
+              "K.curve_create(f, 41, 1, [(0, 1), (1, 1)])._fiber_table()\n"
+              "print(peak() - before)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 40, f"the fiber table raised peak RSS by {proc.stdout.strip()} MB"
 
 
 def test_genus_matches_riemann_hurwitz_on_random_curves():

@@ -18,6 +18,8 @@ from kummerlcp.errors import (
     TooLargeError,
 )
 
+from conftest import FIELD_CHOICES
+
 
 def naive_gf9_canonical_modulus():
     """Independent scan: smallest (low-degree-first) monic primitive quadratic over GF(3)."""
@@ -438,3 +440,14 @@ def test_field_serialization_roundtrip(gf9):
     assert K.field_from_json(obj) == gf9
     with pytest.raises(FieldMismatchError):
         K.field_from_json({"p": 3, "e": 2, "modulus": [1, 1, 1]})
+
+
+@pytest.mark.parametrize("p,e", FIELD_CHOICES + [(2, 11), (1021, 1)])
+def test_canon_table_reads_sums_of_logs_back(p, e):
+    # int32 and built once per field: k mod (q-1) below the zero sentinel
+    # 2(q-1), the sentinel from there to 4(q-1)
+    f = K.field_create(p, e)
+    canon, q1 = f._canon_table(), f.q - 1
+    k = np.arange(4 * q1 + 1)
+    assert canon.dtype == np.int32 and canon is f._canon_table()
+    assert np.array_equal(canon, np.where(k < 2 * q1, k % q1, 2 * q1))

@@ -249,7 +249,9 @@ def test_punctured_build_eliminates_each_matrix_once(monkeypatch, h3, which):
     # G: 4 stratum blocks and the border residual; H: null_space(Phi^T),
     # then the same 5 (rank Phi is read off the kernel); the stack: 5; the
     # two condition divisors: one rank each.  Basis rows: G at D, H' at D
-    # and at R_1, and each condition divisor at its drops
+    # and at R_1, and each condition divisor at its drops.  The stratum
+    # blocks of one rank are eliminated as one stack, so matrices are
+    # counted over the stack's depth
     if which == "h3":
         curve, s, xs = h3, 3, None
     else:
@@ -258,13 +260,14 @@ def test_punctured_build_eliminates_each_matrix_once(monkeypatch, h3, which):
     E = K.Divisor.of((curve.root_place(1), 1), (curve.root_place(2), 2))
     calls = Counter()
 
-    def counted(name, fn):
+    def counted(name, fn, matrices=lambda args: 1):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += matrices(args)
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(linalg, "_eliminate", counted("eliminate", linalg._eliminate))
+    monkeypatch.setattr(linalg, "_eliminate",
+                        counted("eliminate", linalg._eliminate, lambda args: len(args[1])))
     monkeypatch.setattr(rrspace, "_basis_rows", counted("basis_rows", rrspace._basis_rows))
     res = K.lcp_punctured(curve, E, s, xs)
     assert res.report.verdict

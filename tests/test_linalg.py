@@ -1,11 +1,16 @@
-"""linalg.matmul, the float-BLAS product over GF(p) digit lifts, against the
-row-by-row product it replaced."""
+"""linalg against the code it replaced: matmul, the float-BLAS product over
+GF(p) digit lifts, against the row-by-row product; the lockstep log-domain
+elimination against the Field.vmul + Field.vadd elimination, on single
+matrices, ragged stacks and the character blocks of codes."""
+
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
 import kummerlcp as K
-from kummerlcp import linalg
+from kummerlcp import codes, linalg
+from kummerlcp.codes import character_blocks
 from kummerlcp.errors import ElementOutOfRangeError, ShapeMismatchError
 
 from conftest import FIELD_CHOICES
@@ -130,3 +135,162 @@ def test_matmul_rejects_entries_outside_field(gf9, side, value):
     (A if side == "A" else B)[1, 1] = value
     with pytest.raises(ElementOutOfRangeError):
         linalg.matmul(gf9, A, B)
+
+
+def vadd_elimination(field, M, reduce):
+    """A row-reduced copy of M and its pivot columns, by the elimination that
+    linalg ran before the log domain: per pivot, one Field.vmul scales the
+    pivot row and one Field.vmul and Field.vadd clear its column in the rows
+    with a nonzero entry there (all other rows too when reduce is set)."""
+    M = np.array(M, dtype=np.int64, copy=True)
+    rows, cols = M.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p0 = r + int(nz[0])
+        if p0 != r:
+            M[[r, p0]] = M[[p0, r]]
+        pivot = int(M[r, c])
+        if pivot != 1:
+            M[r, c:] = field.vmul(M[r, c:], field.inv(pivot))
+        first = 0 if reduce else r + 1
+        sel = np.nonzero(M[first:, c])[0] + first
+        sel = sel[sel != r]
+        if sel.size:
+            prod = field.vmul(field.vneg(M[sel, c])[:, None], M[r, c:][None, :])
+            M[sel, c:] = field.vadd(M[sel, c:], prod)
+        pivots.append(c)
+        r += 1
+    return M, pivots
+
+
+def edge_matrices(f, rng):
+    """Matrices at elimination's edge cases: empty, no rows or no columns,
+    all zero, zero rows and columns, duplicated rows, low rank, sparse (zero
+    pivots and row swaps), and dense."""
+    cases = [np.zeros((0, 0), dtype=np.int64), np.zeros((0, 5), dtype=np.int64),
+             np.zeros((4, 0), dtype=np.int64), np.zeros((3, 4), dtype=np.int64)]
+    for rows, cols in [(1, 1), (1, 6), (6, 6), (8, 8), (5, 9), (9, 5), (17, 12)]:
+        dense = rng.integers(0, f.q, size=(rows, cols))
+        sparse = np.where(rng.random((rows, cols)) < 0.6, 0, dense)
+        holes = dense.copy()
+        holes[rng.integers(rows)] = 0
+        holes[:, rng.integers(cols)] = 0
+        twins = np.vstack([dense, dense[::2], sparse[:1]])
+        rank = int(rng.integers(1, min(rows, cols) + 1))
+        low = linalg.matmul(f, rng.integers(0, f.q, size=(rows, rank)),
+                            rng.integers(0, f.q, size=(rank, cols)))
+        cases += [dense, sparse, holes, twins, low]
+    return cases
+
+
+@pytest.mark.parametrize("p,e", KERNEL_FIELDS)
+def test_elimination_matches_vadd_reference(p, e):
+    f = K.field_create(p, e)
+    for M in edge_matrices(f, np.random.default_rng(p * 13 + e)):
+        want, want_pivots = vadd_elimination(f, M, reduce=False)
+        R, pivots = linalg.echelon(f, M)
+        assert R.dtype == np.int64 and np.array_equal(R, want) and pivots == want_pivots
+        assert linalg.rank(f, M) == len(want_pivots)
+        want, want_pivots = vadd_elimination(f, M, reduce=True)
+        R, pivots = linalg.rref(f, M)
+        assert R.dtype == np.int64 and np.array_equal(R, want) and pivots == want_pivots
+        assert np.array_equal(linalg.row_space_basis(f, M), want[:len(want_pivots)])
+        free = [c for c in range(M.shape[1]) if c not in want_pivots]
+        basis = np.zeros((len(free), M.shape[1]), dtype=np.int64)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, want_pivots] = f.vneg(want[:len(want_pivots), free]).T
+        assert np.array_equal(linalg.null_space(f, M), basis)
+
+
+@pytest.mark.parametrize("p,e", KERNEL_FIELDS)
+def test_ragged_stack_matches_each_matrix_alone(p, e):
+    # members of different heights, some with no rows, padded with zero rows:
+    # each comes out as its own elimination with the zero rows below
+    f = K.field_create(p, e)
+    rng = np.random.default_rng(p * 17 + e)
+    for cols in (0, 1, 6, 11):
+        cases = [M for M in edge_matrices(f, rng) if M.shape[1] == cols] or [
+            rng.integers(0, f.q, size=(n, cols)) for n in (0, 3, 7)]
+        for depth in (1, 2, 7):
+            members = [cases[int(i)] for i in rng.integers(len(cases), size=depth)]
+            members[int(rng.integers(depth))] = np.zeros((0, cols), dtype=np.int64)
+            height = max(len(M) for M in members)
+            stack = np.zeros((depth, height, cols), dtype=np.int64)
+            for slot, M in zip(stack, members):
+                slot[:len(M)] = M
+            forms, pivots = linalg.echelons(f, stack)
+            assert forms.shape == stack.shape and len(pivots) == depth
+            for form, piv, M in zip(forms, pivots, members):
+                want, want_pivots = vadd_elimination(f, M, reduce=False)
+                assert np.array_equal(form[:len(M)], want) and piv == want_pivots
+                assert not form[len(M):].any()
+    assert linalg.echelons(f, np.zeros((0, 3, 4), dtype=np.int64))[1] == []
+
+
+def per_block_rank(field, splits):
+    """codes._bordered_rank with each character block eliminated on its own
+    by the reference elimination."""
+    fibers, lone, m = splits[0].fibers, splits[0].lone, len(splits[0].parts)
+    shared = fibers + lone
+    drops = sum(b.drops for b in splits)
+    total = -sum(b.drop_rank for b in splits)
+    residuals = []
+    for i in range(m):
+        M = np.zeros((sum(len(b.parts[i]) for b in splits), shared + drops), dtype=np.int64)
+        r, c = 0, shared
+        for b in splits:
+            part = b.parts[i]
+            M[r:r + len(part), :shared] = part[:, :shared]
+            M[r:r + len(part), c:c + b.drops] = part[:, shared:]
+            r, c = r + len(part), c + b.drops
+        if fibers and len(M):
+            M, pivots = vadd_elimination(field, M, reduce=False)
+            total += bisect_left(pivots, fibers)
+            M = M[bisect_left(pivots, fibers):len(pivots)]
+        residuals.append(M[:, fibers:])
+    if lone + drops:
+        total += len(vadd_elimination(field, np.vstack(residuals), reduce=False)[1])
+    return total
+
+
+def assert_blocks_match_per_block(monkeypatch, code_g, code_h):
+    """_bordered_rank of G, H and their stack equals the per-block ranks, and
+    every stacked block's form equals its own reference elimination."""
+    stacks = []
+
+    def recorded(field, stack):
+        forms, pivots = linalg._eliminate(field, np.asarray(stack, dtype=np.int64), False)
+        stacks.append((stack, forms, pivots))
+        return forms, pivots
+
+    monkeypatch.setattr(linalg, "echelons", recorded)
+    f = code_g.field
+    for splits in ([character_blocks(code_g)], [character_blocks(code_h)],
+                   [character_blocks(code_g), character_blocks(code_h)]):
+        assert codes._bordered_rank(f, splits) == per_block_rank(f, splits)
+    assert max(len(stack) for stack, _, _ in stacks) == code_g.curve.m
+    for stack, forms, pivots in stacks:
+        for M, form, piv in zip(stack, forms, pivots):
+            want, want_pivots = vadd_elimination(f, M, reduce=False)
+            assert np.array_equal(form, want) and piv == want_pivots
+
+
+def test_bordered_rank_blocks_match_per_block_on_gf1021(monkeypatch):
+    # construction R on 48 fibers: a lone point (R_2) and a drop column (R_1)
+    curve = K.curve_create(K.field_create(1021, 1), 4, 1, [(1, 1), (2, 1), (3, 1)])
+    E = K.Divisor.of((curve.root_place(1), 1), (curve.root_place(2), 2))
+    res = K.lcp_punctured(curve, E, 31, curve.split_x_values()[:48])
+    assert_blocks_match_per_block(monkeypatch, res.code_g, res.code_h)
+
+
+def test_bordered_rank_blocks_match_per_block_on_z_curve(monkeypatch, z_lcp_results):
+    # the whole Z-curve at s = 77: 7 blocks of 288 columns in one stack
+    res = z_lcp_results[0][77]
+    assert character_blocks(res.code_g).fibers == 288
+    assert_blocks_match_per_block(monkeypatch, res.code_g, res.code_h)
