@@ -101,7 +101,8 @@ def _code_from_json(field: Field, obj: dict, path: str) -> LinearCode:
 
 
 def _tuple_from_args(curve: KummerCurve, args) -> QTuple:
-    if getattr(args, "tuple", None) == "all-ramified" or not getattr(args, "places", None):
+    # --places and --tuple are mutually exclusive (make_parser)
+    if not args.places:
         return QTuple.all_ramified(curve)
     places = [parse_place(curve, s) for s in args.places.split(",")]
     return QTuple.of(curve, places)
@@ -292,35 +293,32 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("curve-info", help="genus, place counts and ramification data")
     p.add_argument("--curve", required=True)
-    p.set_defaults(fn=cmd_curve_info)
 
     p = sub.add_parser("curve-places", help="enumerate rational places")
     p.add_argument("--curve", required=True)
-    p.set_defaults(fn=cmd_curve_places)
+
+    def add_tuple_args(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--places", help="comma-separated place ids binding alpha")
+        group.add_argument("--tuple", choices=["all-ramified"], dest="tuple")
 
     p = sub.add_parser("dim", help="Riemann-Roch dimension of a divisor on a tuple")
     p.add_argument("--curve", required=True)
-    p.add_argument("--places", help="comma-separated place ids binding alpha")
-    p.add_argument("--tuple", choices=["all-ramified"], dest="tuple")
+    add_tuple_args(p)
     p.add_argument("--alpha", required=True, help="comma-separated integers")
-    p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser("nonspecial-check", help="small-degree non-specialness checks")
     p.add_argument("--curve", required=True)
-    p.add_argument("--places")
-    p.add_argument("--tuple", choices=["all-ramified"], dest="tuple")
+    add_tuple_args(p)
     p.add_argument("--alpha")
     p.add_argument("--necessary-only", action="store_true")
-    p.set_defaults(fn=cmd_nonspecial_check)
 
     p = sub.add_parser("nonspecial-enumerate", help="explicit degree-(g-1) families")
     p.add_argument("--curve", required=True)
     p.add_argument("--family", choices=["separable", "unit"], required=True)
     p.add_argument("--alpha0", type=int)
     p.add_argument("--all-alpha0", action="store_true")
-    p.add_argument("--places")
-    p.add_argument("--tuple", choices=["all-ramified"], dest="tuple")
-    p.set_defaults(fn=cmd_nonspecial_enumerate)
+    add_tuple_args(p)
 
     p = sub.add_parser("lcp-build", help="build and verify an LCP of AG codes")
     p.add_argument("--curve", required=True)
@@ -329,17 +327,14 @@ def make_parser() -> _Parser:
     p.add_argument("--E")
     p.add_argument("--E2")
     p.add_argument("--eval-x", dest="eval_x")
-    p.set_defaults(fn=cmd_lcp_build)
 
     p = sub.add_parser("lcp-verify", help="re-check a serialized LCP result")
     p.add_argument("--result", required=True)
-    p.set_defaults(fn=cmd_lcp_verify)
 
     p = sub.add_parser("code-info", help="parameters of a serialized code")
     p.add_argument("--code", required=True)
     p.add_argument("--sample", type=int, default=0,
                    help="sample this many random codewords instead of exhausting")
-    p.set_defaults(fn=cmd_code_info)
 
     return parser
 
@@ -362,11 +357,17 @@ def _preprocess(argv: list[str]) -> list[str]:
     return out
 
 
+_PARSER: _Parser | None = None  # built by the first main() call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = make_parser()
     try:
-        args = parser.parse_args(_preprocess(sys.argv[1:] if argv is None else list(argv)))
-        out = args.fn(args)
+        args = _PARSER.parse_args(_preprocess(sys.argv[1:] if argv is None else list(argv)))
+        # looked up at call time, so a cmd_* replaced on the module is the one run
+        out = globals()["cmd_" + args.command.replace("-", "_")](args)
     except KummerError as exc:
         sys.stderr.write(json.dumps(exc.payload(), sort_keys=True) + "\n")
         return 2

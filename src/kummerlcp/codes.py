@@ -61,6 +61,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -492,8 +493,10 @@ def verify_lcp_conditions(
     report.add("gcd degree", W.degree() == g - 1, f"deg gcd = {W.degree()}")
     _nonspecial_gminus1_report(curve, W, report, "gcd(G,H)")
 
-    D_div = Divisor((p, 1) for p in d_places)
-    reduced = divisor_lmd(G, H) - D_div - _chain_divisor(curve, certificates)
+    # lmd(G,H) - D - chain, built once over all their terms
+    chain_div = _chain_divisor(curve, certificates)
+    reduced = Divisor(chain(divisor_lmd(G, H).items(), ((p, -1) for p in d_places),
+                            ((p, -c) for p, c in chain_div.items())))
     bad = [p for p, c in reduced.items() if p.kind == AFFINE and c != -1]
     if bad:
         raise CertificateInvalidError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -145,13 +146,10 @@ class Divisor:
         return sum(c * p.degree for p, c in self._coeffs.items())
 
     def __add__(self, other: "Divisor") -> "Divisor":
-        merged = dict(self._coeffs)
-        for p, c in other._coeffs.items():
-            merged[p] = merged.get(p, 0) + c
-        return Divisor(merged)
+        return Divisor(chain(self._coeffs.items(), other._coeffs.items()))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + (-other)
+        return Divisor(chain(self._coeffs.items(), ((p, -c) for p, c in other._coeffs.items())))
 
     def __neg__(self) -> "Divisor":
         return Divisor({p: -c for p, c in self._coeffs.items()})

@@ -8,12 +8,17 @@ encodings are bit-identical across runs, machines and processes.  For e = 1
 the modulus is the formal polynomial x and the generator is the smallest
 primitive root g mod p.
 
-Every table comes from one construction.  Multiplication by the generator
-is an e x e matrix M over GF(p) acting on digit vectors: the companion
-matrix of the modulus, or [[g]] for a prime field.  The modulus scan tests
-the order of M by matrix powers, the log/antilog tables are the digit
-vectors of M^k e_0 (filled by doubling), and every other table is read off
-the logs, in prime fields too.  Fields up to q = 2^20 are supported.
+A field holds three tables: the antilog table `_exp`, the log table `_log`
+and the Zech table `_zech` for addition, plus `canon` for elimination
+(linalg), built on first use.  Multiplication by the generator is an e x e
+matrix M over GF(p) acting on digit vectors: the companion matrix of the
+modulus, or [[g]] for a prime field.  The modulus scan tests the order of M
+by matrix powers, the log/antilog tables are the digit vectors of M^k e_0
+(filled by doubling), and the Zech table is read off them.  Negation,
+inversion, powers and m-th roots are read off the logs, with no table of
+their own: -a = exp[log a + log(-1)], a^-1 = exp[(q-1) - log a],
+a^k = exp[log a (k mod (q-1)) mod (q-1)].  Fields up to q = 2^20 are
+supported.
 
 Multiplication is one antilog lookup for every field: log 0 is the sentinel
 S = 2(q-1), and the antilog table holds two periods of the generator's
@@ -32,6 +37,7 @@ one mod p, and no entry exceeds 2(q-1) < 2^21 in size.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -50,18 +56,7 @@ _FIELD_CACHE: dict[tuple[int, int], "Field"] = {}
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -157,7 +152,7 @@ class Field:
     __slots__ = (
         "p", "e", "q", "modulus",
         "_exp", "_log", "_digit_pows",
-        "_zech", "_canon", "_neg_t", "_inv_t",
+        "_zech", "_canon",
     )
 
     def __init__(self, p: int, e: int):
@@ -175,9 +170,6 @@ class Field:
         self.modulus = _canonical_modulus(p, e)
         self._digit_pows = tuple(p**i for i in range(e))
         self._build_log_tables()
-        # -1 is encoded as p - 1, so negation multiplies by g^log(p - 1)
-        self._neg_t = self._log_affine(1, int(self._log[p - 1]))
-        self._inv_t = self._log_affine(-1, 0)
         self._build_zech_table()
         self._canon = None
 
@@ -214,12 +206,6 @@ class Field:
         self._exp = np.zeros(4 * q1 + 1, dtype=np.int64)
         self._exp[:q1] = exp
         self._exp[q1:2 * q1] = exp
-
-    def _log_affine(self, scale: int, shift: int) -> np.ndarray:
-        """Table of a -> g^(scale * log a + shift), with 0 -> 0."""
-        out = self._exp[(scale * self._log + shift) % (self.q - 1)]
-        out[0] = 0
-        return out
 
     def _build_zech_table(self) -> None:
         # slice by slice: d for a = 0, Z(d mod (q-1)) for |d| <= q-1, 0 for b = 0
@@ -262,7 +248,7 @@ class Field:
         return self._exp.item(la + self._zech.item(self._log.item(b) - la + 2 * (self.q - 1)))
 
     def neg(self, a: int) -> int:
-        return int(self._neg_t[a])
+        return self._exp.item(self._log.item(a) + self._log.item(self.p - 1))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -273,20 +259,13 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZeroError("inverse of zero")
-        return int(self._inv_t[a])
+        return self._exp.item(self.q - 1 - self._log.item(a))
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, k: int) -> int:
-        if a == 0:
-            if k == 0:
-                return 1
-            if k < 0:
-                raise DivisionByZeroError("negative power of zero")
-            return 0
-        la = int(self._log[a])
-        return int(self._exp[(la * k) % (self.q - 1)])
+        return int(self.vpow(a, k))
 
     # -- vectorized arithmetic on int64 numpy arrays ----------------------
 
@@ -297,8 +276,8 @@ class Field:
         return self._exp[la + self._zech[d]]
 
     def vneg(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        return self._neg_t[a]
+        # -1 is encoded as p - 1; log 0 + log(-1) < 3(q-1) stays in the zero tail
+        return self._exp[self._log[np.asarray(a, dtype=np.int64)] + self._log.item(self.p - 1)]
 
     def vsub(self, a, b):
         return self.vadd(a, self.vneg(b))
@@ -312,18 +291,18 @@ class Field:
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise DivisionByZeroError("inverse of zero")
-        return self._inv_t[a]
+        return self._exp[(self.q - 1) - self._log[a]]
 
     def vpow(self, a, k: int):
+        """a^k for every integer k.  k is reduced mod q-1 first, so the int64
+        product cannot overflow; the sentinel log 0 times k is 0 mod q-1, so
+        0^k reads 1, right for k = 0 and masked to 0 for k > 0."""
         a = np.asarray(a, dtype=np.int64)
-        if k == 0:
-            return np.ones_like(a)
-        if k < 0:
-            return self.vpow(self.vinv(a), -k)
-        # k is reduced first so that the int64 product cannot overflow; k
-        # times the sentinel is 0 mod q-1, so zeros are masked afterwards
-        out = self._exp[self._log[a] * (k % (self.q - 1)) % (self.q - 1)]
-        return np.where(a == 0, 0, out)
+        if k < 0 and np.any(a == 0):
+            raise DivisionByZeroError("negative power of zero")
+        q1 = self.q - 1
+        out = self._exp[self._log[a] * (k % q1) % q1]
+        return out * (a != 0) if k > 0 else out
 
     # -- elements ----------------------------------------------------------
 
@@ -439,17 +418,23 @@ def field_from_json(obj: dict) -> Field:
 
 
 def mth_roots(field: Field, c, m: int) -> list[FieldElement]:
-    """All y in GF(q) with y^m = c, sorted by encoding.
+    """All y in GF(q) with y^m = c, sorted by encoding; [] for c outside [0, q).
 
-    Exhaustive over the field (vectorized): for c != 0 the count is 0 or
-    gcd(m, q-1); for c = 0 the only root is 0.
+    Read off the logs.  The only root of 0 is 0.  For a unit c and
+    d = gcd(m, q-1), y = g^u is a root iff u m = log c mod q-1, which is
+    solvable iff d divides log c; the d roots are then g^(u0 + t(q-1)/d),
+    t < d, with u0 = (log c / d) (m/d)^-1 mod (q-1)/d.
     """
     cenc = encoding(field, c)
-    if json_int(m) < 1:
+    m = json_int(m)
+    if m < 1:
         raise ValueError("m must be >= 1")
     if cenc == 0:
         return [field.zero()]
-    vals = np.arange(field.q, dtype=np.int64)
-    powers = field.vpow(vals, m)
-    hits = np.nonzero(powers == cenc)[0]
-    return [FieldElement(field, int(v)) for v in hits]
+    q1 = field.q - 1
+    d = math.gcd(m, q1)
+    if not 0 < cenc <= q1 or field._log.item(cenc) % d:
+        return []
+    n = q1 // d
+    u0 = field._log.item(cenc) // d * pow(m // d, -1, n) % n
+    return [FieldElement(field, int(v)) for v in np.sort(field._exp[u0 + n * np.arange(d)])]

@@ -418,6 +418,39 @@ def test_error_exit_code(h3_file):
     assert err["error"] == "Usage"
 
 
+def main_in_process(*argv):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("dim", "--alpha", "1,2"),
+    ("dim", "--alpha", "1,2,3,4"),
+    ("nonspecial-check", "--alpha", "1,2,3,4"),
+    ("nonspecial-enumerate", "--family", "unit"),
+], ids=["dim-places-length", "dim-tuple-length", "nonspecial-check", "nonspecial-enumerate"])
+def test_places_and_tuple_are_exclusive(h3_file, argv):
+    # --tuple all-ramified used to win silently over --places
+    code, out, err = main_in_process(*argv[:1], "--curve", h3_file, *argv[1:],
+                                     "--places", "root:0,root:1", "--tuple", "all-ramified")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "Usage"
+
+
+def test_main_runs_the_command_function_of_the_moment(monkeypatch, h3_file):
+    # the parser is built once per process, but a cmd_* replaced after it is
+    # built is the one that runs (the benchmark's tracer wraps them so)
+    assert main_in_process("curve-info", "--curve", h3_file)[0] == 0
+    parser = cli._PARSER
+    monkeypatch.setattr(cli, "cmd_curve_info", lambda args: {"replaced": args.curve})
+    code, out, _ = main_in_process("curve-info", "--curve", h3_file)
+    assert code == 0 and json.loads(out) == {"replaced": h3_file}
+    assert cli._PARSER is parser
+
+
 def test_bad_or_missing_alpha_rejected(h3_file):
     places = ["--places", "root:0,root:1,root:2"]
     proc = run_cli("dim", "--curve", h3_file, *places, "--alpha", "1,x,3", expect=2)

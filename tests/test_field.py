@@ -18,7 +18,7 @@ from kummerlcp.errors import (
     TooLargeError,
 )
 
-from conftest import FIELD_CHOICES
+from conftest import BIG_FIELDS, FIELD_CHOICES
 
 
 def naive_gf9_canonical_modulus():
@@ -258,9 +258,9 @@ def check_tables_against_reference(f, sample=20000):
     assert not f._exp[2 * (q - 1):].any(), f
     assert f._log[0] == 2 * (q - 1) and np.array_equal(f._log[1:], log[1:]), f
     units = np.arange(1, q)
-    assert f._neg_t[0] == 0 and f._inv_t[0] == 0
-    assert np.array_equal(f._neg_t, digitwise(f, lambda x, _: -x, np.arange(q), 0)), f
-    assert np.array_equal(f._inv_t[units], exp[(-log[units]) % (q - 1)]), f
+    assert f.vneg(0) == 0 and f.neg(0) == 0
+    assert np.array_equal(f.vneg(np.arange(q)), digitwise(f, lambda x, _: -x, np.arange(q), 0)), f
+    assert np.array_equal(f.vinv(units), exp[(-log[units]) % (q - 1)]), f
 
     def ref_mul(a, b):
         return np.where((a == 0) | (b == 0), 0, exp[(log[a] + log[b]) % (q - 1)])
@@ -352,9 +352,13 @@ def test_log_tables_filled_in_small_chunks(monkeypatch, p, e):
     ref = K.field_create(p, e)
     monkeypatch.setattr(K.field, "_DIGIT_CHUNK", 7)
     small = K.field.Field(p, e)
-    for name in ("_exp", "_log", "_neg_t", "_inv_t", "_zech"):
+    for name in ("_exp", "_log", "_zech"):
         a, b = getattr(ref, name), getattr(small, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    a, units = np.arange(ref.q), np.arange(1, ref.q)
+    for op, arg in (("vneg", a), ("vinv", units)):
+        x, y = getattr(ref, op)(arg), getattr(small, op)(arg)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_gf3_10_modulus():
@@ -451,3 +455,95 @@ def test_canon_table_reads_sums_of_logs_back(p, e):
     k = np.arange(4 * q1 + 1)
     assert canon.dtype == np.int32 and canon is f._canon_table()
     assert np.array_equal(canon, np.where(k < 2 * q1, k % q1, 2 * q1))
+
+
+@pytest.mark.parametrize("p,e", FIELD_CHOICES + BIG_FIELDS + [(2, 20)])
+def test_vneg_vinv_read_off_the_logs(p, e):
+    # bit-identical to the negation and inversion tables they replace:
+    # exp[(log a + log(-1)) mod (q-1)] and exp[-log a mod (q-1)], 0 -> 0
+    f = K.field_create(p, e)
+    q1, a = f.q - 1, np.arange(f.q)
+    log, exp = f._log[a], f._exp[:q1]
+    neg = np.where(a == 0, 0, exp[(log + f._log[p - 1]) % q1])
+    got = f.vneg(a)
+    assert got.dtype == np.int64 and np.array_equal(got, neg)
+    got = f.vinv(a[1:])
+    assert got.dtype == np.int64 and np.array_equal(got, exp[-log[1:] % q1])
+    sample = np.random.default_rng(f.q).integers(1, f.q, 200).tolist()
+    assert [f.neg(x) for x in [0] + sample] == neg[[0] + sample].tolist()
+    assert [f.inv(x) for x in sample] == exp[-log[sample] % q1].tolist()
+    with pytest.raises(DivisionByZeroError):
+        f.vinv(a[:3])
+    with pytest.raises(DivisionByZeroError):
+        f.inv(0)
+
+
+@pytest.mark.parametrize("p,e", FIELD_CHOICES + [(2, 11), (1021, 1)])
+def test_pow_and_vpow_for_every_sign_of_k(p, e):
+    # a^k = exp[log a * k mod (q-1)] for units, in Python integers; 0^0 = 1,
+    # 0^k = 0 for k > 0, and 0^k for k < 0 raises
+    f = K.field_create(p, e)
+    q, q1 = f.q, f.q - 1
+    units = np.random.default_rng(q).integers(1, q, 64)
+    for k in (-10**30, -q, -1, 0, 1, q1, q, 10**30):
+        want = [f._exp.item(f._log.item(a) * k % q1) for a in units.tolist()]
+        assert f.vpow(units, k).tolist() == want, k
+        assert [f.pow(a, k) for a in units.tolist()] == want, k
+        if k < 0:
+            with pytest.raises(DivisionByZeroError):
+                f.pow(0, k)
+            with pytest.raises(DivisionByZeroError):
+                f.vpow(np.array([1, 0]), k)
+        else:
+            assert f.pow(0, k) == int(k == 0), k
+            assert f.vpow(np.array([0, 1]), k).tolist() == [int(k == 0), 1], k
+
+
+def mth_roots_by_scan(f, m):
+    """The roots of y^m = c for every c, by raising every element of the field
+    to the m-th power (square and multiply with vmul)."""
+    vals, powers, base, k = np.arange(f.q), np.ones(f.q, dtype=np.int64), np.arange(f.q), m
+    while k:
+        if k & 1:
+            powers = f.vmul(powers, base)
+        base, k = f.vmul(base, base), k >> 1
+    order = np.argsort(powers, kind="stable")
+    bounds = np.searchsorted(powers[order], np.arange(f.q + 1))
+    return [vals[order[bounds[c]:bounds[c + 1]]].tolist() for c in range(f.q)]
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (2, 8), (3, 6), (1021, 1)])
+def test_mth_roots_match_the_field_scan(p, e):
+    f = K.field_create(p, e)
+    for m in (1, 2, 3, 4, 7, f.q - 1, f.q + 1):
+        want = mth_roots_by_scan(f, m)
+        for c in range(f.q):
+            assert [r.enc for r in K.mth_roots(f, c, m)] == want[c], (m, c)
+        assert K.mth_roots(f, -1, m) == K.mth_roots(f, f.q, m) == []
+
+
+def test_is_prime_against_a_sieve():
+    sieve = np.ones(5000, dtype=bool)
+    sieve[:2] = False
+    for n in range(2, 71):
+        sieve[n * n::n] = False
+    assert [n for n in range(-3, 5000) if field_mod._is_prime(n)] == np.flatnonzero(sieve).tolist()
+
+
+def test_mth_roots_memory_on_gf2_20():
+    # read off the logs, mth_roots allocates nothing of the field's size; the
+    # scan over the field it replaces peaked about 20 MB above the field's
+    # build.  tracemalloc sees numpy's buffers and, unlike ru_maxrss, is not
+    # raised by the RSS of the process that starts the child
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = ("import tracemalloc, kummerlcp as K\n"
+              "f = K.field_create(2, 20)\n"
+              "tracemalloc.start()\n"
+              "for c, m in ((5, 41), (5, 3), (7, 1 << 20)):\n    K.mth_roots(f, c, m)\n"
+              "print(tracemalloc.get_traced_memory()[1] / 2**20)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 5, f"mth_roots allocated {proc.stdout.strip()} MB at its peak"
