@@ -11,9 +11,8 @@ which is all the divisor bookkeeping ever needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, KeysView, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,8 +39,7 @@ _KIND_RANK = {INF: 0, ROOT: 1, BUNDLE: 2, AFFINE: 3}
 _FIELD_SLICE = 1 << 14  # field elements per slice while the fiber table is built
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """A tagged place of the function field (all enumerated places rational).
 
     kind "inf": the place at infinity (requires gcd(deg f, m) = 1).
@@ -49,6 +47,9 @@ class Place:
     kind "aff": the rational place at an affine point (x0, y0), f(x0) != 0.
     kind "bundle": the formal sum of all places over root k when
         gcd(lambda_k, m) > 1; its degree is that gcd.
+
+    A named tuple, so hashing and equality run in C; a place therefore
+    also equals the plain tuple of its five fields.
     """
 
     kind: str
@@ -108,10 +109,11 @@ def parse_place(curve: "KummerCurve", s: str) -> Place:
 
 
 class Divisor:
-    """Finite formal Z-combination of places, stored sparsely.  Coefficients
-    are read by field.json_int: a bool, float or str raises TypeError."""
+    """Finite formal Z-combination of places, stored sparsely and immutable.
+    Coefficients are read by field.json_int: a bool, float or str raises
+    TypeError.  The sorted items and the hash are computed once, on first use."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_items", "_hash")
 
     def __init__(self, coeffs: Mapping[Place, int] | Iterable[tuple[Place, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -120,10 +122,22 @@ class Divisor:
             c = json_int(c)
             if c == 0:
                 continue
-            d[place] = d.get(place, 0) + c
-            if d[place] == 0:
+            c += d.get(place, 0)
+            if c:
+                d[place] = c
+            else:
                 del d[place]
         self._coeffs = d
+        self._items = self._hash = None
+
+    @staticmethod
+    def _checked(coeffs: dict[Place, int]) -> "Divisor":
+        """The divisor with exactly these coefficients, taken as they are: every
+        one a nonzero int that a Divisor has already read."""
+        D = object.__new__(Divisor)
+        D._coeffs = coeffs
+        D._items = D._hash = None
+        return D
 
     @staticmethod
     def zero() -> "Divisor":
@@ -137,10 +151,16 @@ class Divisor:
         return self._coeffs.get(place, 0)
 
     def items(self) -> list[tuple[Place, int]]:
-        return sorted(self._coeffs.items(), key=lambda pc: pc[0].sort_key())
+        if self._items is None:
+            self._items = sorted(self._coeffs.items(), key=lambda pc: pc[0].sort_key())
+        return list(self._items)
 
     def support(self) -> list[Place]:
         return [p for p, _ in self.items()]
+
+    def support_set(self) -> KeysView[Place]:
+        """The support as an unordered, set-like view."""
+        return self._coeffs.keys()
 
     def degree(self) -> int:
         return sum(c * p.degree for p, c in self._coeffs.items())
@@ -152,7 +172,7 @@ class Divisor:
         return Divisor(chain(self._coeffs.items(), ((p, -c) for p, c in other._coeffs.items())))
 
     def __neg__(self) -> "Divisor":
-        return Divisor({p: -c for p, c in self._coeffs.items()})
+        return Divisor._checked({p: -c for p, c in self._coeffs.items()})
 
     def __mul__(self, k: int) -> "Divisor":
         return Divisor({p: k * c for p, c in self._coeffs.items()})
@@ -163,7 +183,9 @@ class Divisor:
         return isinstance(other, Divisor) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self._coeffs.items()))
+        return self._hash
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -369,13 +391,15 @@ class KummerCurve:
         """Principal divisor of a generator function: kind "y", or "x-b".
 
         For "x-b" the places over b must be enumerable: b is a root of f or
-        its fiber splits completely into m rational points.
+        its fiber splits completely into m rational points.  Every
+        coefficient is a nonzero int over a distinct place, so the divisor is
+        built without re-reading them.
         """
         if kind == "y":
             entries = [self.branch_divisor_entry(k, lam // d)
                        for k, ((_, lam), d) in enumerate(zip(self.roots, self.root_gcds))]
             entries.append(self._infinity_entry(-self.deg_f))
-            return Divisor(entries)
+            return Divisor._checked(dict(entries))
         if kind == "x-b":
             if b is None:
                 raise UnsupportedPlaceStructureError("x-b requires the value b")
@@ -386,8 +410,9 @@ class KummerCurve:
                 )
             for k, (a, _) in enumerate(self.roots):
                 if a == b_enc:
-                    return Divisor([self.branch_divisor_entry(k, self.m // self.root_gcds[k]),
-                                    self._infinity_entry(-self.m)])
+                    return Divisor._checked(dict([
+                        self.branch_divisor_entry(k, self.m // self.root_gcds[k]),
+                        self._infinity_entry(-self.m)]))
             ys = self.fiber(b_enc)
             if len(ys) != self.m:
                 raise UnsupportedPlaceStructureError(
@@ -395,7 +420,7 @@ class KummerCurve:
                 )
             entries = [(Place.affine(b_enc, y0), 1) for y0 in ys]
             entries.append(self._infinity_entry(-self.m))
-            return Divisor(entries)
+            return Divisor._checked(dict(entries))
         raise ValueError(f"unknown generator kind {kind!r}")
 
     # -- serialization ---------------------------------------------------------

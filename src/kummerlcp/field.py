@@ -395,6 +395,8 @@ def field_create(p: int, e: int) -> Field:
 def json_int(value) -> int:
     """An integer read from JSON: a Python or numpy integer, never a bool, a
     float or a string, which int() would truncate or parse.  TypeError else."""
+    if value.__class__ is int:
+        return value
     if isinstance(value, (int, np.integer)) and value.__class__ is not bool:
         return int(value)
     raise TypeError(f"expected an integer, got {value!r}")

@@ -51,16 +51,17 @@ from .errors import (
     NotSeparableError,
     NotTotallyRamifiedError,
 )
-from .semigroup import QTuple, dim_by_formula
+from .semigroup import QTuple, ResidueTable, dim_by_formula
 
 
-def _residue_counts(qtuple: QTuple, alpha: Sequence[int]) -> tuple[int, int]:
+def _residue_counts(table: ResidueTable, alpha: Sequence[int]) -> tuple[int, int]:
     """(J, packed c): J = sum floor(alpha_k/m), c packs c_i = #{k : r_k < shift_k(i)}."""
-    if len(alpha) != qtuple.n:
+    words = table.words
+    if len(alpha) != len(words):
         raise IndexOutOfRangeError("alpha length does not match tuple size")
-    m = qtuple.curve.m
+    m = table.m
     floors = counts = 0
-    for a, word in zip(alpha, qtuple._residue_table.words):
+    for a, word in zip(alpha, words):
         floors += a // m
         counts += word[a % m]
     return floors, counts
@@ -68,8 +69,9 @@ def _residue_counts(qtuple: QTuple, alpha: Sequence[int]) -> tuple[int, int]:
 
 def nonspecial_gminus1(qtuple: QTuple, alpha: Sequence[int]) -> bool:
     """True iff sum alpha_k Q_k is a non-special divisor of degree g-1."""
-    floors, counts = _residue_counts(qtuple, alpha)
-    ok = floors == -1 and counts == qtuple._residue_table.gminus1
+    table = qtuple._residue_table
+    floors, counts = _residue_counts(table, alpha)
+    ok = floors == -1 and counts == table.gminus1
     if ok and (sum(alpha) != qtuple.curve.genus() - 1 or dim_by_formula(qtuple, alpha) != 0):
         raise InternalInvariantError(f"criterion accepts {list(alpha)}, which is not "
                                      "non-special of degree g-1")
@@ -78,8 +80,8 @@ def nonspecial_gminus1(qtuple: QTuple, alpha: Sequence[int]) -> bool:
 
 def nonspecial_g(qtuple: QTuple, alpha: Sequence[int]) -> bool:
     """True iff sum alpha_k Q_k is a non-special divisor of degree g."""
-    floors, counts = _residue_counts(qtuple, alpha)
     table = qtuple._residue_table
+    floors, counts = _residue_counts(table, alpha)
     if floors == 0:
         ok = counts == table.g_floors0
     else:
@@ -97,7 +99,8 @@ def nonspecial_effective_g(qtuple: QTuple, alpha: Sequence[int]) -> bool:
     if any(not 0 <= a <= m - 1 for a in alpha):
         raise AlphaOutOfRangeError("effective criterion needs alpha in [0, m-1]^n")
     # every floor is 0 on the box
-    return _residue_counts(qtuple, alpha)[1] == qtuple._residue_table.g_floors0
+    table = qtuple._residue_table
+    return _residue_counts(table, alpha)[1] == table.g_floors0
 
 
 @dataclass(frozen=True)
@@ -319,7 +322,7 @@ def covering_tuple(curve: KummerCurve, D: Divisor) -> QTuple:
     neither criterion, so the widest admissible tuple is used.
     """
     all_places = curve.totally_ramified_places()
-    support = set(D.support())
+    support = D.support_set()
     if not support <= set(all_places):
         raise NotTotallyRamifiedError(
             "divisor support must lie in the totally ramified places"

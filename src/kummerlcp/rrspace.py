@@ -72,18 +72,26 @@ def _branch_coefficients(curve: KummerCurve, D: Divisor) -> tuple[list[int], int
     return root_c, inf_c
 
 
+def _restrict(curve: KummerCurve, root_c: list[int], inf_c: int, i: int) -> XLineDivisor:
+    """restrict_to_xline from D's branch coefficients (_branch_coefficients)."""
+    m = curve.m
+    coeffs = tuple((c * d + i * lam) // m
+                   for c, d, (_, lam) in zip(root_c, curve.root_gcds, curve.roots))
+    return XLineDivisor(coeffs, (inf_c - i * curve.deg_f) // m)
+
+
 def restrict_to_xline(curve: KummerCurve, D: Divisor, i: int) -> XLineDivisor:
     """The largest x-line divisor A with y^i * L_x(A) inside L(D), stratum i."""
     if not 0 <= i <= curve.m - 1:
         raise UnsupportedSupportError(f"stratum {i} outside [0, {curve.m - 1}]")
+    return _restrict(curve, *_branch_coefficients(curve, D), i)
+
+
+def _xline_divisors(curve: KummerCurve, D: Divisor) -> list[XLineDivisor]:
+    """restrict_to_xline(curve, D, i) for i = 0, ..., m-1, with D's branch
+    coefficients read once."""
     root_c, inf_c = _branch_coefficients(curve, D)
-    m = curve.m
-    coeffs = tuple(
-        (root_c[k] * curve.root_gcds[k] + i * lam) // m
-        for k, (_, lam) in enumerate(curve.roots)
-    )
-    inf = (inf_c - i * curve.deg_f) // m
-    return XLineDivisor(coeffs, inf)
+    return [_restrict(curve, root_c, inf_c, i) for i in range(curve.m)]
 
 
 def basis_strata(curve: KummerCurve, D: Divisor) -> list[tuple[int, XLineDivisor]]:
@@ -94,12 +102,7 @@ def basis_strata(curve: KummerCurve, D: Divisor) -> list[tuple[int, XLineDivisor
     factored form: evaluation_rows evaluates it factor by factor, and only
     rr_basis expands it into polynomials.
     """
-    out = []
-    for i in range(curve.m):
-        a = restrict_to_xline(curve, D, i)
-        if a.degree >= 0:
-            out.append((i, a))
-    return out
+    return [(i, a) for i, a in enumerate(_xline_divisors(curve, D)) if a.degree >= 0]
 
 
 def rr_basis(curve: KummerCurve, D: Divisor) -> list[CurveFunction]:
@@ -121,10 +124,7 @@ def rr_basis(curve: KummerCurve, D: Divisor) -> list[CurveFunction]:
 def dim_by_decomposition(curve: KummerCurve, D: Divisor) -> int:
     """Riemann-Roch dimension summed over strata; independent of the
     closed-form route and valid for any number of support places."""
-    total = 0
-    for i in range(curve.m):
-        total += max(0, restrict_to_xline(curve, D, i).degree + 1)
-    return total
+    return sum(max(0, a.degree + 1) for a in _xline_divisors(curve, D))
 
 
 def _split_affine_drops(curve: KummerCurve, D: Divisor) -> tuple[Divisor, list[Place]]:

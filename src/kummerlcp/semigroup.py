@@ -12,11 +12,13 @@ where shift_k(i) = (i * lambda_k) mod m and gaps(i) is the per-stratum gap
 count whose sum over i = 1..m-1 is the genus.  The gap vector
 (gaps(1), ..., gaps(m-1)) is computed once per curve and cached on it by
 KummerCurve.gap_vector, next to the genus; everything here reads that
-vector.  Each QTuple caches its stratum shifts and, for the non-special
-criteria, its packed residue table.  Counting distinct first
-coordinates of the elements dominated by alpha gives the Riemann-Roch
-dimension of the divisor sum alpha_k Q_k; the same count collapses to a
-closed floor-sum formula.  Both are implemented here and cross-checked
+vector.  Each QTuple caches its stratum shifts, the plan dim_by_formula
+sums from (m repeated n times, and n - gaps(i) with stratum i's shifts for
+each i >= 1, so a call is C-level maps over alpha) and, for the non-special
+criteria, its packed residue table.  Counting distinct first coordinates of
+the elements dominated by alpha gives the Riemann-Roch dimension of the
+divisor sum alpha_k Q_k; the same count collapses to a closed floor-sum
+formula.  Both are implemented here and cross-checked
 against an independent decomposition oracle elsewhere.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import floordiv, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .curve import Divisor, KummerCurve, Place
@@ -60,7 +63,8 @@ def gap_count(curve: KummerCurve, i: int) -> int:
 
 class ResidueTable(NamedTuple):
     """A tuple's packed residue-count words and the packed counts at which
-    the non-special criteria accept (see the nonspecial module).
+    the non-special criteria accept (see the nonspecial module), with the
+    curve's m.
 
     words[k][r] sets field i - 1 for every stratum i with r < shift_k(i).
     With floors J = sum floor(alpha_k/m), the degree-(g-1) criterion accepts
@@ -69,6 +73,7 @@ class ResidueTable(NamedTuple):
     or an empty set: no count vector in [0, n]^(m-1) is accepted.
     """
 
+    m: int
     words: tuple[tuple[int, ...], ...]
     gminus1: int | None
     g_floors0: int | None
@@ -145,8 +150,16 @@ class QTuple:
         one_over = () if gminus1 is None else (
             gminus1 - (1 << (b * (i - 1)))
             for i, g in enumerate(gaps, start=1) if n - 2 - g >= 0)
-        return ResidueTable(tuple(words), gminus1, pack([n - g for g in gaps]),
+        return ResidueTable(m, tuple(words), gminus1, pack([n - g for g in gaps]),
                             frozenset(one_over))
+
+    @cached_property
+    def _formula_plan(self) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+        """(m repeated n times, ((n - gaps(i), shifts(i)) for i = 1..m-1)),
+        what dim_by_formula sums from."""
+        n = self.n
+        return (self.curve.m,) * n, tuple((n - g, self.shifts(i))
+                                         for i, g in enumerate(self.curve.gap_vector(), start=1))
 
     def shifts(self, i: int) -> tuple[int, ...]:
         """Per-place stratum shifts; i = 0 gives all zeros."""
@@ -165,8 +178,7 @@ class QTuple:
 
     def alpha_of(self, D: Divisor) -> list[int]:
         """Coefficient vector of a divisor supported on this tuple."""
-        support = set(D.support())
-        extra = support - set(self.places)
+        extra = D.support_set() - set(self.places)
         if extra:
             raise NotTotallyRamifiedError(f"divisor has support outside the tuple: {extra}")
         return [D.coeff(p) for p in self.places]
@@ -243,13 +255,12 @@ def dim_by_formula(qtuple: QTuple, alpha: Sequence[int]) -> int:
     max(0, 1 + sum floor(alpha_k/m))
       + sum over i=1..m-1 of max(0, n - gaps(i) + sum floor((alpha_k - shift_k(i))/m)).
     """
-    if len(alpha) != qtuple.n:
+    ms, strata = qtuple._formula_plan
+    if len(alpha) != len(ms):
         raise IndexOutOfRangeError("alpha length does not match tuple size")
-    m = qtuple.curve.m
-    n = qtuple.n
-    total = max(0, 1 + sum(a // m for a in alpha))
-    for i, gaps in enumerate(qtuple.curve.gap_vector(), start=1):
-        shifts = qtuple.shifts(i)
-        s = sum((a - t) // m for a, t in zip(alpha, shifts))
-        total += max(0, n - gaps + s)
+    total = max(0, 1 + sum(map(floordiv, alpha, ms)))
+    for base, shifts in strata:
+        term = base + sum(map(floordiv, map(sub, alpha, shifts), ms))
+        if term > 0:
+            total += term
     return total

@@ -188,3 +188,16 @@ def random_tuple(rng: random.Random, curve: "K.KummerCurve") -> "K.QTuple | None
         return None
     n = rng.randint(2, hi)
     return K.QTuple.of(curve, sorted(rng.sample(places, n), key=lambda p: p.sort_key()))
+
+
+def per_stratum_dim_by_formula(qtuple: "K.QTuple", alpha) -> int:
+    """The closed-form dimension written out stratum by stratum, from the
+    tuple's shifts and the curve's gap vector:
+    max(0, 1 + sum floor(alpha_k/m))
+      + sum over i of max(0, n - gaps(i) + sum floor((alpha_k - shift_k(i))/m))."""
+    m, n = qtuple.curve.m, qtuple.n
+    total = max(0, 1 + sum(a // m for a in alpha))
+    for i, gaps in enumerate(qtuple.curve.gap_vector(), start=1):
+        s = sum((a - t) // m for a, t in zip(alpha, qtuple.shifts(i)))
+        total += max(0, n - gaps + s)
+    return total

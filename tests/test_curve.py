@@ -23,6 +23,7 @@ from kummerlcp.errors import (
     PoleAtPlaceError,
     UnsupportedPlaceStructureError,
 )
+from kummerlcp.field import json_int
 
 from conftest import BIG_FIELDS, hermitian, random_big_curve, random_curve
 
@@ -187,22 +188,23 @@ def test_fiber_table_is_the_same_in_any_slices(monkeypatch, p, e):
 
 def test_fiber_table_memory_on_gf2_20():
     # y^41 = x(x+1) over GF(2^20): the table keeps three int64 arrays over the
-    # field (24 MB).  Built slice by slice it raises peak RSS about 28 MB above
-    # the field's own build; f and the m-th powers over the whole field at
-    # once raised it 52 MB.  In a child process, whose peak is this build's
+    # field (24 MB).  Built slice by slice its traced peak is about 29 MB; f
+    # and the m-th powers over the whole field at once peak at about 76 MB.
+    # tracemalloc sees numpy's buffers and, unlike ru_maxrss, is not raised
+    # by the RSS of the process that starts the child
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    script = ("import resource, kummerlcp as K\n"
-              "def peak():\n    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+    script = ("import tracemalloc, kummerlcp as K\n"
               "f = K.field_create(2, 20)\n"
-              "before = peak()\n"
-              "K.curve_create(f, 41, 1, [(0, 1), (1, 1)])._fiber_table()\n"
-              "print(peak() - before)\n")
+              "curve = K.curve_create(f, 41, 1, [(0, 1), (1, 1)])\n"
+              "tracemalloc.start()\n"
+              "curve._fiber_table()\n"
+              "print(tracemalloc.get_traced_memory()[1] / 2**20)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 40, f"the fiber table raised peak RSS by {proc.stdout.strip()} MB"
+    assert float(proc.stdout) < 40, f"the fiber table allocated {proc.stdout.strip()} MB at its peak"
 
 
 def test_genus_matches_riemann_hurwitz_on_random_curves():
@@ -329,6 +331,66 @@ def test_divisor_coefficients_are_integers():
     assert d == K.Divisor.of((inf, 2)) and type(d.coeff(inf)) is int
     with pytest.raises(TypeError):
         2.5 * d
+
+
+def test_places_from_constructors_equal_parsed_places(h3, bundle_curve):
+    cases = [(h3, K.Place.infinity(), "inf"), (h3, K.Place.root(2), "root:2"),
+             (h3, K.Place.affine(3, 5), "aff:3:5"), (bundle_curve, K.Place.bundle(1, 2), "bundle:1")]
+    for curve, place, text in cases:
+        parsed = K.parse_place(curve, text)
+        assert parsed == place and hash(parsed) == hash(place) and {place: 1}[parsed] == 1
+        assert parsed.id() == repr(parsed) == text
+    assert K.Place.bundle(1, 2).degree == 2 and K.Place.root(1).degree == 1
+
+
+def test_places_of_different_kinds_never_equal():
+    # the same index, x, y and degree under each kind
+    places = [K.Place(kind, index=0, x=0, y=0, degree=1)
+              for kind in (curve_mod.INF, curve_mod.ROOT, curve_mod.BUNDLE, curve_mod.AFFINE)]
+    assert all(p != q for i, p in enumerate(places) for q in places[i + 1:])
+    assert len(set(places)) == len(places)
+    assert K.Place.root(0) != K.Place.bundle(0, 1) != K.Place.infinity()
+
+
+def test_divisor_items_order():
+    inf, r0, r2 = K.Place.infinity(), K.Place.root(0), K.Place.root(2)
+    b1, a = K.Place.bundle(1, 2), K.Place.affine
+    want = [(inf, 1), (r0, -2), (r2, 3), (b1, 4), (a(1, 2), -1), (a(1, 5), -1), (a(3, 0), 6)]
+    for order in (want, want[::-1], want[3:] + want[:3]):
+        d = K.Divisor(order)
+        assert d.items() == want
+        assert d.support() == [p for p, _ in want]
+        assert sorted(d.support_set(), key=lambda p: p.sort_key()) == d.support()
+
+
+def test_divisor_is_immutable_with_cached_hash(h3):
+    inf, r0, r1 = K.Place.infinity(), h3.root_place(0), h3.root_place(1)
+    d = K.Divisor.of((r1, 2), (inf, -3), (r0, 1))
+    assert hash(d) == hash(frozenset(d.items())) == hash(d)
+    items = d.items()
+    items.append((h3.root_place(2), 7))
+    items[0] = (inf, 99)
+    assert d.items() == [(inf, -3), (r0, 1), (r1, 2)]
+    assert d.coeff(h3.root_place(2)) == 0 and d.coeff(inf) == -3 and d.degree() == 0
+    zero = K.Divisor.zero()
+    assert d * 0 == 0 * d == zero and not d * 0 and (d * 0).items() == []
+    assert -d == K.Divisor.of((r1, -2), (inf, 3), (r0, -1))
+    assert hash(-d) == hash(frozenset((-d).items()))
+    assert d + -d == d - d == zero and hash(d - d) == hash(zero)
+    assert d + K.Divisor.of((r0, -1)) == K.Divisor.of((inf, -3), (r1, 2))
+    assert (d - K.Divisor.of((r1, 2))).support() == [inf, r0]
+
+
+def test_json_int_refuses_non_integers():
+    for good in (3, -7, 10 ** 30, np.int64(4), np.int32(-2), np.uint8(9)):
+        got = json_int(good)
+        assert got == good and type(got) is int
+    inf = K.Place.infinity()
+    for bad in (True, False, np.bool_(True), np.bool_(False), 2.0, np.float64(2.0), "3", None):
+        with pytest.raises(TypeError):
+            json_int(bad)
+        with pytest.raises(TypeError):
+            K.Divisor.of((inf, bad))
 
 
 def test_curve_serialization_roundtrip(h3, z_curve):

@@ -17,7 +17,7 @@ from kummerlcp.errors import (
 )
 from kummerlcp.nonspecial import DivisorFamily, FamilyObstruction
 
-from conftest import random_curve, random_tuple
+from conftest import per_stratum_dim_by_formula, random_curve, random_tuple
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -370,6 +370,26 @@ def test_criteria_match_floor_sum_oracle_on_boxes(name, request):
                 # every floor is 0 on the box: the effective criterion is degree g with J = 0
                 assert K.nonspecial_effective_g(tup, box) == expected[1], box
     assert accepted > 0
+
+
+@pytest.mark.parametrize("name", ["h3", "h5"])
+def test_criteria_match_per_stratum_dimension_on_boxes(name, request):
+    # the whole box, with floor sum J = -1 (first place shifted by -m) and J = 0
+    curve = request.getfixturevalue(name)
+    tup = K.QTuple.all_ramified(curve)
+    m, g = curve.m, curve.genus()
+    accepted = [0, 0]
+    for box in itertools.product(range(m), repeat=tup.n):
+        for s0 in (-m, 0):
+            alpha = list(box)
+            alpha[0] += s0
+            deg, dim = sum(alpha), per_stratum_dim_by_formula(tup, alpha)
+            assert K.dim_by_formula(tup, alpha) == dim, alpha
+            verdicts = (K.nonspecial_gminus1(tup, alpha), K.nonspecial_g(tup, alpha))
+            assert verdicts == (deg == g - 1 and dim == 0, deg == g and dim == 1), alpha
+            accepted[0] += verdicts[0]
+            accepted[1] += verdicts[1]
+    assert min(accepted) > 0
 
 
 def test_criteria_match_floor_sum_oracle_random():

@@ -11,7 +11,12 @@ from kummerlcp.errors import (
     UnsupportedPlaceStructureError,
     UnsupportedSupportError,
 )
-from kummerlcp.rrspace import _basis_rows, dim_with_simple_affine_drops, evaluation_rows
+from kummerlcp.rrspace import (
+    _basis_rows,
+    basis_strata,
+    dim_with_simple_affine_drops,
+    evaluation_rows,
+)
 
 from conftest import BIG_FIELDS, random_big_curve, random_curve, random_tuple
 
@@ -348,6 +353,28 @@ def test_bundle_restriction(bundle_curve):
     got = K.dim_by_decomposition(c, D)
     # deg D = 2*2 + 1 = 5 >= 2g-1 = 1, so the dimension is deg + 1 - g
     assert got == 5 + 1 - c.genus()
+
+
+def test_strata_match_per_stratum_restriction_random(bundle_curve):
+    # basis_strata and dim_by_decomposition against one restrict_to_xline
+    # call per stratum, bundle roots included
+    rng = random.Random(4242)
+    curves = [bundle_curve] + [random_curve(rng) for _ in range(80)]
+    bundles = 0
+    for curve in curves:
+        bundles += any(d > 1 for d in curve.root_gcds)
+        m = curve.m
+        for lo, hi in ((-3 * m, 3 * m), (-m, 0), (0, 4 * m)):
+            D = random_ramified_divisor(rng, curve, lo, hi)
+            per_stratum = [(i, K.restrict_to_xline(curve, D, i)) for i in range(m)]
+            assert basis_strata(curve, D) == [(i, a) for i, a in per_stratum if a.degree >= 0]
+            assert K.dim_by_decomposition(curve, D) == \
+                sum(max(0, a.degree + 1) for _, a in per_stratum)
+    assert bundles > 0
+    for bad in (K.Divisor.of((K.Place.affine(1, 1), 1)), K.Divisor.of((K.Place.root(1), 1))):
+        for fn in (basis_strata, K.dim_by_decomposition):
+            with pytest.raises(UnsupportedSupportError):
+                fn(bundle_curve, bad)
 
 
 def test_root_referenced_consistently(bundle_curve):

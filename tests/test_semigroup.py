@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import kummerlcp as K
@@ -11,7 +12,7 @@ from kummerlcp.errors import (
 )
 from kummerlcp.semigroup import maximal_elements_below
 
-from conftest import random_curve, random_tuple
+from conftest import per_stratum_dim_by_formula, random_curve, random_tuple
 
 
 def test_stratum_shift_values(h3, z_curve):
@@ -145,6 +146,33 @@ def test_formula_equals_class_count_random():
         m = curve.m
         alpha = [rng.randint(-2 * m, 2 * m) for _ in range(tup.n)]
         assert K.dim_by_formula(tup, alpha) == K.dim_by_class_count(tup, alpha)
+        checked += 1
+
+
+def test_formula_plan_matches_per_stratum_sums_random():
+    # negative, huge and numpy-integer alphas, as lists and as arrays
+    rng = random.Random(1818)
+    huge = 10 ** 30
+    checked = 0
+    while checked < 300:
+        curve = random_curve(rng)
+        tup = random_tuple(rng, curve)
+        if tup is None:
+            continue
+        m, n = curve.m, tup.n
+        small = [rng.randint(-3 * m, 3 * m) for _ in range(n)]
+        for alpha in (small,
+                      [rng.randint(-3 * m, -1) for _ in range(n)],
+                      [rng.randint(-huge, huge) for _ in range(n)],
+                      [huge + rng.randrange(m) for _ in range(n)],
+                      [-huge - rng.randrange(m) for _ in range(n)],
+                      [np.int64(a) for a in small],
+                      np.array(small, dtype=np.int64)):
+            assert K.dim_by_formula(tup, alpha) == per_stratum_dim_by_formula(tup, alpha), \
+                (curve.to_json(), list(alpha))
+        for wrong in (small[:-1], small + [0]):
+            with pytest.raises(IndexOutOfRangeError):
+                K.dim_by_formula(tup, wrong)
         checked += 1
 
 
