@@ -419,9 +419,9 @@ class ConditionReport:
 
 
 def _chain_divisor(curve: KummerCurve, certificates: Iterable[CertStep]) -> Divisor:
-    """The sum of mult * div(generator) over the chain, built as one Divisor
-    so the cost is linear in the chain's length."""
-    terms = []
+    """The sum of mult * div(generator) over the chain, summed in one dict,
+    unsorted, so the cost is linear in the chain's length."""
+    coeffs: dict[Place, int] = {}
     for step in certificates:
         if step.kind == "y":
             div = curve.principal_divisor("y")
@@ -429,8 +429,10 @@ def _chain_divisor(curve: KummerCurve, certificates: Iterable[CertStep]) -> Divi
             div = curve.principal_divisor("x-b", step.b)
         else:
             raise CertificateInvalidError(f"unknown generator kind {step.kind!r}")
-        terms.extend((place, step.mult * c) for place, c in div.items())
-    return Divisor(terms)
+        mult = json_int(step.mult)
+        for place, c in div._coeffs.items():
+            coeffs[place] = coeffs.get(place, 0) + mult * c
+    return Divisor._checked({place: c for place, c in coeffs.items() if c})
 
 
 def _nonspecial_gminus1_report(
@@ -496,7 +498,7 @@ def verify_lcp_conditions(
     # lmd(G,H) - D - chain, built once over all their terms
     chain_div = _chain_divisor(curve, certificates)
     reduced = Divisor(chain(divisor_lmd(G, H).items(), ((p, -1) for p in d_places),
-                            ((p, -c) for p, c in chain_div.items())))
+                            ((p, -c) for p, c in chain_div._coeffs.items())))
     bad = [p for p, c in reduced.items() if p.kind == AFFINE and c != -1]
     if bad:
         raise CertificateInvalidError(

@@ -45,39 +45,74 @@ eliminated step for step as it would be alone.
 Products.  matmul computes over the prime field in float BLAS, the
 FFLAS-FFPACK approach (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  An
 element is a polynomial in x with its base-p digits as coefficients, and x
-is encoded as p, so digit d of (AB)[a, c] is
+is encoded as p, so with A_i and B_j the digit planes of A and B (A =
+sum_i x^i A_i),
 
-    sum_i sum_r digit_i(A[a, r]) * digit_d(x^i B[r, c])   mod p.
+    AB = sum_i sum_j x^(i+j) A_i B_j.
 
-For each power i, the i-th digits of A times the e digits of x^i B, laid
-side by side, is one float product; the e products add up in one
-accumulator, which is reduced mod p and packed back into encodings.  For
-e = 1 this is A B mod p.
+The product is cut into tiles: a block of A's rows, lifted to its e digit
+planes once (unless its rows are too long, see Memory), against one column
+slice of B after another.  It takes one of two orders.
 
-Exactness.  A term is a product of two digits, at most (p-1)^2, and an
-accumulator entry sums e k terms for inner dimension k.  Every partial sum,
-in whatever order BLAS adds, is therefore an integer of at most
-e k (p-1)^2, and integers are exact in float32 below 2^24 and in float64
-below 2^53.  matmul takes float32 when e k (p-1)^2 < 2^24 and float64
+  Fold after the product.  A slice of B is lifted to its plain digit
+  planes, and one BLAS product of the block's planes (rows (a, i)) by the
+  slice's (columns (j, c)) gives all e^2 plane products P[i][j] = A_i B_j
+  at once.  Digit d of AB is then sum_{i,j} W[d, (i, j)] P[i][j] mod p,
+  one small product with the e x e^2 matrix W[d, (i, j)] = digit d of
+  x^(i+j), read off 2e - 2 field multiplications.
+  Powers on B.  The slice is lifted as the digits of x^i B for each i < e,
+  and one BLAS product of the block's planes (columns (i, r)) by that lift
+  (rows (i, r), columns (d, c)) gives digit d of sum_i A_i (x^i B), the
+  digits of AB before reduction mod p.
+
+Either way the sums are reduced mod p and packed back into encodings; for
+e = 1 the two orders are the same product.  The fold writes e^2 floats per
+entry of the n x N product, while powers on B lifts e^2 floats per entry of
+the k x N operand B once per row block, and a lift costs about four writes.
+So matmul folds after the product when n <= 4 k b, b the number of row
+blocks that powers on B would take, and takes powers on B otherwise: that
+is when n >> k, as in min_distance's 16384-row chunks with k <= 4.
+
+Exactness.  Every term is a product of two digits, at most (p-1)^2, so a
+plane product entry is an integer of at most k (p-1)^2 for inner dimension
+k, and a powers-on-B sum one of at most e k (p-1)^2, in whatever order BLAS
+adds.  Integers are exact in float32 below 2^24 and in float64 below 2^53;
+matmul takes float32 when the bound plus p is below 2^24 and float64
 otherwise.  Past 2^53 (only primes near 2^20 with k above about 8000 get
 there) the inner dimension is summed in parts of at most
-(2^53 - p) / (e (p-1)^2) rows, and the accumulator is reduced mod p between
-parts, so it never exceeds p - 1 plus one part's sum.
+(2^53 - 2p) / bound-per-row rows, reduced mod p between parts, so a sum
+never exceeds p - 1 plus one part's sum.  The fold of plane products of
+bound P is at most e^2 (p-1) P; when that plus p reaches the float's exact
+range (GF(127^2) from k = 3 in float32), the plane products are reduced mod
+p first, and the fold is then at most e^2 (p-1)^2, below 2^23 for every
+e >= 2 with p^e <= 2^20.  A float integer M with M + p in the exact range
+is reduced as M - p floor(fl(M / p)): unless M / p is an integer, it lies
+at least 1/p below the next one, farther than the rounding reaches.
+Packing sums digits times powers of p to an encoding below 2^20.
 
-Memory.  B is lifted one column slice and one power of x at a time, and A
-is taken in row blocks whose digits are kept as small integers; a slice's
-lift and a block's accumulator each fit in _SLICE_BYTES, so the float
-temporaries stay a small multiple of it.
+Memory.  Each temporary of matmul is at most _SLICE_BYTES: a block's lift
+of A, a slice's lift of B, a tile's product and the float casts and digit
+temporaries behind them.  At most four are alive at once, so matmul
+allocates its int64 output plus at most 4 _SLICE_BYTES (and int64 copies of
+operands given in another integer type).  A block's lift of A that holds
+whole rows serves every slice; on the fold order B is lifted once per row
+block, so blocks take as many rows as fit.  When fewer rows fit than a
+square tile of plane products has, the tiles are square and A and B are
+lifted in chunks of the inner dimension, each at most half the budget: A
+once per slice and B once per row block.
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ElementOutOfRangeError, ShapeMismatchError
 from .field import Field
 
-_SLICE_BYTES = 1 << 18  # bytes of one lifted slice of B, or accumulator block, in matmul
+_SLICE_BYTES = 1 << 19  # bytes of the largest temporary of matmul
 
 
 def _eliminate(field: Field, stack: np.ndarray, reduce: bool) -> tuple[np.ndarray, list[list[int]]]:
@@ -199,38 +234,98 @@ def null_space(field: Field, M: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _digits(M: np.ndarray, p: int, e: int) -> np.ndarray:
-    """The e base-p digits of the encodings in M as float32, digit d of
-    M[a, b] at [a, d, b].
+def _digits(M: np.ndarray, p: int, e: int, dtype: type) -> np.ndarray:
+    """The e base-p digits of the encodings in M as dtype (float32 or
+    float64), digit d of M[a, b] at [a, d, b].
 
-    Digit d is floor(v / p^d) - p floor(v / p^(d+1)), and floor(v / p^d) is
-    floor((v + 1/2) * fl(p^-d)) in float32 for every encoding v < 2^20:
-    v + 1/2 is exact, its true quotient lies at least 1/(2 p^d) from every
-    integer, and the two roundings move it by less than 2^-3 / p^d.
+    Digit d is floor(v / p^d) - p floor(v / p^(d+1)), and floor(v / p^e) is 0
+    for v < q.  floor(v / p^d) is floor((v + 1/2) * fl(p^-d)) in float32, and
+    so in float64, for every encoding v < 2^20: v + 1/2 is exact, its true
+    quotient lies at least 1/(2 p^d) from every integer, and the two
+    roundings move it by less than 2^-3 / p^d.
     """
-    inv = (1.0 / p ** np.arange(e + 1, dtype=np.float64)).astype(np.float32)
-    v = M.astype(np.float32)
+    inv = (1.0 / p ** np.arange(e, dtype=np.float64)).astype(dtype)
+    v = M.astype(dtype)
     v += 0.5
-    quot = v[:, None, :] * inv[:, None]
-    np.floor(quot, out=quot)
-    low = quot[:, 1:] * p
-    return np.subtract(quot[:, :-1], low, out=low)
+    out = np.multiply(v[:, None, :], inv[:, None])
+    del v
+    np.floor(out, out=out)
+    out[:, :-1] -= p * out[:, 1:]
+    return out
 
 
-def _layout(field: Field, k: int, cols: int) -> tuple[type, int, int, int]:
-    """How matmul cuts a product with inner dimension k and cols columns:
-    the float type of its BLAS products, the inner rows summed between
-    reductions mod p, the columns of B per slice and the rows of A per
-    block.  A slice's digit lift of x^i B and a block's accumulator each
-    fit in _SLICE_BYTES."""
+def _power_digits(field: Field, M: np.ndarray, dtype: type) -> np.ndarray:
+    """The digits of x^i M for every i < e, digit d of (x^i M)[r, c] at
+    [i, r, d, c]."""
     p, e = field.p, field.e
-    term = e * (p - 1) ** 2  # bound on one inner index's share of a sum
-    dtype, limit = (np.float32, 1 << 24) if term * k < 1 << 24 else (np.float64, 1 << 53)
-    part = min(k, (limit - p) // term)
-    lane = np.dtype(dtype).itemsize * e  # bytes per inner row and column of a lift
-    width = max(1, _SLICE_BYTES // (lane * part))
-    height = max(1, _SLICE_BYTES // (lane * min(width, cols)))
-    return dtype, part, width, height
+    out = np.empty((e, M.shape[0], e, M.shape[1]), dtype=dtype)
+    for i in range(e):
+        if i:
+            M = field.vmul(M, p)  # p encodes x
+        out[i] = _digits(M, p, e, dtype)
+    return out
+
+
+def _fold_matrix(field: Field, dtype: type) -> np.ndarray:
+    """W (e x e^2) with W[d, i e + j] = digit d of x^(i+j), x encoded as p."""
+    p, e = field.p, field.e
+    powers = [1]
+    for _ in range(2 * e - 2):
+        powers.append(field.mul(powers[-1], p))
+    i = np.arange(e)
+    return _digits(np.array([powers]), p, e, dtype)[0][:, (i[:, None] + i).ravel()]
+
+
+def _reduce(M: np.ndarray, p: int) -> None:
+    """M mod p in place, for float integers M with M + p below the float's
+    exact range (module docstring)."""
+    quot = M / p
+    np.floor(quot, out=quot)
+    quot *= p
+    M -= quot
+
+
+class _Layout(NamedTuple):
+    """How matmul cuts a product (module docstring)."""
+
+    fold: bool  # fold after the product, or take powers on B
+    dtype: type  # float type of the BLAS products
+    part: int  # inner rows summed between reductions mod p; k when none is needed
+    chunk: int  # inner rows lifted at a time, at most part
+    width: int  # columns of B per slice
+    height: int  # rows of A per block
+
+
+def _tiles(field: Field, n: int, k: int, cols: int, fold: bool) -> _Layout:
+    """The tiles of an n x k by k x cols product on one of matmul's two
+    orders, every lift and product within _SLICE_BYTES."""
+    p, e = field.p, field.e
+    term = (p - 1) ** 2 * (1 if fold else e)  # bound on one inner row's share of a sum
+    dtype, limit = (np.float32, 1 << 24) if term * k + p < 1 << 24 else (np.float64, 1 << 53)
+    part = min(k, (limit - 2 * p) // term)
+    floats = _SLICE_BYTES // np.dtype(dtype).itemsize
+    if not fold:  # x^i B is small when this order is taken: columns first
+        width = max(1, min(cols, floats // (e * e * part)))
+        height = max(1, min(n, floats // (e * k), floats // (e * width)))
+        return _Layout(fold, dtype, part, part, width, height)
+    side = math.isqrt(floats // (e * e))  # of a square tile of plane products
+    if floats // (e * k) >= min(n, side):  # B is lifted once per row block: rows first
+        height = max(1, min(n, floats // (e * k), floats // (e * e)))
+        width = max(1, min(cols, floats // (e * part), floats // (e * e * height)))
+        return _Layout(fold, dtype, part, part, width, height)
+    # rows too long for that: square tiles, the inner dimension in chunks
+    height, width = max(1, min(n, side)), max(1, min(cols, side))
+    chunk = max(1, min(part, floats // (2 * e * max(height, width))))
+    return _Layout(fold, dtype, part, chunk, width, height)
+
+
+def _layout(field: Field, n: int, k: int, cols: int) -> _Layout:
+    """How matmul cuts an n x k by k x cols product: whether it folds after
+    the product (the cost rule of the module docstring), and its tiles."""
+    powers = _tiles(field, n, k, cols, False)
+    if n <= 4 * k * -(-n // powers.height):
+        return _tiles(field, n, k, cols, True)
+    return powers
 
 
 def _operands(field: Field, A, B) -> tuple[np.ndarray, np.ndarray]:
@@ -260,27 +355,47 @@ def matmul(field: Field, A, B) -> np.ndarray:
     out = np.zeros((n, cols), dtype=np.int64)
     if out.size == 0 or k == 0:
         return out
-    dtype, part, width, height = _layout(field, k, cols)
-    pows = np.asarray(field._digit_pows)
+    fold, dtype, part, chunk, width, height = _layout(field, n, k, cols)
+    W = None
+    if fold and e > 1:  # for e = 1 the fold is the identity
+        W = _fold_matrix(field, dtype)
+        # the plane products are reduced mod p first when the fold of their
+        # bound would leave the float's exact range
+        exact = 1 << (np.finfo(dtype).nmant + 1)
+        shrink = e * e * (p - 1) * (p - 1 + part * (p - 1) ** 2) + p >= exact
+    pows = np.asarray(field._digit_pows, dtype=dtype)
     for a0 in range(0, n, height):
         a1 = min(a0 + height, n)
-        planes = _digits(A[a0:a1], p, e).astype(np.min_scalar_type(p - 1))  # rows x e x k
+        h = a1 - a0
+        # a block's lift of A serves every slice when it holds whole rows
+        whole = _digits(A[a0:a1], p, e, dtype) if chunk == k else None  # h x e x k
         for c0 in range(0, cols, width):
             c1 = min(c0 + width, cols)
-            acc = np.zeros((a1 - a0, e * (c1 - c0)), dtype=dtype)
-            for r0 in range(0, k, part):
-                r1 = min(r0 + part, k)
-                Bi = B[r0:r1, c0:c1]
-                for i in range(e):
-                    if i:
-                        Bi = field.vmul(Bi, p)  # p encodes x
-                    lift = _digits(Bi, p, e).astype(dtype, copy=False).reshape(r1 - r0, -1)
-                    acc += planes[:, i, r0:r1].astype(dtype) @ lift
-                if r1 < k:
-                    np.fmod(acc, p, out=acc)
-            digits = acc.astype(np.int32 if dtype == np.float32 else np.int64)
-            digits %= p
-            out[a0:a1, c0:c1] = pows @ digits.reshape(a1 - a0, e, -1)
+            w = c1 - c0
+            acc = None
+            for r0 in range(0, k, chunk):
+                r1 = min(r0 + chunk, k)
+                Ar = _digits(A[a0:a1, r0:r1], p, e, dtype) if whole is None else whole
+                if fold:  # every plane product A_i B_j, at [a, i, j, c]
+                    lift = _digits(B[r0:r1, c0:c1], p, e, dtype).reshape(r1 - r0, e * w)
+                    prod = Ar.reshape(h * e, r1 - r0) @ lift
+                else:  # digit d of sum_i A_i (x^i B), at [a, d, c]
+                    lift = _power_digits(field, B[r0:r1, c0:c1], dtype).reshape(e * (r1 - r0), e * w)
+                    prod = Ar.reshape(h, e * (r1 - r0)) @ lift
+                del Ar, lift  # before the next chunk's lifts: at most four temporaries
+                if acc is None:
+                    acc = prod
+                else:
+                    if part < k:
+                        _reduce(acc, p)
+                    acc += prod
+                del prod
+            if W is not None:
+                if shrink:
+                    _reduce(acc, p)
+                acc = W @ acc.reshape(h, e * e, w)
+            _reduce(acc, p)
+            out[a0:a1, c0:c1] = pows @ acc.reshape(h, e, w)
     return out
 
 

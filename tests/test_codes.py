@@ -354,15 +354,40 @@ def folded_chain(curve, certificates):
     return total
 
 
+def terms_chain(curve, certificates):
+    """The certificate chain's divisor as one Divisor read from every sorted
+    term of its principal divisors."""
+    terms = []
+    for step in certificates:
+        args = ("y",) if step.kind == "y" else ("x-b", step.b)
+        terms.extend((place, step.mult * c) for place, c in curve.principal_divisor(*args).items())
+    return K.Divisor(terms)
+
+
 def test_chain_divisor_equals_fold(h3, z_curve, h3_constructions):
+    # Divisor equality compares the coefficient dicts, so a zero coefficient
+    # left in the sum would also fail it
     for res in h3_constructions:
-        assert _chain_divisor(h3, res.certificates) == folded_chain(h3, res.certificates)
+        div = _chain_divisor(h3, res.certificates)
+        assert div == folded_chain(h3, res.certificates) == terms_chain(h3, res.certificates)
     # construction 1's chain on every split fiber of the Z-curve at s = 77
     chain = [CertStep("y", None, 77)] + [CertStep("x-b", x0, -1)
                                          for x0 in z_curve.split_x_values()]
     assert len(chain) == 289
     div = _chain_divisor(z_curve, chain)
-    assert div == folded_chain(z_curve, chain) and div.degree() == 0
+    assert div == folded_chain(z_curve, chain) == terms_chain(z_curve, chain)
+    assert div.degree() == 0
+    # chains that cancel, to zero and in part, on the Z-curve and on H3
+    for curve in (z_curve, h3):
+        x0 = curve.split_x_values()[0]
+        steps = [CertStep("y", None, 3), CertStep("x-b", x0, 2), CertStep("x-b", curve.roots[0][0], 1)]
+        back = [CertStep(s.kind, s.b, -s.mult) for s in reversed(steps)]
+        div = _chain_divisor(curve, steps + back)
+        assert not div and div == terms_chain(curve, steps + back) == K.Divisor.zero()
+        # all but the root's step cancel
+        div = _chain_divisor(curve, steps + back[1:])
+        assert div == terms_chain(curve, steps + back[1:])
+        assert div == curve.principal_divisor("x-b", curve.roots[0][0])
     with pytest.raises(CertificateInvalidError):
         _chain_divisor(z_curve, chain[:3] + [CertStep("z", None, 1)])
 

@@ -3,6 +3,7 @@ GF(p) digit lifts, against the row-by-row product; the lockstep log-domain
 elimination against the Field.vmul + Field.vadd elimination, on single
 matrices, ragged stacks and the character blocks of codes."""
 
+import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -35,10 +36,16 @@ def row_loop_matmul(field, A, B):
 def test_matmul_matches_row_loop_across_slices(p, e, monkeypatch):
     f = K.field_create(p, e)
     rng = np.random.default_rng(p * 7 + e)
-    # a budget of 3 to 6 columns at k = 5: most shapes take several column
-    # slices of B and several row blocks of A
+    # a budget of 120 e bytes: most shapes take several row blocks of A and
+    # column slices of B; the tall ones with k = 1 take powers on B, the
+    # others fold after the product, k = 40 with the inner dimension in chunks
     monkeypatch.setattr(linalg, "_SLICE_BYTES", 3 * 8 * e * 5)
-    for n, k, cols in [(1, 1, 1), (4, 5, 7), (9, 5, 3), (6, 2, 13), (3, 11, 10), (17, 5, 16)]:
+    shapes = [(1, 1, 1), (4, 5, 7), (9, 5, 3), (6, 2, 13), (3, 11, 10), (17, 5, 16),
+              (40, 1, 3), (64, 1, 2), (3, 40, 5)]
+    layouts = [linalg._layout(f, *shape) for shape in shapes]
+    assert {(lay.fold, lay.chunk < k) for lay, (_, k, _) in zip(layouts, shapes)} == {
+        (False, False), (True, False), (True, True)}
+    for n, k, cols in shapes:
         A = rng.integers(0, f.q, size=(n, k))
         A[rng.random(A.shape) < 0.3] = 0
         B = rng.integers(0, f.q, size=(k, cols))
@@ -51,26 +58,76 @@ def test_matmul_matches_row_loop_at_criterion_10_depth(p, e):
     f = K.field_create(p, e)
     rng = np.random.default_rng(p + e)
     k = 2011
-    width = linalg._layout(f, k, 2 * k)[2]
+    width = linalg._layout(f, 3, k, 2 * k).width
     A = rng.integers(0, f.q, size=(3, k))
     B = rng.integers(0, f.q, size=(k, 2 * width + 1))
     assert np.array_equal(linalg.matmul(f, A, B), row_loop_matmul(f, A, B))
 
 
 def test_matmul_slices_of_the_z_curve_codes_are_several_columns_wide():
-    # criterion 10 encodes through GF(729) generators of about 2000 x 2016;
-    # one-column slices would make every BLAS product a matrix-vector one
-    assert linalg._layout(K.field_create(3, 6), 2016, 2016)[2] >= 4
+    # criterion 10 encodes 200 messages through GF(729) generators of about
+    # 2000 x 2016; one-column slices or one-row blocks would make every BLAS
+    # product a matrix-vector one
+    layout = linalg._layout(K.field_create(3, 6), 200, 2016, 2016)
+    assert layout.fold and layout.width >= 4 and layout.height >= 4
+
+
+def test_matmul_order_follows_the_cost_rule():
+    # encoding 100 messages through the benchmark's GF(729) codes folds after
+    # the product; min_distance's chunks of 16384 messages with k <= 4 take
+    # powers on B, over small and large extensions alike
+    f = K.field_create(3, 6)
+    assert all(linalg._layout(f, 100, k, 336).fold for k in (26, 167, 310))
+    for p, e in [(3, 2), (3, 6), (2, 11), (2, 20)]:
+        for k in (1, 2, 4):
+            assert not linalg._layout(K.field_create(p, e), 1 << 14, k, 24).fold
+
+
+@pytest.mark.parametrize("k", [2, 3, 40])
+def test_matmul_fold_reduces_plane_products_past_float32(k):
+    # over GF(127^2) a plane product is at most k 126^2, in float32's exact
+    # range, but its fold reaches e^2 k 126^3, past 2^24 from k = 3, so the
+    # plane products are reduced mod p before they are folded; all-(q-1)
+    # operands take the largest digits, random ones make the sums odd
+    f = K.field_create(127, 2)
+    layout = linalg._layout(f, 8, k, 12)
+    assert layout.fold and layout.dtype == np.float32
+    assert (4 * k * 126**3 >= 1 << 24) == (k >= 3)
+    rng = np.random.default_rng(k)
+    for A, B in [(np.full((8, k), f.q - 1), np.full((k, 12), f.q - 1)),
+                 (rng.integers(0, f.q, size=(8, k)), rng.integers(0, f.q, size=(k, 12)))]:
+        assert np.array_equal(linalg.matmul(f, A, B), row_loop_matmul(f, A, B))
+
+
+def test_matmul_temporaries_stay_within_the_slice_budget():
+    # criterion 10's shape: 200 messages through a 1990 x 2016 GF(729) code.
+    # The module docstring bounds matmul's allocations by its output plus
+    # four temporaries of _SLICE_BYTES each
+    f = K.field_create(3, 6)
+    rng = np.random.default_rng(10)
+    A = rng.integers(0, f.q, size=(200, 1990))
+    B = rng.integers(0, f.q, size=(1990, 2016))
+    tracemalloc.start()
+    try:
+        got = linalg.matmul(f, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= got.nbytes + 4 * linalg._SLICE_BYTES
+    assert np.array_equal(got[:2], row_loop_matmul(f, A[:2], B))
 
 
 @pytest.mark.parametrize("minus", [1, 2])
 def test_matmul_splits_the_inner_dimension_past_float64(minus):
     # every term is (p - minus)^2, close to 2^40, so a sum over k terms
-    # passes 2^53 at k = 8193 and the inner dimension is summed in parts.
-    # All-(q-1) operands are the largest terms; q-2 makes them odd, so a
-    # sum past 2^53 that was not reduced mod p would also be rounded.
+    # passes 2^53 at k = 8193 and the inner dimension is summed in parts,
+    # here on the fold order.  All-(q-1) operands are the largest terms;
+    # q-2 makes them odd, so a sum past 2^53 that was not reduced mod p
+    # would also be rounded.
     f = K.field_create(1048573, 1)
     k = 2**53 // (f.p - 1) ** 2 + 501
+    layout = linalg._layout(f, 2, k, 3)
+    assert layout.fold and layout.part < k
     value = f.q - minus
     A = np.full((2, k), value, dtype=np.int64)
     B = np.full((k, 3), value, dtype=np.int64)
