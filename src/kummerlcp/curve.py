@@ -28,7 +28,8 @@ from .errors import (
     UnsupportedPlaceStructureError,
     UnsupportedSupportError,
 )
-from .field import Field, FieldElement, encoding, field_from_json, json_int
+from .field import (Field, FieldElement, encoding, field_from_json, json_int, log_mth_roots,
+                    unit_mth_roots)
 
 INF = "inf"
 ROOT = "root"
@@ -36,7 +37,7 @@ AFFINE = "aff"
 BUNDLE = "bundle"
 
 _KIND_RANK = {INF: 0, ROOT: 1, BUNDLE: 2, AFFINE: 3}
-_FIELD_SLICE = 1 << 14  # field elements per slice while the fiber table is built
+_FIELD_SLICE = 1 << 14  # field elements per slice while log f(x) is tabulated
 
 
 class Place(NamedTuple):
@@ -217,7 +218,7 @@ class KummerCurve:
         self.f_poly = poly.from_roots(field, roots, leading)
         self._gaps: tuple[int, ...] | None = None
         self._genus: int | None = None
-        self._fibers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._logs: np.ndarray | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -299,73 +300,65 @@ class KummerCurve:
 
     # -- point enumeration ---------------------------------------------------
 
-    def _fiber_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Whole-field fiber data, cached: (ys, start, size) such that the y
-        with y^m = f(x0) are ys[start[x0] : start[x0] + size[x0]], ascending.
+    def _f_logs(self) -> np.ndarray:
+        """log f(x0) for every x0 in GF(q), int64, cached; the zero sentinel
+        2(q-1) at the roots of f.  f is taken one slice of the field at a
+        time, so the temporaries of f_values stay slice-sized."""
+        if self._logs is None:
+            q = self.field.q
+            logs = np.empty(q, dtype=np.int64)
+            for lo in range(0, q, _FIELD_SLICE):
+                hi = min(lo + _FIELD_SLICE, q)
+                logs[lo:hi] = self.field._log[self.f_values(np.arange(lo, hi, dtype=np.int64))]
+            self._logs = logs
+        return self._logs
 
-        The m-th powers and f are taken one slice of the field at a time, so
-        the temporaries of vpow and f_values stay slice-sized; besides the
-        table, only the powers (int32) and their counts span the field."""
-        if self._fibers is None:
-            field, q = self.field, self.field.q
-            slices = [(lo, min(lo + _FIELD_SLICE, q)) for lo in range(0, q, _FIELD_SLICE)]
-            powers = np.empty(q, dtype=np.int32)
-            for lo, hi in slices:
-                powers[lo:hi] = field.vpow(np.arange(lo, hi, dtype=np.int64), self.m)
-            counts = np.bincount(powers, minlength=q).astype(np.int32)  # running sums <= q
-            ys = np.argsort(powers, kind="stable")  # stable: ascending y within a value
-            del powers
-            # start holds f(x0) until counts is turned into its running sum
-            start, size = np.empty(q, dtype=np.int64), np.empty(q, dtype=np.int64)
-            for lo, hi in slices:
-                start[lo:hi] = self.f_values(np.arange(lo, hi, dtype=np.int64))
-                size[lo:hi] = counts[start[lo:hi]]
-            np.cumsum(counts, out=counts)
-            for lo, hi in slices:
-                start[lo:hi] = counts[start[lo:hi]]
-            start -= size
-            self._fibers = (ys, start, size)
-        return self._fibers
+    def _x_encoding(self, x) -> int:
+        """x read by field.encoding; UnsupportedPlaceStructure outside [0, q)."""
+        x_enc = encoding(self.field, x)
+        if not 0 <= x_enc < self.field.q:
+            raise UnsupportedPlaceStructureError(f"x = {x_enc} is not in [0, {self.field.q})")
+        return x_enc
 
-    def fiber(self, x_enc: int) -> tuple[int, ...]:
-        """y encodings with y^m = f(x0); empty when the fiber is irrational."""
-        ys, start, size = self._fiber_table()
-        return tuple(ys[start[x_enc]:start[x_enc] + size[x_enc]].tolist())
+    def fiber(self, x) -> tuple[int, ...]:
+        """y encodings with y^m = f(x0), ascending: (0,) over a root of f and
+        empty when the fiber is irrational.  x is read by field.encoding."""
+        return tuple(log_mth_roots(self.field, self._f_logs().item(self._x_encoding(x)), self.m))
+
+    def _splits(self, logs: np.ndarray) -> np.ndarray:
+        """Whether each fiber with log f(x0) in logs splits completely: y^m =
+        f(x0) != 0 has m roots iff m divides q-1 and log f(x0)."""
+        q1 = self.field.q - 1
+        return (logs % self.m == 0) & (logs < 2 * q1) & (q1 % self.m == 0)
 
     def split_x_values(self) -> list[int]:
         """x0 (ascending) whose fiber splits completely into m rational points.
 
         Above a root of f lies the single point y = 0, so no root qualifies.
         """
-        return np.nonzero(self._fiber_table()[2] == self.m)[0].tolist()
+        return np.flatnonzero(self._splits(self._f_logs())).tolist()
 
-    def split_fibers(self, xs: Iterable[int] | None = None) -> list[tuple[int, list[Place]]]:
-        """(x0, [m affine places]) for completely split fibers, ascending order."""
-        xs = self.split_x_values() if xs is None else sorted(set(xs))
-        out = []
-        for x0 in xs:
-            if not 0 <= x0 < self.field.q:
-                raise UnsupportedPlaceStructureError(f"x = {x0} is not in [0, {self.field.q})")
-            ys = self.fiber(x0)
-            if len(ys) != self.m:
-                raise UnsupportedPlaceStructureError(f"x = {x0} does not split completely")
-            out.append((x0, [Place.affine(x0, y0) for y0 in ys]))
-        return out
+    def split_fibers(self, xs: Iterable | None = None) -> list[tuple[int, list[Place]]]:
+        """(x0, [m affine places]) for completely split fibers, ascending order.
+        xs (every split x0 when None) are read by field.encoding, each once."""
+        xs = self.split_x_values() if xs is None else sorted({self._x_encoding(x) for x in xs})
+        logs = self._f_logs()[xs]
+        split = self._splits(logs)
+        if not split.all():
+            raise UnsupportedPlaceStructureError(
+                f"x = {xs[int(np.argmin(split))]} does not split completely")
+        # stable: numpy's default int64 sort pages in its SIMD sort code (0.1-0.2 MB)
+        ys = np.sort(unit_mth_roots(self.field, logs, self.m), axis=1, kind="stable").tolist()
+        return [(x0, [Place.affine(x0, y0) for y0 in row]) for x0, row in zip(xs, ys)]
 
     def affine_points(self) -> tuple[np.ndarray, np.ndarray]:
         """(xs, ys): every rational affine point with f(x0) != 0, as int64
-        arrays sorted by x and, within a fiber, by y.
-
-        With first[x0] the number of points over smaller x, point j lies over
-        xs[j] and is entry start[x0] - first[x0] + j of the fiber table's ys.
-        """
-        ys, start, size = self._fiber_table()
-        size = size.copy()
-        size[[a for a, _ in self.roots]] = 0  # the single point y = 0 over a root is not affine
-        at = np.repeat(start + size - np.cumsum(size), size)
-        at += np.arange(len(at))
-        at = ys[at]  # before xs is built: one point-sized array less at the peak
-        return np.repeat(np.arange(self.field.q, dtype=np.int64), size), at
+        arrays sorted by x and, within a fiber, by y.  The fiber over x0 has
+        d = gcd(m, q-1) points when d divides log f(x0), else none."""
+        logs, q1 = self._f_logs(), self.field.q - 1
+        xs = np.flatnonzero((logs % math.gcd(self.m, q1) == 0) & (logs < 2 * q1))
+        ys = np.sort(unit_mth_roots(self.field, logs[xs], self.m), axis=1, kind="stable")
+        return np.repeat(xs, ys.shape[1]), ys.ravel()
 
     def rational_places(self) -> list[Place]:
         """All enumerated rational places: infinity (if totally ramified),
@@ -403,11 +396,7 @@ class KummerCurve:
         if kind == "x-b":
             if b is None:
                 raise UnsupportedPlaceStructureError("x-b requires the value b")
-            b_enc = encoding(self.field, b)
-            if not 0 <= b_enc < self.field.q:
-                raise UnsupportedPlaceStructureError(
-                    f"b = {b_enc} is not an element of GF({self.field.q})"
-                )
+            b_enc = self._x_encoding(b)
             for k, (a, _) in enumerate(self.roots):
                 if a == b_enc:
                     return Divisor._checked(dict([

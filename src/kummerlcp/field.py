@@ -17,8 +17,10 @@ by matrix powers, the log/antilog tables are the digit vectors of M^k e_0
 (filled by doubling), and the Zech table is read off them.  Negation,
 inversion, powers and m-th roots are read off the logs, with no table of
 their own: -a = exp[log a + log(-1)], a^-1 = exp[(q-1) - log a],
-a^k = exp[log a (k mod (q-1)) mod (q-1)].  Fields up to q = 2^20 are
-supported.
+a^k = exp[log a (k mod (q-1)) mod (q-1)].  One formula,
+`unit_mth_roots`, reads the m-th roots of units off their logs, for
+`mth_roots` and for the fibers of a Kummer curve, which the curve reads off
+its cached array of log f(x).  Fields up to q = 2^20 are supported.
 
 Multiplication is one antilog lookup for every field: log 0 is the sentinel
 S = 2(q-1), and the antilog table holds two periods of the generator's
@@ -419,24 +421,40 @@ def field_from_json(obj: dict) -> Field:
     return f
 
 
-def mth_roots(field: Field, c, m: int) -> list[FieldElement]:
-    """All y in GF(q) with y^m = c, sorted by encoding; [] for c outside [0, q).
+def unit_mth_roots(field: Field, logs, m: int) -> np.ndarray:
+    """The roots of y^m = c for units c given by their logs, every one
+    divisible by d = gcd(m, q-1), in no set order: the d roots of g^logs for
+    an int, row i of them for g^logs[i] for an int64 array.
 
-    Read off the logs.  The only root of 0 is 0.  For a unit c and
-    d = gcd(m, q-1), y = g^u is a root iff u m = log c mod q-1, which is
-    solvable iff d divides log c; the d roots are then g^(u0 + t(q-1)/d),
-    t < d, with u0 = (log c / d) (m/d)^-1 mod (q-1)/d.
+    y = g^u is a root iff u m = log c mod q-1, which is solvable iff d
+    divides log c; the d roots are then g^(u0 + t(q-1)/d), t < d, with
+    u0 = (log c / d) (m/d)^-1 mod (q-1)/d: column u0 of the antilog
+    table's first period read as d rows of (q-1)/d.
     """
+    q1 = field.q - 1
+    d = math.gcd(m, q1)
+    n = q1 // d
+    return field._exp[:q1].reshape(d, n)[:, logs // d * pow(m // d, -1, n) % n].T
+
+
+def log_mth_roots(field: Field, log_c: int, m: int) -> list[int]:
+    """The encodings of all y with y^m = c, ascending, for c given by its
+    log: [0] for the zero sentinel 2(q-1), none for a unit whose log
+    gcd(m, q-1) does not divide (unit_mth_roots)."""
+    q1 = field.q - 1
+    if log_c == 2 * q1:
+        return [0]
+    if log_c % math.gcd(m, q1):
+        return []
+    return sorted(unit_mth_roots(field, log_c, m).tolist())
+
+
+def mth_roots(field: Field, c, m: int) -> list[FieldElement]:
+    """All y in GF(q) with y^m = c, sorted by encoding; [] for c outside [0, q)."""
     cenc = encoding(field, c)
     m = json_int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if cenc == 0:
-        return [field.zero()]
-    q1 = field.q - 1
-    d = math.gcd(m, q1)
-    if not 0 < cenc <= q1 or field._log.item(cenc) % d:
+    if not 0 <= cenc < field.q:
         return []
-    n = q1 // d
-    u0 = field._log.item(cenc) // d * pow(m // d, -1, n) % n
-    return [FieldElement(field, int(v)) for v in np.sort(field._exp[u0 + n * np.arange(d)])]
+    return [FieldElement(field, y) for y in log_mth_roots(field, field._log.item(cenc), m)]

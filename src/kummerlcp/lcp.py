@@ -38,7 +38,6 @@ from .errors import (
     SRangeViolationError,
     UnsupportedPlaceStructureError,
 )
-from .field import encoding
 from .nonspecial import (
     DivisorFamily,
     box_multiset,
@@ -91,15 +90,6 @@ def _require_infinity(curve: KummerCurve) -> Place:
     return Place.infinity()
 
 
-def _split_setup(curve: KummerCurve, eval_x) -> list[tuple[int, list[Place]]]:
-    """The split fibers over eval_x (every split x when None), each x once,
-    ascending.  An entry is a FieldElement of the curve's field or an integer
-    encoding (field.encoding)."""
-    if eval_x is not None:
-        eval_x = [encoding(curve.field, x) for x in eval_x]
-    return curve.split_fibers(eval_x)
-
-
 def _finalize(
     construction: str,
     curve: KummerCurve,
@@ -145,7 +135,7 @@ def lcp_pole_shift(
     g = curve.genus()
     if not divisor_nonspecial_gminus1(curve, E):
         raise ENotCertifiedError("E is not a non-special divisor of degree g-1")
-    fibers = _split_setup(curve, eval_x)
+    fibers = curve.split_fibers(eval_x)
     N = curve.m * len(fibers)
     if not (g - 1 < s * lam0 < N + 1 - g):
         raise SRangeViolationError(
@@ -188,7 +178,7 @@ def lcp_pair(
     alpha = [E1.coeff(p) for p in zero_places]
     beta0 = E2.coeff(inf)
     beta = [E2.coeff(p) for p in zero_places]
-    fibers = _split_setup(curve, eval_x)
+    fibers = curve.split_fibers(eval_x)
     N = curve.m * len(fibers)
     for k in range(n - 1):
         if alpha[k] - beta[k] > s:
@@ -238,7 +228,7 @@ def lcp_punctured(
     g = curve.genus()
     if not divisor_nonspecial_g(curve, E):
         raise ENotCertifiedError("E is not a non-special divisor of degree g")
-    fibers = _split_setup(curve, eval_x)
+    fibers = curve.split_fibers(eval_x)
     if len(fibers) < 2:
         raise NeedTwoFibersError("construction R needs at least two split fibers")
     N = curve.m * len(fibers)

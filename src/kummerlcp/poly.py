@@ -5,8 +5,8 @@ polynomial is the empty tuple.  Polynomials are built only where one is the
 output: `KummerCurve.f_poly` (read by `f_at` and by `CurveFunction.monomial`
 to reduce y^m -> f), the numerators and denominators of `CurveFunction`, and
 `rrspace.rr_basis`, which expands the factored basis.  Nothing evaluates
-them over arrays: `rrspace.evaluation_rows` and the curve's fiber table
-evaluate from the roots.  The helpers multiply, shift and evaluate at one
+them over arrays: `rrspace.evaluation_rows` and the curve's array of
+log f(x) evaluate from the roots.  The helpers multiply, shift and evaluate at one
 point.
 """
 

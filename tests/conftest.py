@@ -13,6 +13,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np  # noqa: E402
+
 import kummerlcp as K  # noqa: E402
 
 
@@ -201,3 +203,16 @@ def per_stratum_dim_by_formula(qtuple: "K.QTuple", alpha) -> int:
         s = sum((a - t) // m for a, t in zip(alpha, qtuple.shifts(i)))
         total += max(0, n - gaps + s)
     return total
+
+
+def mth_roots_by_scan(f, m):
+    """The roots of y^m = c for every c, by raising every element of the field
+    to the m-th power (square and multiply with vmul)."""
+    vals, powers, base, k = np.arange(f.q), np.ones(f.q, dtype=np.int64), np.arange(f.q), m
+    while k:
+        if k & 1:
+            powers = f.vmul(powers, base)
+        base, k = f.vmul(base, base), k >> 1
+    order = np.argsort(powers, kind="stable")
+    bounds = np.searchsorted(powers[order], np.arange(f.q + 1))
+    return [vals[order[bounds[c]:bounds[c + 1]]].tolist() for c in range(f.q)]

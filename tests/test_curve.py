@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -25,7 +26,8 @@ from kummerlcp.errors import (
 )
 from kummerlcp.field import json_int
 
-from conftest import BIG_FIELDS, hermitian, random_big_curve, random_curve
+from conftest import (BIG_FIELDS, FIELD_CHOICES, hermitian, mth_roots_by_scan,
+                      random_big_curve, random_curve)
 
 
 def riemann_hurwitz_genus(curve):
@@ -174,24 +176,26 @@ def test_fiber_table_matches_f_at_above_add_table(p, e):
 
 @pytest.mark.parametrize("p,e", BIG_FIELDS)
 def test_fiber_table_is_the_same_in_any_slices(monkeypatch, p, e):
-    # slices of 7 and of 1000 elements (not dividing q) against one slice
+    # the fibers are read off one table, log f(x) over the field: slices of
+    # 7 and of 1000 elements (not dividing q) against one slice
     rng = random.Random(p * e)
     for _ in range(2):
         curve = random_big_curve(rng, p, e)
-        want = curve._fiber_table()
+        want = curve._f_logs()
         for width in (7, 1000):
             monkeypatch.setattr(curve_mod, "_FIELD_SLICE", width)
-            curve._fibers = None
-            got = curve._fiber_table()
-            assert all(np.array_equal(a, b) and a.dtype == np.int64 for a, b in zip(got, want))
+            curve._logs = None
+            got = curve._f_logs()
+            assert np.array_equal(got, want) and got.dtype == np.int64
 
 
 def test_fiber_table_memory_on_gf2_20():
-    # y^41 = x(x+1) over GF(2^20): the table keeps three int64 arrays over the
-    # field (24 MB).  Built slice by slice its traced peak is about 29 MB; f
-    # and the m-th powers over the whole field at once peak at about 76 MB.
-    # tracemalloc sees numpy's buffers and, unlike ru_maxrss, is not raised
-    # by the RSS of the process that starts the child
+    # y^41 = x(x+1) over GF(2^20): the fibers are read off log f(x) over the
+    # field, one int64 array (8 MB).  Built slice by slice, with the split x
+    # read off it, its traced peak is about 17 MB; f over the whole field at
+    # once peaks at about 56 MB.  tracemalloc sees numpy's buffers and,
+    # unlike ru_maxrss, is not raised by the RSS of the process that starts
+    # the child
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -199,12 +203,74 @@ def test_fiber_table_memory_on_gf2_20():
               "f = K.field_create(2, 20)\n"
               "curve = K.curve_create(f, 41, 1, [(0, 1), (1, 1)])\n"
               "tracemalloc.start()\n"
-              "curve._fiber_table()\n"
+              "curve.split_x_values()\n"
               "print(tracemalloc.get_traced_memory()[1] / 2**20)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 40, f"the fiber table allocated {proc.stdout.strip()} MB at its peak"
+    assert float(proc.stdout) < 40, f"the log table allocated {proc.stdout.strip()} MB at its peak"
+
+
+def _splitting_m(q, p):
+    """The least m >= 3 prime to p that divides q - 1 (fibers split)."""
+    return next(m for m in range(3, q) if (q - 1) % m == 0 and m % p)
+
+
+def _partial_m(q, p):
+    """The least m >= 3 prime to p with 1 < gcd(m, q-1) < m (fibers of
+    gcd(m, q-1) points, none split)."""
+    return next(m for m in range(3, 4 * q) if 1 < math.gcd(m, q - 1) < m and m % p)
+
+
+@pytest.mark.parametrize("p,e", FIELD_CHOICES + BIG_FIELDS + [(1021, 1)])
+def test_fibers_match_a_y_scan(p, e):
+    # m dividing q-1 and m with gcd(m, q-1) < m, a root of multiplicity
+    # m-1 > 1 and a leading constant other than 1.  The scan raises every y
+    # to the m-th power by square and multiply, and f_at runs Horner on the
+    # expanded polynomial: neither reads the logs of f
+    f = K.field_create(p, e)
+    rng = random.Random(p ** e)
+    for m in (_splitting_m(f.q, p), _partial_m(f.q, p)):
+        xs = rng.sample(range(f.q), 3)
+        roots = [(xs[0], m - 1)] + [(a, rng.randint(1, m - 1)) for a in xs[1:]]
+        curve = K.curve_create(f, m, rng.randrange(2, f.q), roots)
+        roots_of = mth_roots_by_scan(f, m)
+        fibers = [tuple(roots_of[curve.f_at(x)]) for x in range(f.q)]
+        assert [curve.fiber(x) for x in range(f.q)] == fibers
+        root_xs = {a for a, _ in roots}
+        split = [x for x in range(f.q) if x not in root_xs and len(fibers[x]) == m]
+        assert curve.split_x_values() == split
+        assert split == [] or (f.q - 1) % m == 0
+        assert [(x0, [(pl.x, pl.y) for pl in fiber]) for x0, fiber in curve.split_fibers()] == \
+            [(x0, [(x0, y0) for y0 in fibers[x0]]) for x0 in split]
+        xs, ys = curve.affine_points()
+        assert xs.dtype == ys.dtype == np.int64
+        assert list(zip(xs.tolist(), ys.tolist())) == [(x, y) for x in range(f.q)
+                                                       if x not in root_xs for y in fibers[x]]
+
+
+def test_fiber_reads_x_as_an_element_of_the_field(h3, gf4):
+    b = h3.split_x_values()[0]
+    assert h3.fiber(h3.field.element(b)) == h3.fiber(np.int64(b)) == h3.fiber(b)
+    for bad in (-1, h3.field.q):
+        with pytest.raises(UnsupportedPlaceStructureError):
+            h3.fiber(bad)
+    for bad in (True, 2.5):
+        with pytest.raises(TypeError):
+            h3.fiber(bad)
+    with pytest.raises(FieldMismatchError):
+        h3.fiber(gf4.element(1))
+
+
+def test_split_fibers_reads_x_as_an_element_of_the_field(h3):
+    xs = h3.split_x_values()[:2]
+    want = h3.split_fibers(xs)
+    assert h3.split_fibers([h3.field.element(xs[1]), np.int64(xs[0]), xs[1]]) == want
+    for bad in ([-1], [h3.field.q], [xs[0], 0]):  # 0 is a root of f
+        with pytest.raises(UnsupportedPlaceStructureError):
+            h3.split_fibers(bad)
+    with pytest.raises(TypeError):
+        h3.split_fibers([float(xs[0])])
 
 
 def test_genus_matches_riemann_hurwitz_on_random_curves():

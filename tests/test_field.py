@@ -18,7 +18,7 @@ from kummerlcp.errors import (
     TooLargeError,
 )
 
-from conftest import BIG_FIELDS, FIELD_CHOICES
+from conftest import BIG_FIELDS, FIELD_CHOICES, mth_roots_by_scan
 
 
 def naive_gf9_canonical_modulus():
@@ -497,19 +497,6 @@ def test_pow_and_vpow_for_every_sign_of_k(p, e):
         else:
             assert f.pow(0, k) == int(k == 0), k
             assert f.vpow(np.array([0, 1]), k).tolist() == [int(k == 0), 1], k
-
-
-def mth_roots_by_scan(f, m):
-    """The roots of y^m = c for every c, by raising every element of the field
-    to the m-th power (square and multiply with vmul)."""
-    vals, powers, base, k = np.arange(f.q), np.ones(f.q, dtype=np.int64), np.arange(f.q), m
-    while k:
-        if k & 1:
-            powers = f.vmul(powers, base)
-        base, k = f.vmul(base, base), k >> 1
-    order = np.argsort(powers, kind="stable")
-    bounds = np.searchsorted(powers[order], np.arange(f.q + 1))
-    return [vals[order[bounds[c]:bounds[c + 1]]].tolist() for c in range(f.q)]
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (2, 8), (3, 6), (1021, 1)])
