@@ -21,7 +21,7 @@ from .codes import (
     CertStep,
     LinearCode,
     Matrix,
-    ag_code,
+    _code_pair,
     encode_messages,
     fiber_block_rank,
     is_lcp,
@@ -126,7 +126,7 @@ def cmd_curve_info(args) -> dict:
         "m": curve.m,
         "q": curve.field.q,
         "deg_f": curve.deg_f,
-        "rational_places": len(ramified) + len(curve.affine_points()[0]),
+        "rational_places": len(ramified) + curve.affine_point_count(),
         "totally_ramified": ramified,
         "split_x_count": len(split),
         "max_code_length": curve.m * len(split),
@@ -220,13 +220,16 @@ def _load_lcp_result(path: str):
 
 def cmd_lcp_verify(args) -> dict:
     curve, d_places, G, H, certificates, stored = _load_lcp_result(args.result)
-    rebuilt = [ag_code(curve, d_places, divisor) for divisor in (G, H)]
+    *rebuilt, rebuilt_report = _code_pair(curve, d_places, G, H)
     # a stored code equal to its rebuilt code is replaced by it, which carries
     # the character blocks and has rank k by construction; any other stored
     # code is ranked densely
     codes = [r if (c.N, c.k, c.generator) == (r.N, r.k, r.generator) else c
              for c, r in zip(stored, rebuilt)]
-    report = is_lcp(codes[0], codes[1])
+    if codes[0] is rebuilt[0] and codes[1] is rebuilt[1]:
+        report = rebuilt_report  # the rebuilt pair's stack is ranked once
+    else:
+        report = is_lcp(codes[0], codes[1])
     conditions = verify_lcp_conditions(curve, d_places, G, H, certificates)
     stored_ranks_ok = all(c is r or fiber_block_rank(c) == c.k for c, r in zip(codes, rebuilt))
     # each stored code must be C(D, G) resp. C(D, H): same N and k, and its

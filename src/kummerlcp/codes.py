@@ -54,6 +54,15 @@ image row space(Phi) and kernel row space [G; K H'] (padded with zeros), so
 for every input.  Phi's columns are border columns in the lemma above.
 Each code brings its own drop columns, so a stack of codes with different
 drops is ranked by the same identity with the rank of every Phi subtracted.
+
+One-rank lemma.  Say G has r1 rows, H has r2 rows, r1 + r2 = N and
+rank [G; H] = N.  Then rank G >= N - rank H >= N - r2 = r1, so rank G = r1
+and rank H = r2: the stack's rank proves both codes' dimensions, and
+_code_pair takes no other rank.  The M_aug identity is exact for every
+input, so this holds for a K H' code as well.  When the row counts do not
+sum to N or the stack falls short of N (the failure path), the lemma says
+nothing, and both codes are ranked on their own, so every dimension
+reported or checked is a rank.
 """
 
 from __future__ import annotations
@@ -264,6 +273,20 @@ def fiber_block_rank(*codes: LinearCode) -> int:
     return linalg.rank(first.field, np.vstack([c.generator.data for c in codes]))
 
 
+def _unranked_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
+    """evaluation_code with k the generator's row count, not yet its rank:
+    the caller ranks the code or proves k (_code_pair)."""
+    places = tuple(eval_places)
+    overlap = set(places) & set(G.support())
+    if overlap:
+        raise SupportOverlapError(f"G and D share support: {sorted(p.id() for p in overlap)}")
+    field = curve.field
+    rows, basis, phi, strata = rrspace.evaluation_parts(curve, G, places)
+    code = LinearCode(field, Matrix(field, rows), len(places), len(rows), curve, G, places)
+    code._blocks = (code.generator, _character_split(curve.m, places, rows, basis, strata, phi))
+    return code
+
+
 def evaluation_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
     """C(D, G) for D the sum of the given places, its generator the
     evaluation rows of L(G) as they are (rrspace.evaluation_rows) and k
@@ -271,28 +294,17 @@ def evaluation_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor
     rational affine points of the curve off the roots of f (evaluation_parts
     checks them); the code's character blocks, built from the strata of the
     basis rows (H' and Phi when G drops affine places), are bound to it."""
-    places = tuple(eval_places)
-    overlap = set(places) & set(G.support())
-    if overlap:
-        raise SupportOverlapError(f"G and D share support: {sorted(p.id() for p in overlap)}")
-    field = curve.field
-    rows, basis, phi, strata = rrspace.evaluation_parts(curve, G, places)
-    code = LinearCode(field, Matrix(field, rows), len(places), 0, curve, G, places)
-    code._blocks = (code.generator, _character_split(curve.m, places, rows, basis, strata, phi))
+    code = _unranked_code(curve, eval_places, G)
     code.k = fiber_block_rank(code)
     return code
 
 
-def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
-    """The evaluation code C(D, G) for D the sum of the given affine places.
-
-    Within the window 2g-2 < deg G < N the dimension is checked against
-    deg G + 1 - g; outside it the generator is reduced to a row basis, which
-    keeps the character blocks.
-    """
-    code = evaluation_code(curve, eval_places, G)
-    g = curve.genus()
-    deg = G.degree()
+def _dimension_checked(code: LinearCode) -> LinearCode:
+    """ag_code's checks on a code whose k is its generator's rank: within the
+    window 2g-2 < deg G < N, k must be deg G + 1 - g; a generator of more
+    than k rows is reduced to a row basis, which keeps the character blocks."""
+    g = code.curve.genus()
+    deg = code.G.degree()
     if 2 * g - 2 < deg < code.N:
         expected = deg + 1 - g
         if code.k != expected:
@@ -305,6 +317,16 @@ def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> Lin
                                                                    code.generator.data))
         code._blocks = (code.generator, blocks)
     return code
+
+
+def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
+    """The evaluation code C(D, G) for D the sum of the given affine places.
+
+    Within the window 2g-2 < deg G < N the dimension is checked against
+    deg G + 1 - g; outside it the generator is reduced to a row basis, which
+    keeps the character blocks.
+    """
+    return _dimension_checked(evaluation_code(curve, eval_places, G))
 
 
 @dataclass(frozen=True)
@@ -376,6 +398,24 @@ def is_lcp(c1: LinearCode, c2: LinearCode) -> LcpReport:
     return LcpReport(c1.k, c2.k, c1.N, r, c1.k + c2.k == c1.N and r == c1.N)
 
 
+def _code_pair(curve: KummerCurve, d_places: Sequence[Place], G: Divisor,
+               H: Divisor) -> tuple[LinearCode, LinearCode, LcpReport]:
+    """ag_code(curve, d_places, G), the same for H, and is_lcp of the two,
+    with the same codes, errors and report.  The stack's rank is taken first;
+    when it proves both dimensions (the one-rank lemma in the module
+    docstring) no other rank is taken, and otherwise each code is ranked."""
+    codes = [_unranked_code(curve, d_places, D) for D in (G, H)]
+    N = len(d_places)
+    r = fiber_block_rank(*codes)
+    proved = codes[0].k + codes[1].k == N and r == N
+    for code in codes:
+        if not proved:
+            code.k = fiber_block_rank(code)
+        _dimension_checked(code)
+    k1, k2 = codes[0].k, codes[1].k
+    return codes[0], codes[1], LcpReport(k1, k2, N, r, k1 + k2 == N and r == N)
+
+
 @dataclass(frozen=True)
 class CertStep:
     """One link of a linear-equivalence chain: mult * (principal divisor)."""
@@ -418,19 +458,35 @@ class ConditionReport:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
-def _chain_divisor(curve: KummerCurve, certificates: Iterable[CertStep]) -> Divisor:
+def _chain_divisor(curve: KummerCurve, certificates: Iterable[CertStep],
+                   d_places: Sequence[Place] = ()) -> Divisor:
     """The sum of mult * div(generator) over the chain, summed in one dict,
-    unsorted, so the cost is linear in the chain's length."""
+    unsorted, so the cost is linear in the chain's length.
+
+    d_places must have passed check_curve_points.  A step x - b whose b
+    carries m of them takes div(x - b) = (those places) - m Q_inf off them: a
+    fiber holds at most m rational places, so they are all of it.  Any other
+    step builds its principal divisor."""
+    over_x: dict[int, list[Place]] = {}
+    for place in d_places:
+        over_x.setdefault(place.x, []).append(place)
+    m = curve.m
     coeffs: dict[Place, int] = {}
     for step in certificates:
         if step.kind == "y":
-            div = curve.principal_divisor("y")
+            items = curve.principal_divisor("y")._coeffs.items()
         elif step.kind == "x-b":
-            div = curve.principal_divisor("x-b", step.b)
+            # any other b (a bool, a FieldElement) is read by principal_divisor
+            fiber = over_x.get(step.b, ()) if type(step.b) is int else ()
+            if len(fiber) == m:
+                items = [(place, 1) for place in fiber]
+                items.append(curve._infinity_entry(-m))
+            else:
+                items = curve.principal_divisor("x-b", step.b)._coeffs.items()
         else:
             raise CertificateInvalidError(f"unknown generator kind {step.kind!r}")
         mult = json_int(step.mult)
-        for place, c in div._coeffs.items():
+        for place, c in items:
             coeffs[place] = coeffs.get(place, 0) + mult * c
     return Divisor._checked({place: c for place, c in coeffs.items() if c})
 
@@ -450,7 +506,10 @@ def _nonspecial_gminus1_report(
     if deg != g - 1:
         return
     try:
-        dim = rrspace.dim_with_simple_affine_drops(curve, W)
+        # W's affine places are places of D or of G and H, which
+        # verify_lcp_conditions has checked, or places of a fiber the
+        # certificate chain read off the curve, so they are not checked again
+        dim = rrspace._drops_dimension(curve, *rrspace._affine_drops(W))
     except UnsupportedSupportError as exc:
         report.add(f"{label} nonspecial", False, f"unsupported support: {exc}")
         return
@@ -473,7 +532,8 @@ def verify_lcp_conditions(
     """Check the sufficient conditions for (C(D,G), C(D,H)) to be an LCP.
 
     The places of D, and the affine places G and H drop, must be distinct
-    rational affine points of the curve off the roots of f.  The certificates must telescope lmd(G,H) - D onto a
+    rational affine points of the curve off the roots of f.  The
+    certificates must telescope lmd(G,H) - D onto a
     divisor supported on ramified places (minus possibly some coefficient -1
     affine places); a chain that leaves other support standing is rejected.
     """
@@ -496,7 +556,7 @@ def verify_lcp_conditions(
     _nonspecial_gminus1_report(curve, W, report, "gcd(G,H)")
 
     # lmd(G,H) - D - chain, built once over all their terms
-    chain_div = _chain_divisor(curve, certificates)
+    chain_div = _chain_divisor(curve, certificates, d_places)
     reduced = Divisor(chain(divisor_lmd(G, H).items(), ((p, -1) for p in d_places),
                             ((p, -c) for p, c in chain_div._coeffs.items())))
     bad = [p for p, c in reduced.items() if p.kind == AFFINE and c != -1]

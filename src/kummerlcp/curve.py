@@ -351,14 +351,25 @@ class KummerCurve:
         ys = np.sort(unit_mth_roots(self.field, logs, self.m), axis=1, kind="stable").tolist()
         return [(x0, [Place.affine(x0, y0) for y0 in row]) for x0, row in zip(xs, ys)]
 
+    def _point_fibers(self) -> np.ndarray:
+        """Whether the fiber over each x0 in GF(q) holds rational points off
+        the roots of f: the fiber over x0 has d = gcd(m, q-1) points when d
+        divides log f(x0) (the roots' sentinel excluded), else none."""
+        logs, q1 = self._f_logs(), self.field.q - 1
+        return (logs % math.gcd(self.m, q1) == 0) & (logs < 2 * q1)
+
     def affine_points(self) -> tuple[np.ndarray, np.ndarray]:
         """(xs, ys): every rational affine point with f(x0) != 0, as int64
-        arrays sorted by x and, within a fiber, by y.  The fiber over x0 has
-        d = gcd(m, q-1) points when d divides log f(x0), else none."""
-        logs, q1 = self._f_logs(), self.field.q - 1
-        xs = np.flatnonzero((logs % math.gcd(self.m, q1) == 0) & (logs < 2 * q1))
-        ys = np.sort(unit_mth_roots(self.field, logs[xs], self.m), axis=1, kind="stable")
+        arrays sorted by x and, within a fiber, by y."""
+        xs = np.flatnonzero(self._point_fibers())
+        ys = np.sort(unit_mth_roots(self.field, self._f_logs()[xs], self.m), axis=1,
+                     kind="stable")
         return np.repeat(xs, ys.shape[1]), ys.ravel()
+
+    def affine_point_count(self) -> int:
+        """len(affine_points()[0]), counted without building the points:
+        d = gcd(m, q-1) points over each x0 whose fiber holds any."""
+        return math.gcd(self.m, self.field.q - 1) * int(np.count_nonzero(self._point_fibers()))
 
     def rational_places(self) -> list[Place]:
         """All enumerated rational places: infinity (if totally ramified),

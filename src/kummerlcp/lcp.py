@@ -24,8 +24,7 @@ from .codes import (
     CertStep,
     LcpReport,
     LinearCode,
-    ag_code,
-    is_lcp,
+    _code_pair,
     verify_lcp_conditions,
 )
 from .curve import Divisor, KummerCurve, Place
@@ -103,14 +102,12 @@ def _finalize(
     expect_k1: int,
     expect_k2: int,
 ) -> LcpConstruction:
-    code_g = ag_code(curve, d_places, G)
-    code_h = ag_code(curve, d_places, H)
+    code_g, code_h, report = _code_pair(curve, d_places, G, H)
     if (code_g.k, code_h.k) != (expect_k1, expect_k2):
         raise InternalInvariantError(
             f"dimensions ({code_g.k}, {code_h.k}) differ from the closed form "
             f"({expect_k1}, {expect_k2})"
         )
-    report = is_lcp(code_g, code_h)
     conditions = verify_lcp_conditions(curve, d_places, G, H, certificates)
     report.conditions = conditions
     if not (report.verdict and conditions.passed):
@@ -245,7 +242,7 @@ def lcp_punctured(
     zero_sum = Divisor((curve.root_place(k), 1) for k in range(n))
     # deg(H + R_1) = g + s*n >= 2g on the s-range, so H + R_1 and H are both
     # non-special and evaluation at R_1 is onto: dim L(H) = s*n (Riemann-Roch;
-    # ag_code and _finalize check the dimensions)
+    # _code_pair's window check and _finalize check the dimensions)
     H = E + s * zero_sum - Divisor.of((r1, 1))
     certificates = [CertStep("y", None, s)]
     certificates.extend(CertStep("x-b", x0, -1) for x0, _ in fibers[1:])

@@ -127,13 +127,20 @@ def dim_by_decomposition(curve: KummerCurve, D: Divisor) -> int:
     return sum(max(0, a.degree + 1) for a in _xline_divisors(curve, D))
 
 
-def _split_affine_drops(curve: KummerCurve, D: Divisor) -> tuple[Divisor, list[Place]]:
-    """D's ramified part, and the affine places it drops (coefficient -1)."""
+def _affine_drops(D: Divisor) -> tuple[Divisor, list[Place]]:
+    """D's ramified part, and the affine places it drops (coefficient -1),
+    which are not checked against the curve."""
     drops = [p for p, c in D.items() if p.kind == AFFINE]
     if any(D.coeff(p) != -1 for p in drops):
         raise UnsupportedSupportError("affine coefficients other than -1 are not supported")
-    check_curve_points(curve, drops)
     return Divisor((p, c) for p, c in D.items() if p.kind != AFFINE), drops
+
+
+def _split_affine_drops(curve: KummerCurve, D: Divisor) -> tuple[Divisor, list[Place]]:
+    """_affine_drops, with the drops put through check_curve_points."""
+    ram, drops = _affine_drops(D)
+    check_curve_points(curve, drops)
+    return ram, drops
 
 
 def evaluation_parts(
@@ -201,9 +208,15 @@ def dim_with_simple_affine_drops(curve: KummerCurve, D: Divisor) -> int:
 
     Affine coefficients must all be -1; the drops then impose linear
     conditions on L(ramified part) and the dimension falls by the rank of
-    the evaluation map, which is exact.
+    the evaluation map, which is exact.  The drops must pass
+    check_curve_points.
     """
-    ram, drops = _split_affine_drops(curve, D)
+    return _drops_dimension(curve, *_split_affine_drops(curve, D))
+
+
+def _drops_dimension(curve: KummerCurve, ram: Divisor, drops: Sequence[Place]) -> int:
+    """dim L(ram - sum of drops) for drops that are distinct rational affine
+    points of the curve off the roots of f, which is not checked here."""
     return dim_by_decomposition(curve, ram) - linalg.rank(
         curve.field, _basis_rows(curve, ram, drops)[0]
     )

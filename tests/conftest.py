@@ -216,3 +216,40 @@ def mth_roots_by_scan(f, m):
     order = np.argsort(powers, kind="stable")
     bounds = np.searchsorted(powers[order], np.arange(f.q + 1))
     return [vals[order[bounds[c]:bounds[c + 1]]].tolist() for c in range(f.q)]
+
+
+def plant_dependent_row(monkeypatch, divisor: "K.Divisor") -> None:
+    """rrspace.evaluation_parts patched so that the rows of L(divisor), which
+    drops no affine place, have the last row of one stratum replaced by a
+    combination of that stratum's first two: as many rows, rank one less."""
+    from kummerlcp import rrspace
+    parts = rrspace.evaluation_parts
+
+    def planted(curve, D, places):
+        rows, basis, phi, strata = parts(curve, D, places)
+        if D == divisor:
+            f = curve.field
+            i = next(i for i in range(curve.m) if np.count_nonzero(strata == i) >= 3)
+            r0, last = np.flatnonzero(strata == i)[[0, -1]]
+            rows = rows.copy()
+            rows[last] = f.vadd(f.vmul(rows[r0], 2), rows[r0 + 1])
+            basis = rows
+        return rows, basis, phi, strata
+
+    monkeypatch.setattr(rrspace, "evaluation_parts", planted)
+
+
+def count_code_ranks(monkeypatch) -> list:
+    """The fiber_block_rank calls made through codes and cli from now on, as
+    the number of codes stacked in each."""
+    from kummerlcp import cli, codes
+    calls = []
+    rank = codes.fiber_block_rank
+
+    def counted(*cs):
+        calls.append(len(cs))
+        return rank(*cs)
+
+    monkeypatch.setattr(codes, "fiber_block_rank", counted)
+    monkeypatch.setattr(cli, "fiber_block_rank", counted)
+    return calls

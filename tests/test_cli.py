@@ -12,6 +12,8 @@ import pytest
 import kummerlcp as K
 from kummerlcp import cli, linalg, rrspace
 
+from conftest import count_code_ranks, plant_dependent_row
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -252,11 +254,13 @@ def verify_in_process(monkeypatch, tmp_path, result):
 
 def test_lcp_verify_gf1021_construction_r_on_fiber_blocks(monkeypatch, tmp_path,
                                                          gf1021_punctured_result):
-    # both stored codes equal the rebuilt ones, whose blocks rank everything
+    # both stored codes equal the rebuilt ones, whose blocks rank everything,
+    # and the rebuilt pair's one stack rank is the only rank taken
+    ranks = count_code_ranks(monkeypatch)
     out, dense_calls = verify_in_process(monkeypatch, tmp_path, gf1021_punctured_result)
     assert out["verdict"] == "LCP" and out["rank_of_stack"] == 189
     assert out["stored_ranks_ok"] is True and out["stored_codes_match"] is True
-    assert dense_calls == 0
+    assert dense_calls == 0 and ranks == [2]
 
 
 def test_lcp_verify_row_reduced_generator(monkeypatch, tmp_path, gf1021_punctured_result):
@@ -271,6 +275,43 @@ def test_lcp_verify_row_reduced_generator(monkeypatch, tmp_path, gf1021_puncture
     assert out["verdict"] == "LCP" and out["rank_of_stack"] == 189
     assert out["stored_ranks_ok"] is True and out["stored_codes_match"] is True
     assert dense_calls > 0
+
+
+def test_lcp_verify_failure_path_reports_real_ranks(monkeypatch, tmp_path):
+    # on H3, 24 Q_inf ~ D on all six fibers: L(24 Q_inf) has 22 rows of rank
+    # 21 at D and holds L(3 Q_inf), 2 rows, so the stack of 22 + 2 = N rows
+    # has rank 21 and the rebuilt codes must be ranked on their own; the
+    # stored codes are ag_code's, G row-reduced to k = 21
+    h3 = K.curve_from_json(H3_SPEC)
+    D = [p for _, fiber in h3.split_fibers() for p in fiber]
+    inf = K.Place.infinity()
+    G, H = K.Divisor.of((inf, 24)), K.Divisor.of((inf, 3))
+    g_code, h_code = K.ag_code(h3, D, G), K.ag_code(h3, D, H)
+    assert (g_code.k, g_code.generator.rows, h_code.k) == (21, 21, 2)
+    result = {"curve": H3_SPEC, "D": [p.id() for p in D], "G": G.to_json(),
+              "H": H.to_json(), "certificates": [],
+              "codes": [g_code.to_json(), h_code.to_json()]}
+    ranks = count_code_ranks(monkeypatch)
+    out, _ = verify_in_process(monkeypatch, tmp_path, result)
+    assert ranks == [2, 1, 1]
+    assert out["verdict"] == "NOT_LCP" and out["rank_of_stack"] == 21
+    assert out["stored_ranks_ok"] is True and out["stored_codes_match"] is True
+    assert out["conditions_pass"] is False
+
+
+def test_lcp_verify_planted_dependent_row(monkeypatch, tmp_path, h3_result):
+    # the rebuilt G's 15 rows planted with rank 14: the stack has rank 23,
+    # G is ranked on its own and fails the window check, as ag_code does
+    curve = K.curve_from_json(h3_result["curve"])
+    plant_dependent_row(monkeypatch, K.Divisor.from_json(curve, h3_result["G"]))
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(h3_result))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["lcp-verify", "--result", str(path)]) == 2
+    payload = json.loads(err.getvalue())
+    assert payload["error"] == "InternalInvariant"
+    assert "rank 14 does not match deg G + 1 - g = 15" in payload["message"]
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,10 @@ import kummerlcp as K
 from kummerlcp import lcp, linalg, rrspace
 from kummerlcp.codes import (
     CertStep,
+    LcpReport,
     _chain_divisor,
+    _code_pair,
+    _unranked_code,
     character_blocks,
     encode_messages,
     evaluation_code,
@@ -19,12 +22,13 @@ from kummerlcp.errors import (
     CertificateInvalidError,
     ElementOutOfRangeError,
     FieldMismatchError,
+    InternalInvariantError,
     ShapeMismatchError,
     SupportOverlapError,
     UnsupportedPlaceStructureError,
 )
 
-from conftest import FIELD_CHOICES, random_curve
+from conftest import FIELD_CHOICES, count_code_ranks, plant_dependent_row, random_curve
 
 
 def reference_rref(f, M):
@@ -392,6 +396,62 @@ def test_chain_divisor_equals_fold(h3, z_curve, h3_constructions):
         _chain_divisor(z_curve, chain[:3] + [CertStep("z", None, 1)])
 
 
+def test_chain_divisor_reads_fibers_off_d(monkeypatch, h3, h3_constructions):
+    # with D given, a step over m places of D builds no principal divisor
+    built = []
+    principal = K.KummerCurve.principal_divisor
+
+    def counted(curve, kind, b=None):
+        built.append(kind)
+        return principal(curve, kind, b)
+
+    monkeypatch.setattr(K.KummerCurve, "principal_divisor", counted)
+    for res in h3_constructions:
+        built.clear()
+        div = _chain_divisor(h3, res.certificates, res.d_places)
+        assert built == ["y"]
+        assert div == _chain_divisor(h3, res.certificates) == terms_chain(h3, res.certificates)
+    # certificate steps read as from a file whose b carries fewer than m
+    # places of D: the first fiber of construction R (only R_2 is in D), a
+    # root of f, and a split fiber taken out of D
+    res = next(r for r in h3_constructions if r.construction == "R")
+    first_x = res.d_places[0].x
+    outside = res.certificates[-1].b
+    d_places = [p for p in res.d_places if p.x != outside]
+    steps = [CertStep.from_json(c) for c in (
+        {"gen": "x-b", "b": first_x, "mult": 2},
+        {"gen": "x-b", "b": h3.roots[1][0], "mult": -1},
+        {"gen": "x-b", "b": outside, "mult": -3},
+        {"gen": "y", "b": None, "mult": 1},
+    )]
+    certificates = list(res.certificates) + steps
+    built.clear()
+    div = _chain_divisor(h3, certificates, d_places)
+    assert built == ["y", "x-b", "x-b", "x-b", "x-b", "y"]
+    assert div == terms_chain(h3, certificates) == _chain_divisor(h3, certificates)
+
+
+def test_verifier_checks_no_residual_drop_again(monkeypatch, h3_punctured):
+    # gcd(G, H) of construction R drops R_1, which verify_lcp_conditions has
+    # checked as an affine place of H; only the public dimension checks it again
+    res = h3_punctured
+    checked = []
+    check = rrspace.check_curve_points
+
+    def counted(curve, places):
+        checked.append(list(places))
+        return check(curve, places)
+
+    monkeypatch.setattr(rrspace, "check_curve_points", counted)
+    report = K.verify_lcp_conditions(res.curve, res.d_places, res.G, res.H, res.certificates)
+    assert report.passed and checked == []
+    W = K.divisor_gcd(res.G, res.H)
+    r1 = [p for p in W.support() if p.kind == "aff"]
+    assert len(r1) == 1
+    assert rrspace.dim_with_simple_affine_drops(res.curve, W) == 0
+    assert checked == [r1]
+
+
 def test_verify_conditions_partial_chain_still_sound(h3):
     # dropping the fiber steps leaves -1 coefficients on all of D, which the
     # evaluation-functional route still decides correctly (just more slowly)
@@ -453,9 +513,18 @@ def h3_constructions(h3):
             + [K.lcp_punctured(h3, Eg, s) for s in range(1, 7)])
 
 
+def assert_pair_ranks(res):
+    """A construction's k1 and k2, which its stack's rank proves, are each
+    code's own rank (assert_ranks_agree checks that against dense elimination)."""
+    assert (res.code_g.k, res.code_h.k) == (res.report.k1, res.report.k2)
+    assert (res.code_g.k, res.code_h.k) == (fiber_block_rank(res.code_g),
+                                            fiber_block_rank(res.code_h))
+
+
 def test_fiber_block_rank_all_h3_constructions(h3_constructions):
     for res in h3_constructions:
         assert_ranks_agree(res.code_g, res.code_h)
+        assert_pair_ranks(res)
         assert res.report.rank_of_stack == (21 if res.construction == "R" else 24)
         if res.construction == "R":
             # R_2 is a border column of both codes; H's K H' is ranked from H'
@@ -521,6 +590,7 @@ def test_fiber_block_rank_random_constructions():
                 except K.errors.KummerError:
                     continue
                 assert_ranks_agree(res.code_g, res.code_h)
+                assert_pair_ranks(res)
                 built[construction] += 1
     assert built["1"] >= 20 and built["2"] >= 10
 
@@ -708,6 +778,7 @@ def test_bordered_rank_gf1021_construction_r():
         s = (N - 3) // 6  # the middle of (g-1)/n < s < (N-m-g+2)/n, n = 3
         res = K.lcp_punctured(curve, E, s, xs[:fibers])
         assert_ranks_agree(res.code_g, res.code_h)
+        assert_pair_ranks(res)
         assert res.report.rank_of_stack == N == res.code_g.k + res.code_h.k
 
 
@@ -795,3 +866,55 @@ def test_dropped_places_must_be_curve_points(h3, h3_punctured, place):
         K.ag_code(h3, res.d_places, H)
     with pytest.raises(UnsupportedPlaceStructureError):
         K.verify_lcp_conditions(h3, res.d_places, res.G, H, res.certificates)
+
+
+# --- one rank per pair: the stack's rank proves both dimensions -------------------
+
+def test_code_pair_takes_the_stack_rank_only(monkeypatch, h3_pole_shift, h3_punctured):
+    for res in (h3_pole_shift, h3_punctured):
+        calls = count_code_ranks(monkeypatch)
+        c1, c2, report = _code_pair(res.curve, res.d_places, res.G, res.H)
+        assert calls == [2]
+        N = res.code_g.N
+        assert report == K.is_lcp(res.code_g, res.code_h) == LcpReport(
+            res.code_g.k, res.code_h.k, N, N, True)
+        assert (c1.generator, c2.generator) == (res.code_g.generator, res.code_h.generator)
+        assert (c1.k, c2.k) == (dense_rank(c1), dense_rank(c2))
+
+
+def test_code_pair_failure_path_ranks_each_code(monkeypatch, h3):
+    # 24 Q_inf ~ D on all six fibers, so L(24 Q_inf) has 22 rows of rank 21
+    # at D, and L(3 Q_inf) lies inside it: 22 + 2 rows, a stack of rank 21.
+    # Both degrees are outside the window, so no dimension check raises
+    D = [p for _, fiber in h3.split_fibers() for p in fiber]
+    inf = K.Place.infinity()
+    G, H = K.Divisor.of((inf, 24)), K.Divisor.of((inf, 3))
+    assert (rrspace.dim_by_decomposition(h3, G), rrspace.dim_by_decomposition(h3, H)) == (22, 2)
+    calls = count_code_ranks(monkeypatch)
+    c1, c2, report = _code_pair(h3, D, G, H)
+    assert calls == [2, 1, 1]
+    monkeypatch.undo()
+    assert (report.k1, report.k2, report.rank_of_stack, report.verdict) == (21, 2, 21, False)
+    g_code, h_code = K.ag_code(h3, D, G), K.ag_code(h3, D, H)
+    assert report == K.is_lcp(g_code, h_code)
+    assert (c1.k, c2.k) == (dense_rank(c1), dense_rank(c2)) == (21, 2)
+    assert (c1.generator, c2.generator) == (g_code.generator, h_code.generator)
+
+
+def test_code_pair_failure_path_planted_dependent_row(monkeypatch, h3_pole_shift):
+    # G's 15 rows have rank 14, so the stack [G; H] has rank N - 1 = 23 and
+    # proves nothing: G is ranked on its own and fails the window check, in
+    # the pair builder, in ag_code and in the construction alike
+    res = h3_pole_shift
+    plant_dependent_row(monkeypatch, res.G)
+    stack = fiber_block_rank(_unranked_code(res.curve, res.d_places, res.G), res.code_h)
+    assert stack == res.code_g.N - 1
+    message = r"^rank 14 does not match deg G \+ 1 - g = 15$"
+    with pytest.raises(InternalInvariantError, match=message):
+        _code_pair(res.curve, res.d_places, res.G, res.H)
+    with pytest.raises(InternalInvariantError, match=message):
+        K.ag_code(res.curve, res.d_places, res.G)
+    E = K.Divisor.of((K.Place.infinity(), -1), (res.curve.root_place(1), 1),
+                     (res.curve.root_place(2), 2))
+    with pytest.raises(InternalInvariantError, match=message):
+        K.lcp_pole_shift(res.curve, E, 3)

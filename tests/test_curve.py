@@ -249,6 +249,24 @@ def test_fibers_match_a_y_scan(p, e):
                                                        if x not in root_xs for y in fibers[x]]
 
 
+@pytest.mark.parametrize("p,e", FIELD_CHOICES + BIG_FIELDS)
+def test_affine_point_count_matches_the_points(p, e):
+    # curve-info's count, d = gcd(m, q-1) points over every x0 with d | log
+    # f(x0), for d = m (split fibers), 1 < d < m and d = 1 (one point over
+    # every x0 off the roots)
+    f = K.field_create(p, e)
+    rng = random.Random(p * 1000 + e)
+    coprime = next(m for m in range(2, 4 * f.q) if math.gcd(m, f.q - 1) == 1 and m % p)
+    for m in (_splitting_m(f.q, p), _partial_m(f.q, p), coprime):
+        for _ in range(2):
+            xs = rng.sample(range(f.q), rng.randint(1, 4))
+            lams = [1] + [rng.randint(1, m - 1) for _ in xs[1:]]
+            curve = K.curve_create(f, m, rng.randrange(1, f.q), list(zip(xs, lams)))
+            assert curve.affine_point_count() == len(curve.affine_points()[0])
+        if m == coprime:
+            assert curve.affine_point_count() == f.q - len(xs)
+
+
 def test_fiber_reads_x_as_an_element_of_the_field(h3, gf4):
     b = h3.split_x_values()[0]
     assert h3.fiber(h3.field.element(b)) == h3.fiber(np.int64(b)) == h3.fiber(b)

@@ -246,12 +246,13 @@ def test_punctured_evaluation_at_r1_is_onto(h3):
 
 @pytest.mark.parametrize("which", ["h3", "gf1021-48-fibers"])
 def test_punctured_build_eliminates_each_matrix_once(monkeypatch, h3, which):
-    # G: 4 stratum blocks and the border residual; H: null_space(Phi^T),
-    # then the same 5 (rank Phi is read off the kernel); the stack: 5; the
-    # two condition divisors: one rank each.  Basis rows: G at D, H' at D
-    # and at R_1, and each condition divisor at its drops.  The stratum
-    # blocks of one rank are eliminated as one stack, so matrices are
-    # counted over the stack's depth
+    # H: null_space(Phi^T) (rank Phi is read off the kernel); the stack: 4
+    # stratum blocks and the border residual, which prove both codes'
+    # dimensions, so neither code is ranked on its own; the two condition
+    # divisors: one rank each.  Basis rows: G at D, H' at D and at R_1, and
+    # each condition divisor at its drops.  The stratum blocks of one rank
+    # are eliminated as one stack, so matrices are counted over the stack's
+    # depth
     if which == "h3":
         curve, s, xs = h3, 3, None
     else:
@@ -271,7 +272,7 @@ def test_punctured_build_eliminates_each_matrix_once(monkeypatch, h3, which):
     monkeypatch.setattr(rrspace, "_basis_rows", counted("basis_rows", rrspace._basis_rows))
     res = K.lcp_punctured(curve, E, s, xs)
     assert res.report.verdict
-    assert calls == {"eliminate": 18, "basis_rows": 5}
+    assert calls == {"eliminate": 8, "basis_rows": 5}
 
 
 def test_pole_shift_on_bundle_curve(bundle_curve):
