@@ -88,10 +88,11 @@ def _load_divisor(curve: KummerCurve, path: str) -> Divisor:
 def _code_from_json(field: Field, obj: dict, path: str) -> LinearCode:
     """A stored code whose generator is an integer matrix of encodings in [0, q).
 
-    numpy reads a JSON true or false among integers as 1 or 0, so the
-    entries' own types are checked as well."""
+    An empty generator is the 0 x N matrix of an [N, 0] code.  numpy reads a
+    JSON true or false among integers as 1 or 0, so the entries' own types
+    are checked as well."""
     rows = obj["generator"]
-    data = np.asarray(rows)
+    data = np.asarray(rows) if rows != [] else np.zeros((0, json_int(obj["N"])), dtype=np.int64)
     if (data.dtype.kind not in "iu" or data.ndim != 2
             or np.any((data < 0) | (data >= field.q))
             or bool in map(type, chain.from_iterable(rows))):
@@ -193,7 +194,7 @@ def cmd_lcp_build(args) -> dict:
     E = _load_divisor(curve, args.E) if args.E else None
     E2 = _load_divisor(curve, args.E2) if args.E2 else None
     try:
-        eval_x = [int(v) for v in args.eval_x.split(",")] if args.eval_x else None
+        eval_x = [int(v) for v in args.eval_x.split(",")] if args.eval_x is not None else None
     except ValueError:
         raise UsageError(f"--eval-x needs comma-separated integers, got {args.eval_x!r}") from None
     result = lcp_mod.build(curve, args.construction, args.s, E, E2, eval_x)
@@ -220,25 +221,20 @@ def _load_lcp_result(path: str):
 
 def cmd_lcp_verify(args) -> dict:
     curve, d_places, G, H, certificates, stored = _load_lcp_result(args.result)
-    *rebuilt, rebuilt_report = _code_pair(curve, d_places, G, H)
-    # a stored code equal to its rebuilt code is replaced by it, which carries
-    # the character blocks and has rank k by construction; any other stored
-    # code is ranked densely
-    codes = [r if (c.N, c.k, c.generator) == (r.N, r.k, r.generator) else c
-             for c, r in zip(stored, rebuilt)]
-    if codes[0] is rebuilt[0] and codes[1] is rebuilt[1]:
-        report = rebuilt_report  # the rebuilt pair's stack is ranked once
-    else:
-        report = is_lcp(codes[0], codes[1])
-    conditions = verify_lcp_conditions(curve, d_places, G, H, certificates)
-    stored_ranks_ok = all(c is r or fiber_block_rank(c) == c.k for c, r in zip(codes, rebuilt))
-    # each stored code must be C(D, G) resp. C(D, H): same N and k, and its
-    # rows inside the row space of the rebuilt generator
+    *rebuilt, report = _code_pair(curve, d_places, G, H)
+    # each stored code must have rank k and be C(D, G) resp. C(D, H): the same
+    # N and k, its rows inside the row space of the rebuilt generator.  A
+    # stored code byte-equal to its rebuilt code passes both with no rank taken
+    same = [(c.N, c.k, c.generator) == (r.N, r.k, r.generator) for c, r in zip(stored, rebuilt)]
+    stored_ranks_ok = all(s or fiber_block_rank(c) == c.k for s, c in zip(same, stored))
     stored_codes_match = all(
-        c is r or ((c.N, c.k, c.generator.cols) == (r.N, r.k, r.N)
-                   and fiber_block_rank(c, r) == r.k)
-        for c, r in zip(codes, rebuilt)
-    )
+        s or ((c.N, c.k, c.generator.cols) == (r.N, r.k, r.N) and fiber_block_rank(c, r) == r.k)
+        for s, c, r in zip(same, stored, rebuilt))
+    if not (stored_ranks_ok and stored_codes_match):
+        report = is_lcp(*stored)
+    # otherwise each stored code spans its rebuilt code, so the stored stack
+    # spans the rebuilt one and the rebuilt pair's report is the stored pair's
+    conditions = verify_lcp_conditions(curve, d_places, G, H, certificates)
     return {
         "verdict": "LCP" if report.verdict and stored_codes_match else "NOT_LCP",
         "rank_of_stack": report.rank_of_stack,
@@ -277,10 +273,10 @@ def cmd_code_info(args) -> dict:
     if args.sample:
         rng = np.random.default_rng(args.seed)
         msgs = rng.integers(0, code.field.q, size=(args.sample, code.k), dtype=np.int64)
-        words = encode_messages(code, msgs)
+        # the nonzero messages only, so an [N, 0] code encodes no word of length N
+        words = encode_messages(code, msgs[np.any(msgs != 0, axis=1)])
         weights = np.count_nonzero(words, axis=1)
-        nonzero = weights[np.any(msgs != 0, axis=1)]
-        out["sampled_min_weight"] = int(nonzero.min()) if nonzero.size else None
+        out["sampled_min_weight"] = int(weights.min()) if weights.size else None
     else:
         d = min_distance(code)
         out["min_distance"] = d.to_json()

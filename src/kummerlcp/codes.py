@@ -23,8 +23,8 @@ construction R keeps of its first fiber).  Scaling W_i's columns by
 y_0^(-i) changes neither rank [W_i | B_i] nor the border rows left below its
 pivots, so block i is just the stratum-i rows at the first column of each
 group, then at the border columns.  This needs no roots of unity and no
-check of the data, only the strata, which codes built by evaluation_code
-carry; any other generator (a stored or replaced one) takes the dense
+check of the data, only the strata, which every code _unranked_code builds
+carries; any other generator (a stored or replaced one) takes the dense
 elimination, which stays the fallback and the test oracle.
 
 Border residual lemma.  Eliminating [W_i | B_i] with the border columns
@@ -61,8 +61,9 @@ and rank H = r2: the stack's rank proves both codes' dimensions, and
 _code_pair takes no other rank.  The M_aug identity is exact for every
 input, so this holds for a K H' code as well.  When the row counts do not
 sum to N or the stack falls short of N (the failure path), the lemma says
-nothing, and both codes are ranked on their own, so every dimension
-reported or checked is a rank.
+nothing, and both codes are ranked on their own.  Either way k reaches the
+code through _dimension_checked, as in ag_code, so every dimension reported
+or checked is a rank.
 """
 
 from __future__ import annotations
@@ -208,10 +209,10 @@ def _character_split(m: int, places: Sequence[Place], rows: np.ndarray, basis: n
 
 def character_blocks(code: LinearCode) -> CharacterBlocks | None:
     """The generator in bordered fiber-block form (module docstring), or None
-    when the code was not built by evaluation_code or its generator object
+    when the code was not built by _unranked_code or its generator object
     was replaced since (Matrix data is not edited in place); the dense path
-    then decides.  ag_code rebinds the blocks to the row basis it puts in the
-    generator's place, which spans the same row space."""
+    then decides.  _dimension_checked rebinds the blocks to the row basis it
+    puts in the generator's place, which spans the same row space."""
     if code._blocks is not None and code._blocks[0] is code.generator:
         return code._blocks[1]
     return None
@@ -274,8 +275,13 @@ def fiber_block_rank(*codes: LinearCode) -> int:
 
 
 def _unranked_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
-    """evaluation_code with k the generator's row count, not yet its rank:
-    the caller ranks the code or proves k (_code_pair)."""
+    """C(D, G) for D the sum of the given places, its generator the
+    evaluation rows of L(G) as they are (rrspace.evaluation_rows) and k their
+    row count until _dimension_checked sets it.  The places, and the affine
+    places G drops, must be distinct rational affine points of the curve off
+    the roots of f (evaluation_parts checks them); the code's character
+    blocks, built from the strata of the basis rows (H' and Phi when G drops
+    affine places), are bound to it."""
     places = tuple(eval_places)
     overlap = set(places) & set(G.support())
     if overlap:
@@ -287,31 +293,18 @@ def _unranked_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor)
     return code
 
 
-def evaluation_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
-    """C(D, G) for D the sum of the given places, its generator the
-    evaluation rows of L(G) as they are (rrspace.evaluation_rows) and k
-    their rank.  The places, and the affine places G drops, must be distinct
-    rational affine points of the curve off the roots of f (evaluation_parts
-    checks them); the code's character blocks, built from the strata of the
-    basis rows (H' and Phi when G drops affine places), are bound to it."""
-    code = _unranked_code(curve, eval_places, G)
-    code.k = fiber_block_rank(code)
-    return code
-
-
-def _dimension_checked(code: LinearCode) -> LinearCode:
-    """ag_code's checks on a code whose k is its generator's rank: within the
+def _dimension_checked(code: LinearCode, k: int) -> LinearCode:
+    """The code with k, its generator's rank, as its dimension: within the
     window 2g-2 < deg G < N, k must be deg G + 1 - g; a generator of more
     than k rows is reduced to a row basis, which keeps the character blocks."""
+    code.k = k
     g = code.curve.genus()
     deg = code.G.degree()
     if 2 * g - 2 < deg < code.N:
         expected = deg + 1 - g
-        if code.k != expected:
-            raise InternalInvariantError(
-                f"rank {code.k} does not match deg G + 1 - g = {expected}"
-            )
-    if code.k < code.generator.rows:
+        if k != expected:
+            raise InternalInvariantError(f"rank {k} does not match deg G + 1 - g = {expected}")
+    if k < code.generator.rows:
         blocks = character_blocks(code)
         code.generator = Matrix(code.field, linalg.row_space_basis(code.field,
                                                                    code.generator.data))
@@ -326,7 +319,8 @@ def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> Lin
     deg G + 1 - g; outside it the generator is reduced to a row basis, which
     keeps the character blocks.
     """
-    return _dimension_checked(evaluation_code(curve, eval_places, G))
+    code = _unranked_code(curve, eval_places, G)
+    return _dimension_checked(code, fiber_block_rank(code))
 
 
 @dataclass(frozen=True)
@@ -407,11 +401,9 @@ def _code_pair(curve: KummerCurve, d_places: Sequence[Place], G: Divisor,
     codes = [_unranked_code(curve, d_places, D) for D in (G, H)]
     N = len(d_places)
     r = fiber_block_rank(*codes)
-    proved = codes[0].k + codes[1].k == N and r == N
+    proved = codes[0].generator.rows + codes[1].generator.rows == N and r == N
     for code in codes:
-        if not proved:
-            code.k = fiber_block_rank(code)
-        _dimension_checked(code)
+        _dimension_checked(code, code.generator.rows if proved else fiber_block_rank(code))
     k1, k2 = codes[0].k, codes[1].k
     return codes[0], codes[1], LcpReport(k1, k2, N, r, k1 + k2 == N and r == N)
 

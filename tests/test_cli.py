@@ -158,18 +158,19 @@ def verify_edited(tmp_path, result, edit, expect=0):
     return run_cli("lcp-verify", "--result", str(path), expect=expect)
 
 
-def test_lcp_verify_rejects_forged_generators(tmp_path, h3_result):
-    def forge(obj):
-        k1, k2 = (c["k"] for c in obj["codes"])
-        eye = [[int(i == j) for j in range(k1 + k2)] for i in range(k1 + k2)]
-        obj["codes"][0]["generator"] = eye[:k1]
-        obj["codes"][1]["generator"] = eye[k1:]
-
-    out = json.loads(verify_edited(tmp_path, h3_result, forge).stdout)
-    # the stored pair is itself complementary; only the tie to G and H fails
+def test_lcp_verify_rejects_forged_generators(monkeypatch, tmp_path, h3_result):
+    # [I | 0] and [0 | I]: the stored pair is itself complementary; only the
+    # tie to G and H fails.  G's rows do not lie in C(D, G), so the stored
+    # pair's own stack is ranked: both stored codes (15 and 9 rows), G
+    # stacked on the rebuilt G (30), then the stored stack (24)
+    result = json.loads(json.dumps(h3_result))
+    eye = np.eye(24, dtype=np.int64).tolist()
+    result["codes"][0]["generator"], result["codes"][1]["generator"] = eye[:15], eye[15:]
+    out, dense_rows = verify_in_process(monkeypatch, tmp_path, result)
     assert out["rank_of_stack"] == 24 and out["stored_ranks_ok"] is True
     assert out["stored_codes_match"] is False
     assert out["verdict"] == "NOT_LCP"
+    assert dense_rows == [15, 9, 30, 24]
 
 
 @pytest.fixture(scope="module")
@@ -234,13 +235,14 @@ def gf1021_punctured_result():
 
 def verify_in_process(monkeypatch, tmp_path, result):
     """lcp-verify on result through cli.main in this process: the output, and
-    the number of dense linalg.rank calls over all N columns."""
+    the row counts of the dense linalg.rank calls over all N columns."""
     N = len(result["D"])
-    dense_calls = []
+    dense_rows = []
     rank = linalg.rank
 
     def counting_rank(field, M):
-        dense_calls.append(M.shape[1] == N)
+        if M.shape[1] == N:
+            dense_rows.append(M.shape[0])
         return rank(field, M)
 
     monkeypatch.setattr(linalg, "rank", counting_rank)
@@ -249,7 +251,7 @@ def verify_in_process(monkeypatch, tmp_path, result):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["lcp-verify", "--result", str(path)]) == 0
-    return json.loads(out.getvalue()), sum(dense_calls)
+    return json.loads(out.getvalue()), dense_rows
 
 
 def test_lcp_verify_gf1021_construction_r_on_fiber_blocks(monkeypatch, tmp_path,
@@ -257,24 +259,34 @@ def test_lcp_verify_gf1021_construction_r_on_fiber_blocks(monkeypatch, tmp_path,
     # both stored codes equal the rebuilt ones, whose blocks rank everything,
     # and the rebuilt pair's one stack rank is the only rank taken
     ranks = count_code_ranks(monkeypatch)
-    out, dense_calls = verify_in_process(monkeypatch, tmp_path, gf1021_punctured_result)
+    out, dense_rows = verify_in_process(monkeypatch, tmp_path, gf1021_punctured_result)
     assert out["verdict"] == "LCP" and out["rank_of_stack"] == 189
     assert out["stored_ranks_ok"] is True and out["stored_codes_match"] is True
-    assert dense_calls == 0 and ranks == [2]
+    assert dense_rows == [] and ranks == [2]
+
+
+def verify_spanning_g(monkeypatch, tmp_path, result, edit):
+    """lcp-verify with the stored G's rows replaced by edit(field, rows), a
+    generator of C(D, G) that is not the rebuilt one byte for byte: it takes
+    two dense ranks, its own and its stack with the rebuilt G, and then spans
+    the rebuilt G, so the stored pair's stack is not ranked."""
+    result = json.loads(json.dumps(result))
+    stored = np.array(result["codes"][0]["generator"], dtype=np.int64)
+    edited = edit(K.field_create(1021, 1), stored)
+    assert edited.shape == stored.shape and not np.array_equal(edited, stored)
+    result["codes"][0]["generator"] = edited.tolist()
+    out, dense_rows = verify_in_process(monkeypatch, tmp_path, result)
+    assert out["verdict"] == "LCP" and out["rank_of_stack"] == 189
+    assert out["stored_ranks_ok"] is True and out["stored_codes_match"] is True
+    assert dense_rows == [len(stored), 2 * len(stored)]
 
 
 def test_lcp_verify_row_reduced_generator(monkeypatch, tmp_path, gf1021_punctured_result):
-    # a stored G that spans C(D, G) but is not the rebuilt generator byte for
-    # byte is ranked densely, and still verifies
-    result = json.loads(json.dumps(gf1021_punctured_result))
-    stored = np.array(result["codes"][0]["generator"], dtype=np.int64)
-    reduced = linalg.row_space_basis(K.field_create(1021, 1), stored)
-    assert reduced.shape == stored.shape and not np.array_equal(reduced, stored)
-    result["codes"][0]["generator"] = reduced.tolist()
-    out, dense_calls = verify_in_process(monkeypatch, tmp_path, result)
-    assert out["verdict"] == "LCP" and out["rank_of_stack"] == 189
-    assert out["stored_ranks_ok"] is True and out["stored_codes_match"] is True
-    assert dense_calls > 0
+    verify_spanning_g(monkeypatch, tmp_path, gf1021_punctured_result, linalg.row_space_basis)
+
+
+def test_lcp_verify_reversed_generator_rows(monkeypatch, tmp_path, gf1021_punctured_result):
+    verify_spanning_g(monkeypatch, tmp_path, gf1021_punctured_result, lambda f, rows: rows[::-1])
 
 
 def test_lcp_verify_failure_path_reports_real_ranks(monkeypatch, tmp_path):
@@ -627,6 +639,21 @@ def test_code_info_accepts_small_valid_code(tmp_path):
                    "min_distance": {"exact": True, "value": 2}}
 
 
+def test_code_info_reads_the_zero_code(tmp_path):
+    # L(-Q_inf) = 0: ag_code writes the [24, 0] code with an empty generator
+    h3 = K.curve_from_json(H3_SPEC)
+    D = [p for _, fiber in h3.split_fibers() for p in fiber]
+    obj = K.ag_code(h3, D, K.Divisor.of((K.Place.infinity(), -1))).to_json()
+    assert obj["generator"] == []
+    out = json.loads(code_info_on(tmp_path, obj, expect=0).stdout)
+    assert out == {"N": 24, "k": 0, "q": 9, "rank": 0,
+                   "min_distance": {"exact": True, "value": "inf"}}
+    # sampling encodes no message of an [N, 0] code, however large N is
+    obj["N"] = 10**18
+    out = json.loads(code_info_on(tmp_path, obj, "--sample", "3", expect=0).stdout)
+    assert out == {"N": 10**18, "k": 0, "q": 9, "rank": 0, "sampled_min_weight": None}
+
+
 @pytest.mark.parametrize("place", ["bundle:9", "bundle:-1", "root:x", "aff:1:z", "root:",
                                    "inf:0"])
 def test_bad_place_id_rejected(h3_file, place):
@@ -636,9 +663,10 @@ def test_bad_place_id_rejected(h3_file, place):
 
 
 def test_lcp_build_eval_x_not_integers(h3_file):
-    proc = run_cli("lcp-build", "--curve", h3_file, "--construction", "1", "--s", "3",
-                   "--eval-x", "1,x", expect=2)
-    assert json.loads(proc.stderr)["error"] == "Usage"
+    for value in ("1,x", "1,,2", ""):
+        proc = run_cli("lcp-build", "--curve", h3_file, "--construction", "1", "--s", "3",
+                       "--eval-x", value, expect=2)
+        assert json.loads(proc.stderr)["error"] == "Usage"
 
 
 @pytest.mark.parametrize("x", ["99", "-1"])

@@ -15,7 +15,6 @@ from kummerlcp.codes import (
     _unranked_code,
     character_blocks,
     encode_messages,
-    evaluation_code,
     fiber_block_rank,
 )
 from kummerlcp.errors import (
@@ -552,7 +551,7 @@ def test_fiber_block_rank_random_divisors(bundle_curve, gk2):
         chosen = rng.sample(fibers, rng.randint(1, min(6, len(fibers))))
         places = [p for _, fiber in chosen for p in fiber]
         rng.shuffle(places)  # the columns need not come fiber by fiber
-        c1, c2 = (evaluation_code(curve, places, random_branch_divisor(rng, curve))
+        c1, c2 = (_unranked_code(curve, places, random_branch_divisor(rng, curve))
                   for _ in range(2))
         assert_ranks_agree(c1, c2)
         checked += 1
@@ -629,7 +628,7 @@ def planted_code(monkeypatch, code, basis, strata, phi=None):
     rows = basis if phi is None else linalg.matmul(f, linalg.null_space(f, phi.T), basis)
     with monkeypatch.context() as patch:
         patch.setattr(rrspace, "evaluation_parts", lambda *args: (rows, basis, phi, strata))
-        return evaluation_code(code.curve, code.places, code.G)
+        return _unranked_code(code.curve, code.places, code.G)
 
 
 def test_fiber_block_rank_planted_deficits(monkeypatch, h3_pole_shift):
@@ -640,7 +639,7 @@ def test_fiber_block_rank_planted_deficits(monkeypatch, h3_pole_shift):
     dup = planted_code(monkeypatch, code, np.vstack([basis, basis[2:3]]),
                        np.append(strata, strata[2]))
     assert_ranks_agree(dup, other)
-    assert dup.k == code.k and fiber_block_rank(dup, other) == N
+    assert fiber_block_rank(dup) == code.k and fiber_block_rank(dup, other) == N
     # the last row of a stratum replaced by a combination of its first two
     i = next(i for i in range(code.curve.m) if np.count_nonzero(strata == i) >= 3)
     r0, last = np.flatnonzero(strata == i)[[0, -1]]
@@ -648,7 +647,7 @@ def test_fiber_block_rank_planted_deficits(monkeypatch, h3_pole_shift):
     dep[last] = f.vadd(f.vmul(basis[r0], 2), basis[r0 + 1])
     dependent = planted_code(monkeypatch, code, dep, strata)
     assert_ranks_agree(dependent, other)
-    assert dependent.k == code.k - 1
+    assert fiber_block_rank(dependent) == code.k - 1
     assert fiber_block_rank(dependent, other) == N - 1
 
 
@@ -667,7 +666,7 @@ def test_fiber_block_rank_falls_back_to_dense(h3_pole_shift, h3_punctured):
     forged = variant(code, np.eye(code.k, code.N, dtype=np.int64))
     assert character_blocks(forged) is None and fiber_block_rank(forged) == code.k
     # a generator replaced after the fact loses the blocks: K H' mixes strata
-    rebuilt = evaluation_code(other.curve, other.places, other.G)
+    rebuilt = _unranked_code(other.curve, other.places, other.G)
     assert character_blocks(rebuilt) is not None
     rebuilt.generator = K.Matrix(f, rebuilt.generator.data)
     assert character_blocks(rebuilt) is None and fiber_block_rank(rebuilt) == other.k
@@ -678,19 +677,19 @@ def test_fiber_block_rank_falls_back_to_dense(h3_pole_shift, h3_punctured):
 def test_bordered_rank_partial_fibers(h3, h3_pole_shift):
     code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
     # the last column dropped: five whole fibers and three lone points
-    partial, partial_other = (evaluation_code(h3, code.places[:-1], c.G) for c in (code, other))
+    partial, partial_other = (_unranked_code(h3, code.places[:-1], c.G) for c in (code, other))
     assert np.array_equal(partial.generator.data, code.generator.data[:, :-1])
     assert_ranks_agree(partial, partial_other)
     assert character_blocks(partial).lone == 3
     # 2 + 4 + 2 points on three fibers: one whole fiber and four lone points
     fibers = [fiber for _, fiber in h3.split_fibers()]
     places = fibers[0][:2] + fibers[1] + fibers[2][2:]
-    c1, c2 = (evaluation_code(h3, places, c.G) for c in (code, other))
+    c1, c2 = (_unranked_code(h3, places, c.G) for c in (code, other))
     assert_ranks_agree(c1, c2)
     assert (character_blocks(c1).fibers, character_blocks(c1).lone) == (1, 4)
     # no whole fiber at all: every column is a border column
     lone_only = fibers[0][:2] + fibers[1][:3] + fibers[2][:1]
-    c1, c2 = (evaluation_code(h3, lone_only, c.G) for c in (code, other))
+    c1, c2 = (_unranked_code(h3, lone_only, c.G) for c in (code, other))
     assert_ranks_agree(c1, c2)
     assert (character_blocks(c1).fibers, character_blocks(c1).lone) == (0, 6)
 
@@ -711,7 +710,7 @@ def test_bordered_rank_planted_deficits(monkeypatch, h3_punctured):
         assert_ranks_agree(c1, c2)
         return c1, c2
 
-    # unplanted: H' and Phi as evaluation_code builds them
+    # unplanted: H' and Phi as _unranked_code builds them
     c1, c2 = plant(G, basis, phi)
     assert (c1.generator, c2.generator) == (g_code.generator, h_code.generator)
     assert fiber_block_rank(c1, c2) == N
@@ -751,21 +750,21 @@ def test_bordered_rank_dependent_drop_columns(hyperelliptic):
     H = K.Divisor.of((inf, 4), (fibers[0][0], -1), (fibers[0][1], -1))
     assert rrspace.dim_with_simple_affine_drops(curve, H) == 2
     places = [p for fiber in fibers[1:] for p in fiber]
-    code = evaluation_code(curve, places, H)
+    code = _unranked_code(curve, places, H)
     blocks = character_blocks(code)
     assert (blocks.drops, blocks.drop_rank, blocks.lone) == (2, 1, 0)
-    assert code.k == dense_rank(code) == 2
+    assert fiber_block_rank(code) == dense_rank(code) == 2
     G = K.Divisor.of((inf, len(places) - 1))
-    other = evaluation_code(curve, places, G)
+    other = _unranked_code(curve, places, G)
     assert_ranks_agree(other, code)
     # one lone point from a further fiber, and drops from two more fibers
     lone = fibers[1][0]
     places = [p for fiber in fibers[2:] for p in fiber] + [lone]
     H2 = K.Divisor.of((inf, 4), (fibers[0][0], -1), (fibers[0][1], -1), (fibers[1][1], -1))
-    c1, c2 = evaluation_code(curve, places, G), evaluation_code(curve, places, H2)
+    c1, c2 = _unranked_code(curve, places, G), _unranked_code(curve, places, H2)
     assert_ranks_agree(c1, c2)
     blocks = character_blocks(c2)
-    assert (blocks.drops, blocks.drop_rank, blocks.lone, c2.k) == (3, 2, 1, 1)
+    assert (blocks.drops, blocks.drop_rank, blocks.lone, fiber_block_rank(c2)) == (3, 2, 1, 1)
 
 
 def test_bordered_rank_gf1021_construction_r():
@@ -805,7 +804,7 @@ def test_bordered_rank_random_lone_points_and_drops(bundle_curve, gk2):
             drops = rng.sample(pool, rng.randint(1, 3))
             return random_branch_divisor(rng, curve) - K.Divisor((p, 1) for p in drops)
 
-        c1, c2 = (evaluation_code(curve, places, with_drops()) for _ in range(2))
+        c1, c2 = (_unranked_code(curve, places, with_drops()) for _ in range(2))
         assert_ranks_agree(c1, c2)
         b1, b2 = character_blocks(c1), character_blocks(c2)
         assert b1.drops >= 1 and b2.drops >= 1

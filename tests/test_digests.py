@@ -11,7 +11,11 @@ printed it when the file was written:
 - the three Z-curve construction-1 results of acceptance criterion 9;
 - stdout of `curve-info` and `curve-places` on H3, on y^4 = x(x-1)^2 over
   GF(25) (a bundle over x = 1), on y^23 = x(x+1) over GF(2^11) and on
-  y^7 = x(x-1)(x-2) over GF(5^6).
+  y^7 = x(x-1)(x-2) over GF(5^6);
+- stdout, stderr and exit status of `lcp-verify` on the H3 results of
+  constructions 1, 2 and R at s = 3, 5 and 3 under each of the edits in
+  EDITS (the honest result, generators with their rows reordered or
+  row-reduced, forged or broken codes, a shortened D and a cut chain).
 
 A change that alters a verdict, a dimension, a basis order or any
 serialized byte fails here.  Rewrite the file only when an output change
@@ -28,8 +32,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import kummerlcp as K
-from kummerlcp import cli
+from kummerlcp import cli, linalg
 
 from conftest import hermitian, make_z_curve, z_pole_shift_results
 
@@ -54,6 +60,47 @@ LISTED_CURVES = {
     "gf5^6": (5, 6, 7, [(0, 1), (1, 1), (2, 1)]),
 }
 
+# the results whose lcp-verify output is pinned under every edit in EDITS
+EDITED_CONSTRUCTIONS = [("1", 3), ("2", 5), ("R", 3)]
+
+
+def _generator(obj: dict, i: int) -> list[list[int]]:
+    return obj["codes"][i]["generator"]
+
+
+def _row_reduced(field, rows: list[list[int]]) -> list[list[int]]:
+    return linalg.row_space_basis(field, np.array(rows, dtype=np.int64)).tolist()
+
+
+def _identity_codes(obj: dict, field) -> None:
+    """[I | 0] and [0 | I]: a complementary pair that is not C(D, G), C(D, H)."""
+    k1, k2 = (code["k"] for code in obj["codes"])
+    eye = np.eye(k1 + k2, len(obj["D"]), dtype=np.int64).tolist()
+    obj["codes"][0]["generator"], obj["codes"][1]["generator"] = eye[:k1], eye[k1:]
+
+
+# each edit changes an lcp-build result object (and may read its field) in place
+EDITS = {
+    "honest": lambda obj, f: None,
+    "reversed G": lambda obj, f: _generator(obj, 0).reverse(),
+    "reversed H": lambda obj, f: _generator(obj, 1).reverse(),
+    "reversed G and H": lambda obj, f: [_generator(obj, i).reverse() for i in (0, 1)],
+    "row-reduced G": lambda obj, f: obj["codes"][0].update(
+        generator=_row_reduced(f, _generator(obj, 0))),
+    "identity": _identity_codes,
+    "duplicated row of G": lambda obj, f: _generator(obj, 0).append(_generator(obj, 0)[0]),
+    "swapped codes": lambda obj, f: obj["codes"].reverse(),
+    "k of G one less": lambda obj, f: obj["codes"][0].update(k=obj["codes"][0]["k"] - 1),
+    "N of H one more": lambda obj, f: obj["codes"][1].update(N=obj["codes"][1]["N"] + 1),
+    "last column of G dropped": lambda obj, f: [row.pop() for row in _generator(obj, 0)],
+    "zero G": lambda obj, f: obj["codes"][0].update(
+        generator=[[0] * len(row) for row in _generator(obj, 0)]),
+    "row of H added to G": lambda obj, f: _generator(obj, 0).append(_generator(obj, 1)[0]),
+    "last place of D dropped": lambda obj, f: obj["D"].pop(),
+    "last certificate dropped": lambda obj, f: obj["certificates"].pop(),
+    "H copied from G": lambda obj, f: obj.update(codes=[obj["codes"][0]] * 2),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -76,17 +123,27 @@ def _write(path: Path, obj) -> str:
     return str(path)
 
 
-def h3_digests(h3, workdir: Path) -> dict[str, str]:
+def _h3_builder(h3, workdir: Path):
+    """A function that returns the stdout of lcp-build on H3 for (c, s)."""
     curve = _write(workdir / "h3.json", h3.to_json())
     divisors = {name: _write(workdir / f"{name}.json",
                              {"coeffs": [{"place": p, "c": c} for p, c in pairs]})
                 for name, pairs in H3_DIVISORS.items()}
-    out = {}
-    for c, s in H3_CONSTRUCTIONS:
+
+    def build(c: str, s: int) -> str:
         argv = ["lcp-build", "--curve", curve, "--construction", c, "--s", str(s)]
         for flag, name in H3_DIVISOR_FLAGS[c]:
             argv += [flag, divisors[name]]
-        built = _stdout(*argv)
+        return _stdout(*argv)
+
+    return build
+
+
+def h3_digests(h3, workdir: Path) -> dict[str, str]:
+    build = _h3_builder(h3, workdir)
+    out = {}
+    for c, s in H3_CONSTRUCTIONS:
+        built = build(c, s)
         out[f"h3 lcp-build {c} s={s}"] = _sha256(built)
         result = workdir / f"result-{c}-{s}.json"
         result.write_text(built)
@@ -95,6 +152,27 @@ def h3_digests(h3, workdir: Path) -> dict[str, str]:
             path = _write(workdir / f"code-{c}-{s}-{i}.json", code)
             out[f"h3 code-info {c} s={s} code {i}"] = _sha256(
                 _stdout("--seed", "5", "code-info", "--code", path, "--sample", "40"))
+    return out
+
+
+def h3_edited_digests(h3, workdir: Path) -> dict[str, str]:
+    """lcp-verify's stdout, stderr (the result's path in it replaced) and exit
+    status on each edited result, run in this process."""
+    build = _h3_builder(h3, workdir)
+    path = workdir / "edited.json"
+    out = {}
+    for c, s in EDITED_CONSTRUCTIONS:
+        built = build(c, s)
+        for name, edit in EDITS.items():
+            obj = json.loads(built)
+            edit(obj, h3.field)
+            path.write_text(json.dumps(obj))
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = cli.main(["lcp-verify", "--result", str(path)])
+            text = json.dumps({"exit": rc, "stdout": stdout.getvalue(),
+                               "stderr": stderr.getvalue().replace(str(path), "RESULT")})
+            out[f"lcp-verify edited h3 {c} s={s}: {name}"] = _sha256(text)
     return out
 
 
@@ -133,6 +211,10 @@ def test_h3_cli_output_digests(h3, tmp_path):
     _check(h3_digests(h3, tmp_path), "h3 ")
 
 
+def test_h3_edited_result_verify_digests(h3, tmp_path):
+    _check(h3_edited_digests(h3, tmp_path), "lcp-verify edited ")
+
+
 def test_gf1021_construction_r_digests():
     _check(gf1021_digests(), "gf1021 ")
 
@@ -148,6 +230,7 @@ def test_z_curve_result_digests(z_lcp_results):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = h3_digests(hermitian(3), Path(tmp))
+        digests.update(h3_edited_digests(hermitian(3), Path(tmp)))
         digests.update(curve_digests(Path(tmp)))
     digests.update(gf1021_digests())
     digests.update(z_digests(z_pole_shift_results(make_z_curve())))
