@@ -69,20 +69,21 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"input file {path} is not valid JSON: {exc}") from None
 
 
-def _load_curve(path: str) -> KummerCurve:
+def _read(path: str, what: str, parse):
+    """parse(the file's JSON object), a parse error raised as UsageError."""
     obj = _load_json(path)
     try:
-        return curve_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"input file {path} is not a curve spec: {exc!r}") from None
+        return parse(obj)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise UsageError(f"input file {path} is not {what}: {exc!r}") from None
+
+
+def _load_curve(path: str) -> KummerCurve:
+    return _read(path, "a curve spec", curve_from_json)
 
 
 def _load_divisor(curve: KummerCurve, path: str) -> Divisor:
-    obj = _load_json(path)
-    try:
-        return Divisor.from_json(curve, obj)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise UsageError(f"input file {path} is not a divisor spec: {exc!r}") from None
+    return _read(path, "a divisor spec", lambda obj: Divisor.from_json(curve, obj))
 
 
 def _code_from_json(field: Field, obj: dict, path: str) -> LinearCode:
@@ -203,17 +204,16 @@ def cmd_lcp_build(args) -> dict:
 
 def _load_lcp_result(path: str):
     """Curve, D, G, H, certificates and the two stored codes of an lcp-build result."""
-    obj = _load_json(path)
-    try:
+
+    def parse(obj):  # this order decides the error of a file bad in several parts
         curve = curve_from_json(obj["curve"])
-        field = curve.field
-        G = Divisor.from_json(curve, obj["G"])
-        H = Divisor.from_json(curve, obj["H"])
+        G, H = Divisor.from_json(curve, obj["G"]), Divisor.from_json(curve, obj["H"])
         d_places = [parse_place(curve, s) for s in obj["D"]]
         certificates = [CertStep.from_json(c) for c in obj["certificates"]]
-        codes = [_code_from_json(field, cj, path) for cj in obj["codes"]]
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise UsageError(f"input file {path} is not an lcp-build result: {exc!r}") from None
+        return (curve, d_places, G, H, certificates,
+                [_code_from_json(curve.field, cj, path) for cj in obj["codes"]])
+
+    curve, d_places, G, H, certificates, codes = _read(path, "an lcp-build result", parse)
     if len(codes) != 2:
         raise UsageError(f"result file {path} must hold two codes, not {len(codes)}")
     return curve, d_places, G, H, certificates, codes
@@ -222,11 +222,14 @@ def _load_lcp_result(path: str):
 def cmd_lcp_verify(args) -> dict:
     curve, d_places, G, H, certificates, stored = _load_lcp_result(args.result)
     *rebuilt, report = _code_pair(curve, d_places, G, H)
-    # each stored code must have rank k and be C(D, G) resp. C(D, H): the same
-    # N and k, its rows inside the row space of the rebuilt generator.  A
-    # stored code byte-equal to its rebuilt code passes both with no rank taken
+    # each stored code must hold what code-info requires, k rows of length N
+    # and rank k, and be C(D, G) resp. C(D, H): the same N and k, its rows
+    # inside the row space of the rebuilt generator.  A stored code
+    # byte-equal to its rebuilt code passes both with no rank taken
     same = [(c.N, c.k, c.generator) == (r.N, r.k, r.generator) for c, r in zip(stored, rebuilt)]
-    stored_ranks_ok = all(s or fiber_block_rank(c) == c.k for s, c in zip(same, stored))
+    stored_ranks_ok = all(
+        s or (c.generator.data.shape == (c.k, c.N) and fiber_block_rank(c) == c.k)
+        for s, c in zip(same, stored))
     stored_codes_match = all(
         s or ((c.N, c.k, c.generator.cols) == (r.N, r.k, r.N) and fiber_block_rank(c, r) == r.k)
         for s, c, r in zip(same, stored, rebuilt))
@@ -246,11 +249,8 @@ def cmd_lcp_verify(args) -> dict:
 
 
 def _load_code(path: str) -> LinearCode:
-    obj = _load_json(path)
-    try:
-        code = _code_from_json(field_from_json(obj["field"]), obj, path)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise UsageError(f"input file {path} is not a code: {exc!r}") from None
+    code = _read(path, "a code",
+                 lambda obj: _code_from_json(field_from_json(obj["field"]), obj, path))
     gen = code.generator
     if gen.cols != code.N or code.k != gen.rows:
         raise UsageError(f"input file {path}: a {gen.rows} x {gen.cols} generator cannot hold "

@@ -23,9 +23,12 @@ construction R keeps of its first fiber).  Scaling W_i's columns by
 y_0^(-i) changes neither rank [W_i | B_i] nor the border rows left below its
 pivots, so block i is just the stratum-i rows at the first column of each
 group, then at the border columns.  This needs no roots of unity and no
-check of the data, only the strata, which every code _unranked_code builds
-carries; any other generator (a stored or replaced one) takes the dense
-elimination, which stays the fallback and the test oracle.
+check of the data, only the strata.  The blocks live on the read-only
+generator (Matrix.blocks), bound where an evaluation generator is made
+(_unranked_code, and the row basis _dimension_checked puts in its place);
+any other matrix takes the dense elimination, the fallback and test oracle.
+Generators are ranked by their blocks together only when the blocks were
+split on the same places and m, so that one column operation serves all.
 
 Border residual lemma.  Eliminating [W_i | B_i] with the border columns
 last leaves rank(W_i) pivot rows and, below them, rows that vanish on W_i;
@@ -96,15 +99,19 @@ EXHAUSTIVE_LIMIT = 1 << 20  # min_distance exhausts at most this many codewords
 
 @dataclass(frozen=True, eq=False)
 class Matrix:
-    """A rectangular matrix of field-element encodings."""
+    """A rectangular matrix of field-element encodings, data a read-only int64
+    view.  blocks is not an init field: only _with_blocks binds it, so
+    Matrix(...) and dataclasses.replace(...) give a matrix ranked densely."""
 
     field: Field
     data: np.ndarray
+    blocks: CharacterBlocks | None = dc_field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.int64)
+        arr = np.asarray(self.data, dtype=np.int64).view()
         if arr.ndim != 2:
             raise ShapeMismatchError("matrix data must be two-dimensional")
+        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -148,8 +155,6 @@ class LinearCode:
     curve: KummerCurve | None = None
     G: Divisor | None = None
     places: tuple[Place, ...] = ()
-    # (generator, its CharacterBlocks), see character_blocks
-    _blocks: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -162,14 +167,17 @@ class LinearCode:
 
 @dataclass(frozen=True, eq=False)
 class CharacterBlocks:
-    """A code's rows in bordered fiber-block form (module docstring).
+    """A generator's rows in bordered fiber-block form (module docstring).
 
+    They were split on the columns places, with whole fibers of m points.
     parts[i] holds the stratum-i rows: their values at the first column of
     every whole fiber, then at the border columns.  The border columns are
     the columns off whole fibers, then the code's drop columns Phi, whose
     rank is drop_rank.
     """
 
+    places: tuple[Place, ...]
+    m: int
     parts: tuple[np.ndarray, ...]
     fibers: int
     lone: int
@@ -190,7 +198,7 @@ def _fiber_layout(m: int, places: Sequence[Place]) -> tuple[np.ndarray, np.ndarr
     return order[whole], np.flatnonzero(border)
 
 
-def _character_split(m: int, places: Sequence[Place], rows: np.ndarray, basis: np.ndarray,
+def _character_split(m: int, places: tuple[Place, ...], rows: np.ndarray, basis: np.ndarray,
                      strata: np.ndarray, phi: np.ndarray | None) -> CharacterBlocks:
     """The bordered fiber-block form of the generator rows that
     evaluation_parts made from the rows basis, whose row r lies in stratum
@@ -203,19 +211,15 @@ def _character_split(m: int, places: Sequence[Place], rows: np.ndarray, basis: n
         # rows = null_space(Phi^T) H' has a row per basis vector of Phi's left
         # kernel, so rank(Phi) = len(basis) - len(rows), with no elimination
         drops, drop_rank = phi.shape[1], len(basis) - len(rows)
-    return CharacterBlocks(tuple(cols[strata == i] for i in range(m)), len(first), len(lone),
-                           drops, drop_rank)
+    return CharacterBlocks(places, m, tuple(cols[strata == i] for i in range(m)), len(first),
+                           len(lone), drops, drop_rank)
 
 
-def character_blocks(code: LinearCode) -> CharacterBlocks | None:
-    """The generator in bordered fiber-block form (module docstring), or None
-    when the code was not built by _unranked_code or its generator object
-    was replaced since (Matrix data is not edited in place); the dense path
-    then decides.  _dimension_checked rebinds the blocks to the row basis it
-    puts in the generator's place, which spans the same row space."""
-    if code._blocks is not None and code._blocks[0] is code.generator:
-        return code._blocks[1]
-    return None
+def _with_blocks(field: Field, data: np.ndarray, blocks: CharacterBlocks | None) -> Matrix:
+    """A matrix of data with blocks bound: they must give its row space."""
+    matrix = Matrix(field, data)
+    object.__setattr__(matrix, "blocks", blocks)
+    return matrix
 
 
 def _bordered_rank(field: Field, splits: Sequence[CharacterBlocks]) -> int:
@@ -223,7 +227,7 @@ def _bordered_rank(field: Field, splits: Sequence[CharacterBlocks]) -> int:
     and the M_aug identity, each code's drop columns after the shared ones
     and zero in the other codes' rows.  The m character blocks that have rows
     are eliminated as one stack, padded with zero rows."""
-    fibers, lone, m = splits[0].fibers, splits[0].lone, len(splits[0].parts)
+    fibers, lone, m = splits[0].fibers, splits[0].lone, splits[0].m
     shared = fibers + lone
     drops = sum(b.drops for b in splits)
     total = -sum(b.drop_rank for b in splits)
@@ -255,9 +259,9 @@ def fiber_block_rank(*codes: LinearCode) -> int:
     """Rank of the codes' stacked generators, the one rank of codes.
 
     The generators must live over one field and have equal column counts.
-    When every code has character blocks over the same places and m, the
-    rank comes from the blocks by the border residual lemma and the M_aug
-    identity; otherwise it is the dense rank of the stack.
+    When every generator has character blocks split on the same places and
+    m, the rank comes from the blocks by the border residual lemma and the
+    M_aug identity; otherwise it is the dense rank of the stack.
     """
     first = codes[0]
     for other in codes[1:]:
@@ -266,10 +270,9 @@ def fiber_block_rank(*codes: LinearCode) -> int:
         if other.generator.cols != first.generator.cols:
             raise ShapeMismatchError(
                 f"column counts differ: {first.generator.cols} vs {other.generator.cols}")
-    splits = [character_blocks(c) for c in codes]
-    if None not in splits and all(
-        (c.places, c.curve.m) == (first.places, first.curve.m) for c in codes
-    ):
+    splits = [c.generator.blocks for c in codes]
+    if None not in splits and all((b.places, b.m) == (splits[0].places, splits[0].m)
+                                  for b in splits):
         return _bordered_rank(first.field, splits)
     return linalg.rank(first.field, np.vstack([c.generator.data for c in codes]))
 
@@ -279,7 +282,7 @@ def _unranked_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor)
     evaluation rows of L(G) as they are (rrspace.evaluation_rows) and k their
     row count until _dimension_checked sets it.  The places, and the affine
     places G drops, must be distinct rational affine points of the curve off
-    the roots of f (evaluation_parts checks them); the code's character
+    the roots of f (evaluation_parts checks them); the generator's character
     blocks, built from the strata of the basis rows (H' and Phi when G drops
     affine places), are bound to it."""
     places = tuple(eval_places)
@@ -288,9 +291,8 @@ def _unranked_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor)
         raise SupportOverlapError(f"G and D share support: {sorted(p.id() for p in overlap)}")
     field = curve.field
     rows, basis, phi, strata = rrspace.evaluation_parts(curve, G, places)
-    code = LinearCode(field, Matrix(field, rows), len(places), len(rows), curve, G, places)
-    code._blocks = (code.generator, _character_split(curve.m, places, rows, basis, strata, phi))
-    return code
+    gen = _with_blocks(field, rows, _character_split(curve.m, places, rows, basis, strata, phi))
+    return LinearCode(field, gen, len(places), len(rows), curve, G, places)
 
 
 def _dimension_checked(code: LinearCode, k: int) -> LinearCode:
@@ -305,10 +307,9 @@ def _dimension_checked(code: LinearCode, k: int) -> LinearCode:
         if k != expected:
             raise InternalInvariantError(f"rank {k} does not match deg G + 1 - g = {expected}")
     if k < code.generator.rows:
-        blocks = character_blocks(code)
-        code.generator = Matrix(code.field, linalg.row_space_basis(code.field,
-                                                                   code.generator.data))
-        code._blocks = (code.generator, blocks)
+        gen = code.generator
+        code.generator = _with_blocks(code.field, linalg.row_space_basis(code.field, gen.data),
+                                      gen.blocks)
     return code
 
 

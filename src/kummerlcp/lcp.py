@@ -19,6 +19,7 @@ combining the unconditional rank test with the sufficient-condition checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .codes import (
     CertStep,
@@ -93,15 +94,19 @@ def _finalize(
     construction: str,
     curve: KummerCurve,
     s: int,
-    d_places: list[Place],
+    fibers: Sequence[tuple[int, list[Place]]],
     G: Divisor,
     H: Divisor,
     E: Divisor,
     E2: Divisor | None,
-    certificates: list[CertStep],
     expect_k1: int,
     expect_k2: int,
+    lone: Sequence[Place] = (),
 ) -> LcpConstruction:
+    """Build and verify the pair on D = the lone places, then the places of
+    the fibers, with the chain s div(y) - sum of div(x - x0) over the fibers."""
+    d_places = [*lone, *(p for _, fiber in fibers for p in fiber)]
+    certificates = [CertStep("y", None, s), *(CertStep("x-b", x0, -1) for x0, _ in fibers)]
     code_g, code_h, report = _code_pair(curve, d_places, G, H)
     if (code_g.k, code_h.k) != (expect_k1, expect_k2):
         raise InternalInvariantError(
@@ -139,13 +144,9 @@ def lcp_pole_shift(
             f"s = {s} outside ((g-1)/{lam0}, (N+1-g)/{lam0}) = "
             f"({(g - 1) / lam0:.3f}, {(N + 1 - g) / lam0:.3f})"
         )
-    d_places = [p for _, fiber in fibers for p in fiber]
     G = E + Divisor.of((inf, N - s * lam0))
     H = E + s * curve.principal_divisor("y") + Divisor.of((inf, s * lam0))
-    certificates = [CertStep("y", None, s)]
-    certificates.extend(CertStep("x-b", x0, -1) for x0, _ in fibers)
-    return _finalize("1", curve, s, d_places, G, H, E, None, certificates,
-                     N - s * lam0, s * lam0)
+    return _finalize("1", curve, s, fibers, G, H, E, None, N - s * lam0, s * lam0)
 
 
 def lcp_pair(
@@ -192,7 +193,6 @@ def lcp_pair(
         raise ConditionViolationError(
             "iii", f"s(n-1) = {s * (n - 1)} outside ({lo}, {hi})"
         )
-    d_places = [p for _, fiber in fibers for p in fiber]
     G = Divisor(
         [(zero_places[k], alpha[k]) for k in range(n - 1)]
         + [(zero_places[n - 1], s), (inf, beta0 + N - s * n)]
@@ -201,11 +201,8 @@ def lcp_pair(
         [(zero_places[k], s + beta[k]) for k in range(n - 1)]
         + [(zero_places[n - 1], alpha[n - 1])]
     )
-    certificates = [CertStep("y", None, s)]
-    certificates.extend(CertStep("x-b", x0, -1) for x0, _ in fibers)
     k2 = s * (n - 1) + alpha[n - 1] - beta0
-    return _finalize("2", curve, s, d_places, G, H, E1, E2, certificates,
-                     N - k2, k2)
+    return _finalize("2", curve, s, fibers, G, H, E1, E2, N - k2, k2)
 
 
 def lcp_punctured(
@@ -236,7 +233,6 @@ def lcp_punctured(
         )
     _, first_fiber = fibers[0]
     r1, r2 = first_fiber[0], first_fiber[1]
-    d_places = [r2] + [p for _, fiber in fibers[1:] for p in fiber]
     alpha0 = E.coeff(inf)
     G = (E - Divisor.of((inf, alpha0))) + Divisor.of((inf, N - curve.m + alpha0 - s * n))
     zero_sum = Divisor((curve.root_place(k), 1) for k in range(n))
@@ -244,10 +240,8 @@ def lcp_punctured(
     # non-special and evaluation at R_1 is onto: dim L(H) = s*n (Riemann-Roch;
     # _code_pair's window check and _finalize check the dimensions)
     H = E + s * zero_sum - Divisor.of((r1, 1))
-    certificates = [CertStep("y", None, s)]
-    certificates.extend(CertStep("x-b", x0, -1) for x0, _ in fibers[1:])
-    return _finalize("R", curve, s, d_places, G, H, E, None, certificates,
-                     N - curve.m + 1 - s * n, s * n)
+    return _finalize("R", curve, s, fibers[1:], G, H, E, None, N - curve.m + 1 - s * n, s * n,
+                     lone=[r2])
 
 
 def _default_gminus1(curve: KummerCurve, zeros_only: bool = False) -> Divisor:

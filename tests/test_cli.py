@@ -173,6 +173,24 @@ def test_lcp_verify_rejects_forged_generators(monkeypatch, tmp_path, h3_result):
     assert dense_rows == [15, 9, 30, 24]
 
 
+def test_lcp_verify_holds_stored_codes_to_code_info_rule(monkeypatch, tmp_path, h3_result):
+    # G with its first row repeated: 16 rows for k = 15, which code-info
+    # rejects.  stored_ranks_ok fails on the row count, with no rank of G
+    # alone; G still spans C(D, G) (31 rows stacked on the rebuilt G), so
+    # the verdict, read off the stored stack (25 rows), stays LCP
+    result = json.loads(json.dumps(h3_result))
+    rows = result["codes"][0]["generator"]
+    rows.append(rows[0])
+    out, dense_rows = verify_in_process(monkeypatch, tmp_path, result)
+    assert out["stored_ranks_ok"] is False and out["stored_codes_match"] is True
+    assert out["verdict"] == "LCP" and out["rank_of_stack"] == 24
+    assert dense_rows == [31, 25]
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(dict(result["codes"][0], field=result["curve"]["field"])))
+    err = run_cli("code-info", "--code", str(path), expect=2).stderr
+    assert "a 16 x 24 generator cannot hold an [24, 15] code" in json.loads(err)["message"]
+
+
 @pytest.fixture(scope="module")
 def h3_punctured_result():
     """An H3 construction-R result at s = 2: D is R_2 and five whole fibers."""

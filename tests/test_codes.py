@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -6,14 +7,14 @@ import numpy as np
 import pytest
 
 import kummerlcp as K
-from kummerlcp import lcp, linalg, rrspace
+from kummerlcp import cli, lcp, linalg, rrspace
 from kummerlcp.codes import (
     CertStep,
     LcpReport,
+    _bordered_rank,
     _chain_divisor,
     _code_pair,
     _unranked_code,
-    character_blocks,
     encode_messages,
     fiber_block_rank,
 )
@@ -494,7 +495,7 @@ def assert_ranks_agree(c1, c2, fast=(True, True)):
     """Ranks of c1, c2 and their stack by fiber blocks equal the dense ranks,
     and the fast path applies to each code exactly when expected."""
     for code, expect in zip((c1, c2), fast):
-        assert (character_blocks(code) is not None) == expect
+        assert (code.generator.blocks is not None) == expect
         assert fiber_block_rank(code) == dense_rank(code)
     assert fiber_block_rank(c1, c2) == dense_rank(c1, c2)
 
@@ -528,7 +529,7 @@ def test_fiber_block_rank_all_h3_constructions(h3_constructions):
         if res.construction == "R":
             # R_2 is a border column of both codes; H's K H' is ranked from H'
             # and its one drop column at R_1
-            g_blocks, h_blocks = character_blocks(res.code_g), character_blocks(res.code_h)
+            g_blocks, h_blocks = res.code_g.generator.blocks, res.code_h.generator.blocks
             assert (g_blocks.lone, g_blocks.drops) == (1, 0)
             assert (h_blocks.lone, h_blocks.drops, h_blocks.drop_rank) == (1, 1, 1)
 
@@ -664,12 +665,81 @@ def test_fiber_block_rank_falls_back_to_dense(h3_pole_shift, h3_punctured):
         assert_ranks_agree(variant(code, mixed), other, fast=(False, True))
     # the [I | 0] forgery
     forged = variant(code, np.eye(code.k, code.N, dtype=np.int64))
-    assert character_blocks(forged) is None and fiber_block_rank(forged) == code.k
+    assert forged.generator.blocks is None and fiber_block_rank(forged) == code.k
     # a generator replaced after the fact loses the blocks: K H' mixes strata
     rebuilt = _unranked_code(other.curve, other.places, other.G)
-    assert character_blocks(rebuilt) is not None
+    assert rebuilt.generator.blocks is not None
     rebuilt.generator = K.Matrix(f, rebuilt.generator.data)
-    assert character_blocks(rebuilt) is None and fiber_block_rank(rebuilt) == other.k
+    assert rebuilt.generator.blocks is None and fiber_block_rank(rebuilt) == other.k
+
+
+
+def count_block_ranks(monkeypatch) -> list:
+    """The _bordered_rank calls made from now on, as the number of blocks in each."""
+    calls = []
+
+    def counted(field, splits):
+        calls.append(len(splits))
+        return _bordered_rank(field, splits)
+
+    monkeypatch.setattr("kummerlcp.codes._bordered_rank", counted)
+    return calls
+
+
+def test_generator_data_is_read_only(h3):
+    # a fresh build, so that a write which got through would reach no fixture
+    E = K.Divisor.of((K.Place.infinity(), -1), (h3.root_place(1), 1), (h3.root_place(2), 2))
+    res = K.lcp_pole_shift(h3, E, 3)
+    g_code, h_code = res.code_g, res.code_h
+    stored = cli._code_from_json(h3.field, g_code.to_json(), "code.json")
+    for code in (K.ag_code(h3, res.d_places, res.G), g_code, stored):
+        with pytest.raises(ValueError):
+            code.generator.data[0, 0] = 1
+    # zeroing G in place would leave its blocks ranking the old rows: LCP at
+    # rank 24 against a dense rank of 9
+    with pytest.raises(ValueError):
+        g_code.generator.data[:] = 0
+    report = K.is_lcp(g_code, h_code)
+    assert report.verdict and report.rank_of_stack == dense_rank(g_code, h_code) == 24
+
+
+def test_hand_built_code_keeps_the_block_path(monkeypatch, h3_pole_shift):
+    # the blocks travel with the generator, so a LinearCode made by hand
+    # around an evaluation generator is ranked by them, whatever its places
+    code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
+    calls = count_block_ranks(monkeypatch)
+    for places in ((), code.places[::-1]):
+        bare = K.LinearCode(code.field, code.generator, code.N, code.k, places=places)
+        assert fiber_block_rank(bare) == dense_rank(bare) == code.k
+        assert fiber_block_rank(bare, other) == dense_rank(bare, other) == code.N
+    assert calls == [1, 2, 1, 2]
+
+
+def test_blocks_on_reordered_places_take_the_dense_path(monkeypatch, h3, h3_pole_shift):
+    # H's rows on G's places in reverse order: the blocks of the two codes
+    # were split on different column orders, so they are not stacked (that
+    # would give 24; the dense rank is 23), though each code's own are used
+    code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
+    reordered = _unranked_code(h3, code.places[::-1], other.G)
+    assert set(reordered.generator.blocks.places) == set(code.generator.blocks.places)
+    calls = count_block_ranks(monkeypatch)
+    assert fiber_block_rank(code, reordered) == dense_rank(code, reordered) == 23
+    assert calls == []
+    assert fiber_block_rank(reordered) == dense_rank(reordered) == other.k
+    assert calls == [1]
+
+
+def test_replaced_matrix_has_no_blocks(h3_pole_shift):
+    code = h3_pole_shift.code_g
+    gen = code.generator
+    assert gen.blocks is not None
+    for matrix in (dataclasses.replace(gen, data=gen.data[::-1]), dataclasses.replace(gen),
+                   K.Matrix(gen.field, gen.data)):
+        assert matrix.blocks is None and not matrix.data.flags.writeable
+        bare = K.LinearCode(code.field, matrix, code.N, code.k)
+        assert fiber_block_rank(bare) == code.k
+    with pytest.raises(ValueError):  # blocks is not an init field
+        dataclasses.replace(gen, blocks=gen.blocks)
 
 
 # --- bordered blocks: lone points and affine drops ----------------------------------
@@ -680,18 +750,18 @@ def test_bordered_rank_partial_fibers(h3, h3_pole_shift):
     partial, partial_other = (_unranked_code(h3, code.places[:-1], c.G) for c in (code, other))
     assert np.array_equal(partial.generator.data, code.generator.data[:, :-1])
     assert_ranks_agree(partial, partial_other)
-    assert character_blocks(partial).lone == 3
+    assert partial.generator.blocks.lone == 3
     # 2 + 4 + 2 points on three fibers: one whole fiber and four lone points
     fibers = [fiber for _, fiber in h3.split_fibers()]
     places = fibers[0][:2] + fibers[1] + fibers[2][2:]
     c1, c2 = (_unranked_code(h3, places, c.G) for c in (code, other))
     assert_ranks_agree(c1, c2)
-    assert (character_blocks(c1).fibers, character_blocks(c1).lone) == (1, 4)
+    assert (c1.generator.blocks.fibers, c1.generator.blocks.lone) == (1, 4)
     # no whole fiber at all: every column is a border column
     lone_only = fibers[0][:2] + fibers[1][:3] + fibers[2][:1]
     c1, c2 = (_unranked_code(h3, lone_only, c.G) for c in (code, other))
     assert_ranks_agree(c1, c2)
-    assert (character_blocks(c1).fibers, character_blocks(c1).lone) == (0, 6)
+    assert (c1.generator.blocks.fibers, c1.generator.blocks.lone) == (0, 6)
 
 
 def test_bordered_rank_planted_deficits(monkeypatch, h3_punctured):
@@ -730,7 +800,7 @@ def test_bordered_rank_planted_deficits(monkeypatch, h3_punctured):
     assert c2.generator.rows == k2 + 1
     # two drop columns, the second twice the first: rank(Phi) = 1, K unchanged
     c1, c2 = plant(G, basis, np.hstack([phi, f.vmul(phi, 2)]))
-    assert (character_blocks(c2).drops, character_blocks(c2).drop_rank) == (2, 1)
+    assert (c2.generator.blocks.drops, c2.generator.blocks.drop_rank) == (2, 1)
     assert (fiber_block_rank(c2), fiber_block_rank(c1, c2)) == (k2, N)
 
 
@@ -751,7 +821,7 @@ def test_bordered_rank_dependent_drop_columns(hyperelliptic):
     assert rrspace.dim_with_simple_affine_drops(curve, H) == 2
     places = [p for fiber in fibers[1:] for p in fiber]
     code = _unranked_code(curve, places, H)
-    blocks = character_blocks(code)
+    blocks = code.generator.blocks
     assert (blocks.drops, blocks.drop_rank, blocks.lone) == (2, 1, 0)
     assert fiber_block_rank(code) == dense_rank(code) == 2
     G = K.Divisor.of((inf, len(places) - 1))
@@ -763,7 +833,7 @@ def test_bordered_rank_dependent_drop_columns(hyperelliptic):
     H2 = K.Divisor.of((inf, 4), (fibers[0][0], -1), (fibers[0][1], -1), (fibers[1][1], -1))
     c1, c2 = _unranked_code(curve, places, G), _unranked_code(curve, places, H2)
     assert_ranks_agree(c1, c2)
-    blocks = character_blocks(c2)
+    blocks = c2.generator.blocks
     assert (blocks.drops, blocks.drop_rank, blocks.lone, fiber_block_rank(c2)) == (3, 2, 1, 1)
 
 
@@ -806,7 +876,7 @@ def test_bordered_rank_random_lone_points_and_drops(bundle_curve, gk2):
 
         c1, c2 = (_unranked_code(curve, places, with_drops()) for _ in range(2))
         assert_ranks_agree(c1, c2)
-        b1, b2 = character_blocks(c1), character_blocks(c2)
+        b1, b2 = c1.generator.blocks, c2.generator.blocks
         assert b1.drops >= 1 and b2.drops >= 1
         checked += 1
         lone_seen += b1.lone >= 1

@@ -11,7 +11,6 @@ import pytest
 
 import kummerlcp as K
 from kummerlcp import codes, linalg
-from kummerlcp.codes import character_blocks
 from kummerlcp.errors import ElementOutOfRangeError, ShapeMismatchError
 
 from conftest import FIELD_CHOICES
@@ -328,8 +327,8 @@ def assert_blocks_match_per_block(monkeypatch, code_g, code_h):
 
     monkeypatch.setattr(linalg, "echelons", recorded)
     f = code_g.field
-    for splits in ([character_blocks(code_g)], [character_blocks(code_h)],
-                   [character_blocks(code_g), character_blocks(code_h)]):
+    for splits in ([code_g.generator.blocks], [code_h.generator.blocks],
+                   [code_g.generator.blocks, code_h.generator.blocks]):
         assert codes._bordered_rank(f, splits) == per_block_rank(f, splits)
     assert max(len(stack) for stack, _, _ in stacks) == code_g.curve.m
     for stack, forms, pivots in stacks:
@@ -349,5 +348,5 @@ def test_bordered_rank_blocks_match_per_block_on_gf1021(monkeypatch):
 def test_bordered_rank_blocks_match_per_block_on_z_curve(monkeypatch, z_lcp_results):
     # the whole Z-curve at s = 77: 7 blocks of 288 columns in one stack
     res = z_lcp_results[0][77]
-    assert character_blocks(res.code_g).fibers == 288
+    assert res.code_g.generator.blocks.fibers == 288
     assert_blocks_match_per_block(monkeypatch, res.code_g, res.code_h)
