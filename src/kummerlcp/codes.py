@@ -216,7 +216,10 @@ def _character_split(m: int, places: tuple[Place, ...], rows: np.ndarray, basis:
 
 
 def _with_blocks(field: Field, data: np.ndarray, blocks: CharacterBlocks | None) -> Matrix:
-    """A matrix of data with blocks bound: they must give its row space."""
+    """A matrix of data with blocks bound: they must give its row space.  The
+    array that owns data (a view's base) is frozen, so the matrix's read-only
+    view cannot be made writable again and the blocks keep describing it."""
+    (data if data.base is None else data.base).flags.writeable = False
     matrix = Matrix(field, data)
     object.__setattr__(matrix, "blocks", blocks)
     return matrix

@@ -218,6 +218,7 @@ class KummerCurve:
         self.f_poly = poly.from_roots(field, roots, leading)
         self._gaps: tuple[int, ...] | None = None
         self._genus: int | None = None
+        self._ramified_tuple = None  # semigroup.QTuple.all_ramified, set there
         self._logs: np.ndarray | None = None
 
     # -- basic structure ---------------------------------------------------
@@ -309,9 +310,14 @@ class KummerCurve:
             logs = np.empty(q, dtype=np.int64)
             for lo in range(0, q, _FIELD_SLICE):
                 hi = min(lo + _FIELD_SLICE, q)
-                logs[lo:hi] = self.field._log[self.f_values(np.arange(lo, hi, dtype=np.int64))]
+                logs[lo:hi] = self._f_logs_at(np.arange(lo, hi, dtype=np.int64))
             self._logs = logs
         return self._logs
+
+    def _f_logs_at(self, xs) -> np.ndarray:
+        """log f(x0) at the x0 in xs (encodings), int64, computed at those x0
+        only: the q-sized array of _f_logs is neither read nor built."""
+        return self.field._log[self.f_values(np.asarray(xs, dtype=np.int64))]
 
     def _x_encoding(self, x) -> int:
         """x read by field.encoding; UnsupportedPlaceStructure outside [0, q)."""
@@ -323,7 +329,8 @@ class KummerCurve:
     def fiber(self, x) -> tuple[int, ...]:
         """y encodings with y^m = f(x0), ascending: (0,) over a root of f and
         empty when the fiber is irrational.  x is read by field.encoding."""
-        return tuple(log_mth_roots(self.field, self._f_logs().item(self._x_encoding(x)), self.m))
+        return tuple(log_mth_roots(self.field, self._f_logs_at([self._x_encoding(x)]).item(0),
+                                   self.m))
 
     def _splits(self, logs: np.ndarray) -> np.ndarray:
         """Whether each fiber with log f(x0) in logs splits completely: y^m =
@@ -340,9 +347,10 @@ class KummerCurve:
 
     def split_fibers(self, xs: Iterable | None = None) -> list[tuple[int, list[Place]]]:
         """(x0, [m affine places]) for completely split fibers, ascending order.
-        xs (every split x0 when None) are read by field.encoding, each once."""
+        xs (every split x0 when None) are read by field.encoding, each once,
+        and log f is computed at them only (_f_logs_at)."""
         xs = self.split_x_values() if xs is None else sorted({self._x_encoding(x) for x in xs})
-        logs = self._f_logs()[xs]
+        logs = self._f_logs_at(xs)
         split = self._splits(logs)
         if not split.all():
             raise UnsupportedPlaceStructureError(

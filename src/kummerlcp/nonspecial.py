@@ -319,7 +319,8 @@ def covering_tuple(curve: KummerCurve, D: Divisor) -> QTuple:
     """The all-ramified tuple when it can certify D, else the support tuple.
 
     Padding a tuple with zero-coefficient totally ramified places changes
-    neither criterion, so the widest admissible tuple is used.
+    neither criterion, so the widest admissible tuple is used: the curve's
+    one QTuple.all_ramified, whose tables every check on the curve shares.
     """
     all_places = curve.totally_ramified_places()
     support = D.support_set()
@@ -328,7 +329,7 @@ def covering_tuple(curve: KummerCurve, D: Divisor) -> QTuple:
             "divisor support must lie in the totally ramified places"
         )
     if 2 <= len(all_places) <= curve.field.q:
-        return QTuple.of(curve, all_places)
+        return QTuple.all_ramified(curve)
     return QTuple.of(curve, [p for p in all_places if p in support])
 
 

@@ -15,10 +15,18 @@ two act as mutual oracles.
 
 The basis of stratum i is y^i * x^j * prod_k (x - a_k)^(-A_k) for the
 x-line divisor A = restrict_to_xline(curve, D, i).  `evaluation_rows`
-evaluates it in this factored form, one vector power of x - a_k per root,
-so no polynomial is expanded on the array path; `rr_basis` is where the
-factors are expanded into numerator and denominator polynomials, and the
-two are cross-tested against each other.
+evaluates it in this factored form, read off the logs at the places: row j
+of stratum i has log
+
+    i log y + sum_k ((-A_k) mod (q-1)) log(x - a_k) + j log x   mod q-1,
+
+every exponent reduced before it multiplies a log, and one antilog gather
+fills the rows.  The zeros are kept apart: x^j is 0 at x = 0 for j >= 1,
+y^i is 0 at y = 0 for i >= 1, and at x = a_k the factor is 0 when A_k < 0
+and a pole (DivisionByZeroError) when A_k > 0.  No polynomial is expanded
+on the array path; `rr_basis` is where the factors are expanded into
+numerator and denominator polynomials, and the two are cross-tested
+against each other.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 from . import linalg, poly
 from .curve import AFFINE, BUNDLE, INF, ROOT, CurveFunction, Divisor, KummerCurve, Place
 from .curve import check_curve_points
-from .errors import UnsupportedSupportError
+from .errors import DivisionByZeroError, UnsupportedSupportError
 
 
 @dataclass(frozen=True)
@@ -182,25 +190,59 @@ def _basis_rows(curve: KummerCurve, D: Divisor,
                 places: Sequence[Place]) -> tuple[np.ndarray, np.ndarray]:
     """rr_basis(curve, D) evaluated at places, for D without affine support,
     and the stratum i of each row (its basis function is y^i times a
-    function of x)."""
+    function of x).
+
+    Row j of stratum i has log i log y + sum_k ((-A_k) mod (q-1)) log(x - a_k)
+    + j log x mod q-1, every exponent reduced before it multiplies a log, so
+    no int64 product overflows however large A is.  The zeros follow
+    Field.vpow's rules for every stratum at once: x^j is 0 at
+    x = 0 for j >= 1, y^i is 0 at y = 0 for i >= 1, and at x = a_k the
+    factor is 0 when A_k < 0 and a pole (DivisionByZeroError) when A_k > 0.
+    The stratum part and the x-power part are each below q-1 or the zero
+    sentinel 2(q-1), so their sum, taken in the output array, is a unit's
+    log below 2(q-1) or lies in the zero tail, and one antilog gather turns
+    the sums into the rows in place.
+    """
     field = curve.field
+    q1 = field.q - 1
+    zero = 2 * q1
+    strata = basis_strata(curve, D)
+    sizes = np.array([a.degree + 1 for _, a in strata], dtype=np.int64)
     xs = np.array([p.x for p in places], dtype=np.int64)
     ys = np.array([p.y for p in places], dtype=np.int64)
-    shifted = [field.vsub(xs, root_enc) for root_enc, _ in curve.roots]
-    strata = basis_strata(curve, D)
-    rows = np.zeros((sum(a.degree + 1 for _, a in strata), len(places)), dtype=np.int64)
-    row_strata = np.zeros(len(rows), dtype=np.int64)
-    r = 0
-    for i, a in strata:
-        row_strata[r:r + a.degree + 1] = i
-        rows[r] = field.vpow(ys, i)
-        for x_minus_root, c in zip(shifted, a.root_coeffs):
-            if c:
-                rows[r] = field.vmul(rows[r], field.vpow(x_minus_root, -c))
-        for j in range(1, a.degree + 1):
-            rows[r + j] = field.vmul(rows[r + j - 1], xs)
-        r += a.degree + 1
-    return rows, row_strata
+    roots = np.array([a for a, _ in curve.roots], dtype=np.int64)
+    # log y and log(x - a_k) at the places, one row each, the sentinel at 0
+    logs = field._log[np.vstack([ys, field.vsub(xs, roots[:, None])])]
+    # the exponents of y and of each x - a_k, stratum by stratum: i and -A_k
+    # as Python ints of any size, reduced mod q-1 before they multiply a log
+    exps = [[i, *(-c for c in a.root_coeffs)] for i, a in strata]
+    shape = (len(strata), len(roots) + 1)
+    stratum_logs = np.array([[e % q1 for e in row] for row in exps],
+                            dtype=np.int64).reshape(shape) @ logs % q1
+    at_zero = logs == zero
+    if at_zero.any():
+        # a sentinel times a reduced exponent is 0 mod q-1, so a zero factor
+        # goes by its exponent's sign: a positive one vanishes, a negative
+        # one is a pole
+        signs = np.array([[(e > 0) - (e < 0) for e in row] for row in exps],
+                         dtype=np.int64).reshape(shape)
+        if ((signs < 0) @ at_zero).any():
+            raise DivisionByZeroError("negative power of zero")
+        stratum_logs[(signs > 0) @ at_zero] = zero
+    # x^j: j log x mod q-1, the sentinel at x = 0 for j >= 1
+    ends = np.cumsum(sizes)
+    j = np.arange(sizes.sum(), dtype=np.int64) - np.repeat(ends - sizes, sizes)
+    rows = np.empty((len(j), len(places)), dtype=np.int64)
+    np.multiply((j % q1)[:, None], field._log[xs], out=rows)
+    rows %= q1
+    rows[np.ix_(j > 0, xs == 0)] = zero
+    # each stratum's part, added in place to its rows: no rows-sized temporary
+    for part, lo, hi in zip(stratum_logs, (ends - sizes).tolist(), ends.tolist()):
+        rows[lo:hi] += part
+    # clip (never reached) leaves out unbuffered: each entry's log is read
+    # before the entry is written, so the gather runs in place
+    np.take(field._exp, rows, out=rows, mode="clip")
+    return rows, np.repeat(np.array([i for i, _ in strata], dtype=np.int64), sizes)
 
 
 def dim_with_simple_affine_drops(curve: KummerCurve, D: Divisor) -> int:
@@ -217,6 +259,7 @@ def dim_with_simple_affine_drops(curve: KummerCurve, D: Divisor) -> int:
 def _drops_dimension(curve: KummerCurve, ram: Divisor, drops: Sequence[Place]) -> int:
     """dim L(ram - sum of drops) for drops that are distinct rational affine
     points of the curve off the roots of f, which is not checked here."""
-    return dim_by_decomposition(curve, ram) - linalg.rank(
-        curve.field, _basis_rows(curve, ram, drops)[0]
-    )
+    dim = dim_by_decomposition(curve, ram)
+    if not drops:
+        return dim
+    return dim - linalg.rank(curve.field, _basis_rows(curve, ram, drops)[0])

@@ -110,7 +110,11 @@ class QTuple:
 
     @staticmethod
     def all_ramified(curve: KummerCurve) -> "QTuple":
-        return QTuple.of(curve, curve.totally_ramified_places())
+        """The tuple of every totally ramified place, built once per curve and
+        kept on it beside the gap vector, so its tables are built once too."""
+        if curve._ramified_tuple is None:
+            curve._ramified_tuple = QTuple.of(curve, curve.totally_ramified_places())
+        return curve._ramified_tuple
 
     @property
     def n(self) -> int:

@@ -703,6 +703,22 @@ def test_generator_data_is_read_only(h3):
     assert report.verdict and report.rank_of_stack == dense_rank(g_code, h_code) == 24
 
 
+def test_generator_data_cannot_be_made_writable(h3):
+    # numpy lets a read-only view be made writable again while the array that
+    # owns its data is writable; that owner is frozen for every generator
+    # that carries blocks, the row bases of codes outside the window included
+    E = K.Divisor.of((K.Place.infinity(), -1), (h3.root_place(1), 1), (h3.root_place(2), 2))
+    res = K.lcp_pole_shift(h3, E, 3)
+    places = res.d_places
+    wide = K.Divisor.of((K.Place.infinity(), 3 * len(places)))  # deg G > N
+    row_basis = K.ag_code(h3, places, wide)
+    assert row_basis.k == len(places) < len(rrspace.evaluation_rows(h3, wide, places))
+    for code in (K.ag_code(h3, places, res.G), res.code_g, res.code_h, row_basis):
+        assert code.generator.blocks is not None
+        with pytest.raises(ValueError):
+            code.generator.data.flags.writeable = True
+
+
 def test_hand_built_code_keeps_the_block_path(monkeypatch, h3_pole_shift):
     # the blocks travel with the generator, so a LinearCode made by hand
     # around an evaluation generator is ranked by them, whatever its places

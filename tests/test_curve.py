@@ -24,7 +24,7 @@ from kummerlcp.errors import (
     PoleAtPlaceError,
     UnsupportedPlaceStructureError,
 )
-from kummerlcp.field import json_int
+from kummerlcp.field import json_int, log_mth_roots
 
 from conftest import (BIG_FIELDS, FIELD_CHOICES, hermitian, mth_roots_by_scan,
                       random_big_curve, random_curve)
@@ -289,6 +289,42 @@ def test_split_fibers_reads_x_as_an_element_of_the_field(h3):
             h3.split_fibers(bad)
     with pytest.raises(TypeError):
         h3.split_fibers([float(xs[0])])
+
+
+@pytest.mark.parametrize("p,e", FIELD_CHOICES + BIG_FIELDS)
+def test_fibers_at_given_x_leave_the_log_array_unbuilt(p, e):
+    # split_fibers(xs) and fiber(x) on a fresh curve read log f only at
+    # those x: the same fibers and errors as read off the array of log f(x)
+    # over the field (affine_points and its log_mth_roots), and that array
+    # is never built
+    f = K.field_create(p, e)
+    rng = random.Random(p * 31 + e)
+    m = _splitting_m(f.q, p)
+    checked = 0
+    while checked < 2:
+        roots = [(a, rng.randint(1, m - 1)) for a in rng.sample(range(f.q), 3)]
+        lead = rng.randrange(1, f.q)
+        try:
+            tabled = K.curve_create(f, m, lead, roots)
+        except K.errors.KummerError:
+            continue
+        split = tabled.split_x_values()
+        logs = tabled._f_logs()
+        point_xs, point_ys = tabled.affine_points()
+        xs = rng.sample(split, min(len(split), 5))
+        sample = rng.sample(range(f.q), min(f.q, 40)) + [a for a, _ in roots]
+        unsplit = [x for x in sample if x not in split]
+        fresh = K.curve_create(f, m, lead, roots)
+        assert fresh.split_fibers(xs) == [
+            (x, [K.Place.affine(x, y) for y in point_ys[point_xs == x].tolist()])
+            for x in sorted(xs)]
+        assert fresh.split_fibers([]) == []
+        assert [fresh.fiber(x) for x in sample] == [
+            tuple(log_mth_roots(f, logs.item(x), m)) for x in sample]
+        with pytest.raises(UnsupportedPlaceStructureError):
+            fresh.split_fibers(xs + unsplit[:1])
+        assert fresh._logs is None
+        checked += 1
 
 
 def test_genus_matches_riemann_hurwitz_on_random_curves():

@@ -316,3 +316,13 @@ def test_result_serialization_roundtrip(h3):
     curve = K.curve_from_json(obj["curve"])
     G = K.Divisor.from_json(curve, obj["G"])
     assert G == res.G
+
+
+def test_build_on_two_fibers_of_gf2_20_reads_no_log_array():
+    # construction 1 on the fibers over x = 60 and 61 reads log f at those
+    # two x only: the curve's array of log f(x) over GF(2^20) (8 MB) is
+    # never built
+    curve = K.curve_create(K.field_create(2, 20), 41, 1, [(0, 1), (1, 1)])
+    res = K.build(curve, "1", 10, eval_x=[60, 61])
+    assert res.report.verdict and res.code_g.N == 82
+    assert curve._logs is None

@@ -15,9 +15,9 @@ from kummerlcp.errors import (
     LambdaNotCongruentOneError,
     NotSeparableError,
 )
-from kummerlcp.nonspecial import DivisorFamily, FamilyObstruction
+from kummerlcp.nonspecial import DivisorFamily, FamilyObstruction, covering_tuple
 
-from conftest import per_stratum_dim_by_formula, random_curve, random_tuple
+from conftest import hermitian, per_stratum_dim_by_formula, random_curve, random_tuple
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -443,3 +443,16 @@ def test_h5_census_is_the_separable_union(h5):
     for alpha0 in range(h5.m):
         union |= K.separable_family(h5, alpha0).all_divisors_canonical_shift()
     assert union == census
+
+
+def test_covering_tuple_is_built_once_per_curve(h3):
+    # every divisor on the totally ramified places is checked on the curve's
+    # one all-ramified tuple, so its tables are built once
+    D1 = K.Divisor.of((K.Place.infinity(), 2))
+    D2 = K.Divisor.of((h3.root_place(1), 1), (h3.root_place(2), 2))
+    tup = covering_tuple(h3, D1)
+    assert covering_tuple(h3, D2) is tup is K.QTuple.all_ramified(h3)
+    assert tup.places == tuple(h3.totally_ramified_places())
+    fresh = hermitian(3)
+    assert covering_tuple(fresh, D1) is not tup
+    assert covering_tuple(fresh, D1) == K.QTuple.of(fresh, tup.places)

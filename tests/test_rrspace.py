@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kummerlcp as K
-from kummerlcp import linalg, poly
+from kummerlcp import linalg, poly, rrspace
 from kummerlcp.curve import BUNDLE, INF, ROOT
 from kummerlcp.errors import (
     DivisionByZeroError,
@@ -15,10 +15,11 @@ from kummerlcp.rrspace import (
     _basis_rows,
     basis_strata,
     dim_with_simple_affine_drops,
+    evaluation_parts,
     evaluation_rows,
 )
 
-from conftest import BIG_FIELDS, random_big_curve, random_curve, random_tuple
+from conftest import BIG_FIELDS, FIELD_CHOICES, random_big_curve, random_curve, random_tuple
 
 
 def divmod_linear(field, a, root_enc):
@@ -382,3 +383,123 @@ def test_root_referenced_consistently(bundle_curve):
     bad = K.Divisor.of((K.Place.root(1), 1))
     with pytest.raises(UnsupportedSupportError):
         K.dim_by_decomposition(bundle_curve, bad)
+
+
+def per_row_basis_rows(curve, D, places):
+    """_basis_rows built row by row, as it was before the rows were read off
+    the logs: one vpow per root per stratum and one vmul per row.  The
+    oracle for the log construction."""
+    field = curve.field
+    xs = np.array([p.x for p in places], dtype=np.int64)
+    ys = np.array([p.y for p in places], dtype=np.int64)
+    shifted = [field.vsub(xs, root_enc) for root_enc, _ in curve.roots]
+    strata = basis_strata(curve, D)
+    rows = np.zeros((sum(a.degree + 1 for _, a in strata), len(places)), dtype=np.int64)
+    row_strata = np.zeros(len(rows), dtype=np.int64)
+    r = 0
+    for i, a in strata:
+        row_strata[r:r + a.degree + 1] = i
+        rows[r] = field.vpow(ys, i)
+        for x_minus_root, c in zip(shifted, a.root_coeffs):
+            if c:
+                rows[r] = field.vmul(rows[r], field.vpow(x_minus_root, -c))
+        for j in range(1, a.degree + 1):
+            rows[r + j] = field.vmul(rows[r + j - 1], xs)
+        r += a.degree + 1
+    return rows, row_strata
+
+
+def huge_divisor(rng, curve, scale):
+    """A divisor of small degree whose x-line coefficient A_k at one root is
+    at least scale * m in size in every stratum: a huge coefficient at the
+    root, cancelled at infinity (which must be rational)."""
+    k = rng.randrange(len(curve.roots))
+    c = rng.choice([1, -1]) * scale * curve.m ** 2
+    return K.Divisor([curve.branch_divisor_entry(k, c),
+                      (K.Place.infinity(), -c * curve.root_gcds[k] + rng.randint(0, 4 * curve.m))])
+
+
+def rows_match_per_row(curve, D, places) -> bool:
+    """_basis_rows equals the per-row oracle bit for bit, dtype included, or
+    both raise DivisionByZeroError (a pole at a root point); True when rows
+    were compared."""
+    try:
+        want, want_strata = per_row_basis_rows(curve, D, places)
+    except DivisionByZeroError:
+        with pytest.raises(DivisionByZeroError):
+            _basis_rows(curve, D, places)
+        return False
+    rows, strata = _basis_rows(curve, D, places)
+    assert rows.dtype == want.dtype == strata.dtype == np.int64
+    assert rows.shape == want.shape and strata.shape == want_strata.shape
+    assert np.array_equal(rows, want) and np.array_equal(strata, want_strata)
+    return True
+
+
+@pytest.mark.parametrize("p,e", FIELD_CHOICES + BIG_FIELDS + [(2, 20)])
+def test_basis_rows_match_per_row_construction(p, e):
+    # columns at arbitrary (x, y), so x = 0, y = 0 and x = a_k all occur;
+    # the log construction needs no point to be on the curve
+    rng = random.Random(7 * p + e)
+    q = p ** e
+    seen = {"x = 0": 0, "root point": 0, "one-row stratum": 0, "huge": 0, "beyond int64": 0,
+            "no places": 0}
+    for _ in range(12):
+        curve = random_big_curve(rng, p, e, max_m=8)
+        roots = [a for a, _ in curve.roots]
+        cols = {(0, rng.randrange(1, q)), (rng.randrange(1, q), 0), (0, 0),
+                (rng.choice(roots), 0), (rng.choice(roots), rng.randrange(q))}
+        cols |= {(rng.randrange(q), rng.randrange(q)) for _ in range(10)}
+        places = [K.Place.affine(x, y) for x, y in sorted(cols)]
+        divisors = [random_ramified_divisor(rng, curve, -3, 6) for _ in range(3)]
+        divisors += [random_ramified_divisor(rng, curve, -3 * curve.m, 0)]
+        if curve.d_inf == 1:
+            divisors += [huge_divisor(rng, curve, 10 ** 12), huge_divisor(rng, curve, 10 ** 30)]
+        for D in divisors:
+            strata = basis_strata(curve, D)
+            A = max((abs(c) for _, a in strata for c in a.root_coeffs), default=0)
+            away = [pl for pl in places if pl.x not in roots]
+            for cols_ in (places, away, []):
+                if rows_match_per_row(curve, D, cols_):
+                    seen["x = 0"] += any(pl.x == 0 for pl in cols_)
+                    seen["root point"] += any(pl.x in roots for pl in cols_)
+                    seen["one-row stratum"] += any(a.degree == 0 for _, a in strata)
+                    seen["huge"] += A >= 10 ** 12 * curve.m
+                    seen["beyond int64"] += A >= 1 << 63
+                    seen["no places"] += not cols_
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("p,e", FIELD_CHOICES + [(2, 12)])
+def test_drop_matrix_matches_per_row_construction(p, e):
+    # H' and Phi of evaluation_parts against the per-row oracle at the places
+    # and at the drops
+    rng = random.Random(31 * p + e)
+    checked = 0
+    while checked < 6:
+        curve = random_big_curve(rng, p, e, max_m=6)
+        places = affine_places(curve)
+        if len(places) < 4:
+            continue
+        places = rng.sample(places, min(len(places), 40))
+        drops = sorted(rng.sample(places, 2), key=K.Place.sort_key)  # D's order
+        ram = random_ramified_divisor(rng, curve, 0, 4)
+        rows, basis, phi, strata = evaluation_parts(curve, ram - K.Divisor((d, 1) for d in drops),
+                                                    places)
+        want, want_strata = per_row_basis_rows(curve, ram, places)
+        assert basis.dtype == phi.dtype == np.int64
+        assert np.array_equal(basis, want) and np.array_equal(strata, want_strata)
+        assert np.array_equal(phi, per_row_basis_rows(curve, ram, drops)[0])
+        checked += 1
+
+
+def test_no_drops_takes_no_evaluation(h3, monkeypatch):
+    # without drops the dimension is dim_by_decomposition, with no rows built
+    D = K.Divisor.of((K.Place.infinity(), 8), (h3.root_place(1), -2))
+    want = K.dim_by_decomposition(h3, D)
+
+    def refuse(*args):
+        raise AssertionError("evaluation rows built for a divisor without drops")
+
+    monkeypatch.setattr(rrspace, "_basis_rows", refuse)
+    assert dim_with_simple_affine_drops(h3, D) == want == 4
