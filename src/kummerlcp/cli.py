@@ -26,7 +26,6 @@ from .codes import (
     fiber_block_rank,
     is_lcp,
     min_distance,
-    verify_lcp_conditions,
 )
 from .curve import Divisor, KummerCurve, curve_from_json, parse_place
 from .errors import KummerError, UsageError
@@ -221,7 +220,7 @@ def _load_lcp_result(path: str):
 
 def cmd_lcp_verify(args) -> dict:
     curve, d_places, G, H, certificates, stored = _load_lcp_result(args.result)
-    *rebuilt, report = _code_pair(curve, d_places, G, H)
+    *rebuilt, report = _code_pair(curve, d_places, G, H, certificates)
     # each stored code must hold what code-info requires, k rows of length N
     # and rank k, and be C(D, G) resp. C(D, H): the same N and k, its rows
     # inside the row space of the rebuilt generator.  A stored code
@@ -233,18 +232,16 @@ def cmd_lcp_verify(args) -> dict:
     stored_codes_match = all(
         s or ((c.N, c.k, c.generator.cols) == (r.N, r.k, r.N) and fiber_block_rank(c, r) == r.k)
         for s, c, r in zip(same, stored, rebuilt))
-    if not (stored_ranks_ok and stored_codes_match):
-        report = is_lcp(*stored)
-    # otherwise each stored code spans its rebuilt code, so the stored stack
-    # spans the rebuilt one and the rebuilt pair's report is the stored pair's
-    conditions = verify_lcp_conditions(curve, d_places, G, H, certificates)
+    # when both pass, each stored code spans its rebuilt code, so the stored
+    # stack spans the rebuilt one and the rebuilt pair's ranks are the stored pair's
+    ranks = report if stored_ranks_ok and stored_codes_match else is_lcp(*stored)
     return {
-        "verdict": "LCP" if report.verdict and stored_codes_match else "NOT_LCP",
-        "rank_of_stack": report.rank_of_stack,
+        "verdict": "LCP" if ranks.verdict and stored_codes_match else "NOT_LCP",
+        "rank_of_stack": ranks.rank_of_stack,
         "stored_ranks_ok": stored_ranks_ok,
         "stored_codes_match": stored_codes_match,
-        "conditions_pass": conditions.passed,
-        "conditions": conditions.to_json(),
+        "conditions_pass": report.conditions.passed,
+        "conditions": report.conditions.to_json(),
     }
 
 

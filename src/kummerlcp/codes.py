@@ -67,6 +67,11 @@ sum to N or the stack falls short of N (the failure path), the lemma says
 nothing, and both codes are ranked on their own.  Either way k reaches the
 code through _dimension_checked, as in ag_code, so every dimension reported
 or checked is a rank.
+
+Checked places.  Outside places are checked where they enter: at the public
+entry points (ag_code, verify_lcp_conditions, rrspace.evaluation_rows and
+dim_with_simple_affine_drops), and once per pair in _code_pair, through
+verify_lcp_conditions.  Every other function takes its places as checked.
 """
 
 from __future__ import annotations
@@ -187,8 +192,8 @@ class CharacterBlocks:
 
 def _fiber_layout(m: int, places: Sequence[Place]) -> tuple[np.ndarray, np.ndarray]:
     """The first column of every whole fiber, and the other (border) columns,
-    ascending.  For places that pass check_curve_points a whole fiber
-    is an x carried by m columns: their y are distinct and nonzero."""
+    ascending.  On checked places a whole fiber is an x carried by m
+    columns: their y are distinct and nonzero."""
     xs = np.array([p.x for p in places], dtype=np.int64)
     order = np.argsort(xs, kind="stable")
     starts = np.flatnonzero(np.diff(xs[order], prepend=-1))
@@ -280,18 +285,19 @@ def fiber_block_rank(*codes: LinearCode) -> int:
     return linalg.rank(first.field, np.vstack([c.generator.data for c in codes]))
 
 
-def _unranked_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
-    """C(D, G) for D the sum of the given places, its generator the
-    evaluation rows of L(G) as they are (rrspace.evaluation_rows) and k their
-    row count until _dimension_checked sets it.  The places, and the affine
-    places G drops, must be distinct rational affine points of the curve off
-    the roots of f (evaluation_parts checks them); the generator's character
-    blocks, built from the strata of the basis rows (H' and Phi when G drops
-    affine places), are bound to it."""
-    places = tuple(eval_places)
+def _require_disjoint(places: Sequence[Place], G: Divisor) -> None:
     overlap = set(places) & set(G.support())
     if overlap:
         raise SupportOverlapError(f"G and D share support: {sorted(p.id() for p in overlap)}")
+
+
+def _unranked_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
+    """C(D, G) for D the sum of the given places, its generator the
+    evaluation rows of L(G) as they are (rrspace.evaluation_parts) and k
+    their row count until _dimension_checked sets it, on checked places and
+    drops.  The generator's character blocks, built from the strata of the
+    basis rows (H' and Phi when G drops affine places), are bound to it."""
+    places = tuple(eval_places)
     field = curve.field
     rows, basis, phi, strata = rrspace.evaluation_parts(curve, G, places)
     gen = _with_blocks(field, rows, _character_split(curve.m, places, rows, basis, strata, phi))
@@ -323,6 +329,9 @@ def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> Lin
     deg G + 1 - g; outside it the generator is reduced to a row basis, which
     keeps the character blocks.
     """
+    _require_disjoint(eval_places, G)
+    check_curve_points(curve, eval_places)
+    check_curve_points(curve, rrspace._affine_drops(G)[1])
     code = _unranked_code(curve, eval_places, G)
     return _dimension_checked(code, fiber_block_rank(code))
 
@@ -396,12 +405,19 @@ def is_lcp(c1: LinearCode, c2: LinearCode) -> LcpReport:
     return LcpReport(c1.k, c2.k, c1.N, r, c1.k + c2.k == c1.N and r == c1.N)
 
 
-def _code_pair(curve: KummerCurve, d_places: Sequence[Place], G: Divisor,
-               H: Divisor) -> tuple[LinearCode, LinearCode, LcpReport]:
-    """ag_code(curve, d_places, G), the same for H, and is_lcp of the two,
-    with the same codes, errors and report.  The stack's rank is taken first;
-    when it proves both dimensions (the one-rank lemma in the module
-    docstring) no other rank is taken, and otherwise each code is ranked."""
+def _code_pair(curve: KummerCurve, d_places: Sequence[Place], G: Divisor, H: Divisor,
+               certificates: Sequence[CertStep]) -> tuple[LinearCode, LinearCode, LcpReport]:
+    """ag_code(curve, d_places, G), the same for H, and is_lcp of the two with
+    verify_lcp_conditions as its conditions, in one pass.  ag_code's rules
+    that need no curve (overlap, coefficient -1) come first; then
+    verify_lcp_conditions makes the pass's only point checks, and the codes
+    are built on the checked places.  When the stack's rank proves both
+    dimensions (the one-rank lemma in the module docstring) no other rank is
+    taken, and otherwise each code is ranked."""
+    for D in (G, H):
+        _require_disjoint(d_places, D)
+        rrspace._affine_drops(D)
+    conditions = verify_lcp_conditions(curve, d_places, G, H, certificates)
     codes = [_unranked_code(curve, d_places, D) for D in (G, H)]
     N = len(d_places)
     r = fiber_block_rank(*codes)
@@ -409,7 +425,7 @@ def _code_pair(curve: KummerCurve, d_places: Sequence[Place], G: Divisor,
     for code in codes:
         _dimension_checked(code, code.generator.rows if proved else fiber_block_rank(code))
     k1, k2 = codes[0].k, codes[1].k
-    return codes[0], codes[1], LcpReport(k1, k2, N, r, k1 + k2 == N and r == N)
+    return codes[0], codes[1], LcpReport(k1, k2, N, r, k1 + k2 == N and r == N, conditions)
 
 
 @dataclass(frozen=True)
@@ -459,10 +475,10 @@ def _chain_divisor(curve: KummerCurve, certificates: Iterable[CertStep],
     """The sum of mult * div(generator) over the chain, summed in one dict,
     unsorted, so the cost is linear in the chain's length.
 
-    d_places must have passed check_curve_points.  A step x - b whose b
-    carries m of them takes div(x - b) = (those places) - m Q_inf off them: a
-    fiber holds at most m rational places, so they are all of it.  Any other
-    step builds its principal divisor."""
+    A step x - b whose b carries m of the checked d_places takes
+    div(x - b) = (those places) - m Q_inf off them: a fiber holds at most m
+    rational places, so they are all of it.  Any other step builds its
+    principal divisor."""
     over_x: dict[int, list[Place]] = {}
     for place in d_places:
         over_x.setdefault(place.x, []).append(place)
@@ -502,9 +518,8 @@ def _nonspecial_gminus1_report(
     if deg != g - 1:
         return
     try:
-        # W's affine places are places of D or of G and H, which
-        # verify_lcp_conditions has checked, or places of a fiber the
-        # certificate chain read off the curve, so they are not checked again
+        # W's affine places are checked places of D, G and H, or places of a
+        # fiber the certificate chain read off the curve
         dim = rrspace._drops_dimension(curve, *rrspace._affine_drops(W))
     except UnsupportedSupportError as exc:
         report.add(f"{label} nonspecial", False, f"unsupported support: {exc}")
@@ -563,3 +578,4 @@ def verify_lcp_conditions(
         )
     _nonspecial_gminus1_report(curve, reduced, report, "lmd(G,H)-D")
     return report
+

@@ -19,8 +19,8 @@ inversion, powers and m-th roots are read off the logs, with no table of
 their own: -a = exp[log a + log(-1)], a^-1 = exp[(q-1) - log a],
 a^k = exp[log a (k mod (q-1)) mod (q-1)].  One formula,
 `unit_mth_roots`, reads the m-th roots of units off their logs, for
-`mth_roots` and for the fibers of a Kummer curve, which the curve reads off
-its cached array of log f(x).  Fields up to q = 2^20 are supported.
+`mth_roots` and for the fibers of a Kummer curve over given x, where the
+curve computes log f at those x only.  Fields up to q = 2^20 are supported.
 
 Multiplication is one antilog lookup for every field: log 0 is the sentinel
 S = 2(q-1), and the antilog table holds two periods of the generator's

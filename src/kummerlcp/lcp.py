@@ -21,13 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .codes import (
-    CertStep,
-    LcpReport,
-    LinearCode,
-    _code_pair,
-    verify_lcp_conditions,
-)
+from .codes import CertStep, LcpReport, LinearCode, _code_pair
 from .curve import Divisor, KummerCurve, Place
 from .errors import (
     ConditionViolationError,
@@ -107,15 +101,13 @@ def _finalize(
     the fibers, with the chain s div(y) - sum of div(x - x0) over the fibers."""
     d_places = [*lone, *(p for _, fiber in fibers for p in fiber)]
     certificates = [CertStep("y", None, s), *(CertStep("x-b", x0, -1) for x0, _ in fibers)]
-    code_g, code_h, report = _code_pair(curve, d_places, G, H)
+    code_g, code_h, report = _code_pair(curve, d_places, G, H, certificates)
     if (code_g.k, code_h.k) != (expect_k1, expect_k2):
         raise InternalInvariantError(
             f"dimensions ({code_g.k}, {code_h.k}) differ from the closed form "
             f"({expect_k1}, {expect_k2})"
         )
-    conditions = verify_lcp_conditions(curve, d_places, G, H, certificates)
-    report.conditions = conditions
-    if not (report.verdict and conditions.passed):
+    if not (report.verdict and report.conditions.passed):
         raise InternalInvariantError("construction did not verify as an LCP")
     return LcpConstruction(
         construction, s, curve, tuple(d_places), G, H, E, E2,

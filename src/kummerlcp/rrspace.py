@@ -144,13 +144,6 @@ def _affine_drops(D: Divisor) -> tuple[Divisor, list[Place]]:
     return Divisor((p, c) for p, c in D.items() if p.kind != AFFINE), drops
 
 
-def _split_affine_drops(curve: KummerCurve, D: Divisor) -> tuple[Divisor, list[Place]]:
-    """_affine_drops, with the drops put through check_curve_points."""
-    ram, drops = _affine_drops(D)
-    check_curve_points(curve, drops)
-    return ram, drops
-
-
 def evaluation_parts(
     curve: KummerCurve, D: Divisor, places: Sequence[Place]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
@@ -161,11 +154,10 @@ def evaluation_parts(
     strata[r] the stratum i of its row r (the basis function is y^i times a
     function of x).  When D drops affine places, Phi is the same basis at the
     drops, one column per drop, and rows is null_space(Phi^T) H'; otherwise
-    Phi is None and rows is H'.  The places and the drops must pass
-    check_curve_points (a place may also be a drop).
+    Phi is None and rows is H'.  The places and drops are taken as checked
+    by check_curve_points (a place may also be a drop).
     """
-    check_curve_points(curve, places)
-    ram, drops = _split_affine_drops(curve, D)
+    ram, drops = _affine_drops(D)
     basis, strata = _basis_rows(curve, ram, places)
     if not drops:
         return basis, basis, None, strata
@@ -183,6 +175,8 @@ def evaluation_rows(curve: KummerCurve, D: Divisor, places: Sequence[Place]) -> 
     drops inside L(ram) for the ramified part ram, and each row is the
     combination of rr_basis(curve, ram) given by a null_space row.
     """
+    check_curve_points(curve, places)
+    check_curve_points(curve, _affine_drops(D)[1])
     return evaluation_parts(curve, D, places)[0]
 
 
@@ -253,12 +247,13 @@ def dim_with_simple_affine_drops(curve: KummerCurve, D: Divisor) -> int:
     the evaluation map, which is exact.  The drops must pass
     check_curve_points.
     """
-    return _drops_dimension(curve, *_split_affine_drops(curve, D))
+    ram, drops = _affine_drops(D)
+    check_curve_points(curve, drops)
+    return _drops_dimension(curve, ram, drops)
 
 
 def _drops_dimension(curve: KummerCurve, ram: Divisor, drops: Sequence[Place]) -> int:
-    """dim L(ram - sum of drops) for drops that are distinct rational affine
-    points of the curve off the roots of f, which is not checked here."""
+    """dim L(ram - sum of drops) for drops already put through check_curve_points."""
     dim = dim_by_decomposition(curve, ram)
     if not drops:
         return dim

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import itertools
+import json
 import math
 import random
 
@@ -10,10 +12,12 @@ import kummerlcp as K
 from kummerlcp import cli, lcp, linalg, rrspace
 from kummerlcp.codes import (
     CertStep,
+    ConditionReport,
     LcpReport,
     _bordered_rank,
     _chain_divisor,
     _code_pair,
+    _nonspecial_gminus1_report,
     _unranked_code,
     encode_messages,
     fiber_block_rank,
@@ -452,6 +456,35 @@ def test_verifier_checks_no_residual_drop_again(monkeypatch, h3_punctured):
     assert checked == [r1]
 
 
+def test_a_pair_checks_each_place_once(monkeypatch, tmp_path, capsys, h3):
+    # the pair pass checks D, and the drop R_1 of construction R, once: in
+    # verify_lcp_conditions, and not again where the codes are evaluated
+    checked = collections.Counter()
+
+    def counting(check):
+        def counted(curve, places):
+            checked.update(places)
+            return check(curve, places)
+        return counted
+
+    for module in (K.codes, rrspace):
+        monkeypatch.setattr(module, "check_curve_points", counting(module.check_curve_points))
+    E = K.Divisor.of((K.Place.infinity(), -1), (h3.root_place(1), 1), (h3.root_place(2), 2))
+    res = K.lcp_pole_shift(h3, E, 3)
+    assert checked == collections.Counter(res.d_places)
+    checked.clear()
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(res.to_json()))
+    assert cli.main(["lcp-verify", "--result", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "LCP"
+    assert checked == collections.Counter(res.d_places)
+    checked.clear()
+    E = K.Divisor.of((h3.root_place(1), 1), (h3.root_place(2), 2))
+    res = K.lcp_punctured(h3, E, 3)
+    r1 = next(p for p in res.H.support() if p.kind == "aff")
+    assert checked == collections.Counter([*res.d_places, r1])
+
+
 def test_verify_conditions_partial_chain_still_sound(h3):
     # dropping the fiber steps leaves -1 coefficients on all of D, which the
     # evaluation-functional route still decides correctly (just more slowly)
@@ -459,6 +492,50 @@ def test_verify_conditions_partial_chain_still_sound(h3):
     res = K.lcp_pole_shift(h3, E, 3)
     report = K.verify_lcp_conditions(h3, res.d_places, res.G, res.H, res.certificates[:1])
     assert report.passed
+
+
+@pytest.fixture(scope="module")
+def partial_curve():
+    """y^6 = x^3 (x-1)^2 (x-2) over GF(7): g = 1, infinity is not a rational
+    place, and root:2 is the one totally ramified place."""
+    curve = K.curve_create(K.field_create(7, 1), 6, 1, [(0, 3), (1, 2), (2, 1)])
+    assert (curve.genus(), curve.totally_ramified_places()) == (1, [curve.root_place(2)])
+    return curve
+
+
+def test_condition_report_on_unsupported_support(partial_curve):
+    # W has degree g - 1 = 0, but its dimension cannot be taken at infinity
+    W = K.Divisor.of((K.Place.infinity(), 1), (partial_curve.root_place(2), -1))
+    report = ConditionReport()
+    _nonspecial_gminus1_report(partial_curve, W, report, "W")
+    assert [c.to_json() for c in report.checks] == [
+        {"name": "W degree", "passed": True, "detail": "deg = 0, g-1 = 0"},
+        {"name": "W nonspecial", "passed": False,
+         "detail": "unsupported support: infinity is not a rational place here"},
+    ]
+
+
+def test_condition_report_without_a_covering_tuple(partial_curve):
+    # one totally ramified place makes no tuple, so the dimension decides
+    # alone and no criterion row is recorded
+    report = ConditionReport()
+    _nonspecial_gminus1_report(partial_curve, K.Divisor([]), report, "W")
+    assert [c.to_json() for c in report.checks] == [
+        {"name": "W degree", "passed": True, "detail": "deg = 0, g-1 = 0"},
+        {"name": "W nonspecial", "passed": False, "detail": "dim = 1"},
+    ]
+
+
+def test_min_distance_designed_bound(tmp_path, capsys, h3_pole_shift):
+    # 9^15 codewords are more than min_distance exhausts: it gives the bound
+    # N - deg G, and a stored code, which has no G, the bound 1
+    code = h3_pole_shift.code_g
+    assert (code.N, code.k, code.G.degree()) == (24, 15, 17)
+    assert K.min_distance(code) == K.MinDistance(7, False)
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code.to_json()))
+    assert cli.main(["code-info", "--code", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["min_distance"] == {"value": 1, "exact": False}
 
 
 def test_k_equals_rank_in_window_random(h3):
@@ -958,11 +1035,13 @@ def test_dropped_places_must_be_curve_points(h3, h3_punctured, place):
 def test_code_pair_takes_the_stack_rank_only(monkeypatch, h3_pole_shift, h3_punctured):
     for res in (h3_pole_shift, h3_punctured):
         calls = count_code_ranks(monkeypatch)
-        c1, c2, report = _code_pair(res.curve, res.d_places, res.G, res.H)
+        c1, c2, report = _code_pair(res.curve, res.d_places, res.G, res.H, res.certificates)
         assert calls == [2]
         N = res.code_g.N
-        assert report == K.is_lcp(res.code_g, res.code_h) == LcpReport(
+        # is_lcp's report has no conditions; the pair's carries them
+        assert dataclasses.replace(report, conditions=None) == K.is_lcp(res.code_g, res.code_h) == LcpReport(
             res.code_g.k, res.code_h.k, N, N, True)
+        assert report.conditions == res.report.conditions and report.conditions.passed
         assert (c1.generator, c2.generator) == (res.code_g.generator, res.code_h.generator)
         assert (c1.k, c2.k) == (dense_rank(c1), dense_rank(c2))
 
@@ -976,12 +1055,13 @@ def test_code_pair_failure_path_ranks_each_code(monkeypatch, h3):
     G, H = K.Divisor.of((inf, 24)), K.Divisor.of((inf, 3))
     assert (rrspace.dim_by_decomposition(h3, G), rrspace.dim_by_decomposition(h3, H)) == (22, 2)
     calls = count_code_ranks(monkeypatch)
-    c1, c2, report = _code_pair(h3, D, G, H)
+    c1, c2, report = _code_pair(h3, D, G, H, [])
     assert calls == [2, 1, 1]
     monkeypatch.undo()
     assert (report.k1, report.k2, report.rank_of_stack, report.verdict) == (21, 2, 21, False)
     g_code, h_code = K.ag_code(h3, D, G), K.ag_code(h3, D, H)
-    assert report == K.is_lcp(g_code, h_code)
+    assert dataclasses.replace(report, conditions=None) == K.is_lcp(g_code, h_code)
+    assert report.conditions == K.verify_lcp_conditions(h3, D, G, H, [])
     assert (c1.k, c2.k) == (dense_rank(c1), dense_rank(c2)) == (21, 2)
     assert (c1.generator, c2.generator) == (g_code.generator, h_code.generator)
 
@@ -996,7 +1076,7 @@ def test_code_pair_failure_path_planted_dependent_row(monkeypatch, h3_pole_shift
     assert stack == res.code_g.N - 1
     message = r"^rank 14 does not match deg G \+ 1 - g = 15$"
     with pytest.raises(InternalInvariantError, match=message):
-        _code_pair(res.curve, res.d_places, res.G, res.H)
+        _code_pair(res.curve, res.d_places, res.G, res.H, res.certificates)
     with pytest.raises(InternalInvariantError, match=message):
         K.ag_code(res.curve, res.d_places, res.G)
     E = K.Divisor.of((K.Place.infinity(), -1), (res.curve.root_place(1), 1),

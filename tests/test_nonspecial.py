@@ -456,3 +456,16 @@ def test_covering_tuple_is_built_once_per_curve(h3):
     fresh = hermitian(3)
     assert covering_tuple(fresh, D1) is not tup
     assert covering_tuple(fresh, D1) == K.QTuple.of(fresh, tup.places)
+
+
+def test_covering_tuple_falls_back_to_the_support():
+    # y^2 = x^3 - x over GF(3) has four totally ramified places, more than
+    # q = 3, so no tuple holds them all: the support is the tuple
+    curve = K.curve_create(K.field_create(3, 1), 2, 1, [(0, 1), (1, 1), (2, 1)])
+    assert len(curve.totally_ramified_places()) == 4
+    Q0, Q1 = curve.root_place(0), curve.root_place(1)
+    D = K.Divisor.of((Q0, 1), (Q1, -1))
+    assert covering_tuple(curve, D).places == (Q0, Q1)
+    assert K.divisor_nonspecial_gminus1(curve, D) is True
+    assert K.dim_by_decomposition(curve, D) == 0
+
