@@ -16,6 +16,7 @@ from .codes import (
     is_lcp,
     min_distance,
     verify_lcp_conditions,
+    verify_stored_pair,
 )
 from .curve import (
     CurveFunction,
@@ -76,5 +77,5 @@ __all__ = [
     "maximal_elements_below", "min_distance", "mth_roots", "nonspecial_effective_g",
     "nonspecial_g", "nonspecial_gminus1", "parse_place", "restrict_to_xline",
     "rr_basis", "separable_family", "stratum_shift", "support_feasibility", "t_val",
-    "unit_multiplicity_family", "verify_lcp_conditions",
+    "unit_multiplicity_family", "verify_lcp_conditions", "verify_stored_pair",
 ]

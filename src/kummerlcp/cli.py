@@ -21,11 +21,10 @@ from .codes import (
     CertStep,
     LinearCode,
     Matrix,
-    _code_pair,
     encode_messages,
-    fiber_block_rank,
-    is_lcp,
     min_distance,
+    stored_code_fault,
+    verify_stored_pair,
 )
 from .curve import Divisor, KummerCurve, curve_from_json, parse_place
 from .errors import KummerError, UsageError
@@ -201,8 +200,9 @@ def cmd_lcp_build(args) -> dict:
     return result.to_json()
 
 
-def _load_lcp_result(path: str):
-    """Curve, D, G, H, certificates and the two stored codes of an lcp-build result."""
+def cmd_lcp_verify(args) -> dict:
+    """codes.verify_stored_pair on an lcp-build result, read from its file."""
+    path = args.result
 
     def parse(obj):  # this order decides the error of a file bad in several parts
         curve = curve_from_json(obj["curve"])
@@ -212,48 +212,17 @@ def _load_lcp_result(path: str):
         return (curve, d_places, G, H, certificates,
                 [_code_from_json(curve.field, cj, path) for cj in obj["codes"]])
 
-    curve, d_places, G, H, certificates, codes = _read(path, "an lcp-build result", parse)
-    if len(codes) != 2:
-        raise UsageError(f"result file {path} must hold two codes, not {len(codes)}")
-    return curve, d_places, G, H, certificates, codes
-
-
-def cmd_lcp_verify(args) -> dict:
-    curve, d_places, G, H, certificates, stored = _load_lcp_result(args.result)
-    *rebuilt, report = _code_pair(curve, d_places, G, H, certificates)
-    # each stored code must hold what code-info requires, k rows of length N
-    # and rank k, and be C(D, G) resp. C(D, H): the same N and k, its rows
-    # inside the row space of the rebuilt generator.  A stored code
-    # byte-equal to its rebuilt code passes both with no rank taken
-    same = [(c.N, c.k, c.generator) == (r.N, r.k, r.generator) for c, r in zip(stored, rebuilt)]
-    stored_ranks_ok = all(
-        s or (c.generator.data.shape == (c.k, c.N) and fiber_block_rank(c) == c.k)
-        for s, c in zip(same, stored))
-    stored_codes_match = all(
-        s or ((c.N, c.k, c.generator.cols) == (r.N, r.k, r.N) and fiber_block_rank(c, r) == r.k)
-        for s, c, r in zip(same, stored, rebuilt))
-    # when both pass, each stored code spans its rebuilt code, so the stored
-    # stack spans the rebuilt one and the rebuilt pair's ranks are the stored pair's
-    ranks = report if stored_ranks_ok and stored_codes_match else is_lcp(*stored)
-    return {
-        "verdict": "LCP" if ranks.verdict and stored_codes_match else "NOT_LCP",
-        "rank_of_stack": ranks.rank_of_stack,
-        "stored_ranks_ok": stored_ranks_ok,
-        "stored_codes_match": stored_codes_match,
-        "conditions_pass": report.conditions.passed,
-        "conditions": report.conditions.to_json(),
-    }
+    *pair, stored = _read(path, "an lcp-build result", parse)
+    if len(stored) != 2:
+        raise UsageError(f"result file {path} must hold two codes, not {len(stored)}")
+    return verify_stored_pair(*pair, stored)
 
 
 def _load_code(path: str) -> LinearCode:
     code = _read(path, "a code",
                  lambda obj: _code_from_json(field_from_json(obj["field"]), obj, path))
-    gen = code.generator
-    if gen.cols != code.N or code.k != gen.rows:
-        raise UsageError(f"input file {path}: a {gen.rows} x {gen.cols} generator cannot hold "
-                         f"an [{code.N}, {code.k}] code")
-    if fiber_block_rank(code) != code.k:
-        raise UsageError(f"input file {path}: the {gen.rows} generator rows are dependent")
+    if (fault := stored_code_fault(code)) is not None:
+        raise UsageError(f"input file {path}: {fault}")
     return code
 
 
@@ -261,12 +230,7 @@ def cmd_code_info(args) -> dict:
     if args.sample < 0:
         raise UsageError(f"--sample needs a count >= 0, got {args.sample}")
     code = _load_code(args.code)
-    out = {
-        "N": code.N,
-        "k": code.k,
-        "q": code.field.q,
-        "rank": code.k,  # _load_code checked that the generator has rank k
-    }
+    out = {"N": code.N, "k": code.k, "q": code.field.q, "rank": code.k}  # _load_code checked it
     if args.sample:
         rng = np.random.default_rng(args.seed)
         msgs = rng.integers(0, code.field.q, size=(args.sample, code.k), dtype=np.int64)

@@ -128,12 +128,8 @@ class Matrix:
         return self.data.shape[1]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.data.shape == other.data.shape
-            and bool(np.all(self.data == other.data))
-        )
+        return (isinstance(other, Matrix) and self.field == other.field
+                and np.array_equal(self.data, other.data))
 
     def to_json(self) -> list[list[int]]:
         return self.data.tolist()
@@ -323,12 +319,8 @@ def _dimension_checked(code: LinearCode, k: int) -> LinearCode:
 
 
 def ag_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor) -> LinearCode:
-    """The evaluation code C(D, G) for D the sum of the given affine places.
-
-    Within the window 2g-2 < deg G < N the dimension is checked against
-    deg G + 1 - g; outside it the generator is reduced to a row basis, which
-    keeps the character blocks.
-    """
+    """The evaluation code C(D, G) for D the sum of the given affine places,
+    its dimension checked and its generator reduced by _dimension_checked."""
     _require_disjoint(eval_places, G)
     check_curve_points(curve, eval_places)
     check_curve_points(curve, rrspace._affine_drops(G)[1])
@@ -426,6 +418,49 @@ def _code_pair(curve: KummerCurve, d_places: Sequence[Place], G: Divisor, H: Div
         _dimension_checked(code, code.generator.rows if proved else fiber_block_rank(code))
     k1, k2 = codes[0].k, codes[1].k
     return codes[0], codes[1], LcpReport(k1, k2, N, r, k1 + k2 == N and r == N, conditions)
+
+
+def stored_code_fault(code: LinearCode, rank: int | None = None) -> str | None:
+    """None when a stored code is what code-info reads, k rows of length N
+    of rank k, and otherwise what it is not.  The shape is checked first, so
+    a wrong one takes no rank; a rank the caller already knows is passed."""
+    gen = code.generator
+    if gen.cols != code.N or gen.rows != code.k:
+        return f"a {gen.rows} x {gen.cols} generator cannot hold an [{code.N}, {code.k}] code"
+    if (fiber_block_rank(code) if rank is None else rank) != code.k:
+        return f"the {gen.rows} generator rows are dependent"
+    return None
+
+
+def verify_stored_pair(curve: KummerCurve, d_places: Sequence[Place], G: Divisor, H: Divisor,
+                       certificates: Sequence[CertStep], stored: Sequence[LinearCode]) -> dict:
+    """lcp-verify's report: is the stored pair C(D, G), C(D, H), and an LCP?
+
+    A stored code not byte-equal to its code rebuilt by _code_pair needs the
+    rebuilt N and k and its rows inside the rebuilt code (stored_codes_match,
+    checked first), and no stored_code_fault (stored_ranks_ok).  The verdict
+    is LCP only when both stored codes pass and the rebuilt pair is an LCP,
+    whose rank_of_stack is then the stored one; else it is the stored stack's.
+    A chain that does not reduce lmd(G,H) - D to ramified support plus
+    coefficient -1 affine places raises CertificateInvalidError (lcp-verify
+    exits 2); any other ends linearly equivalent to it, and the conditions
+    judge that divisor (conditions_pass)."""
+    *rebuilt, report = _code_pair(curve, d_places, G, H, certificates)
+    pending = [(c, r) for c, r in zip(stored, rebuilt)
+               if (c.N, c.k, c.generator) != (r.N, r.k, r.generator)]
+    codes_match = all((c.N, c.k, c.generator.cols) == (r.N, r.k, r.N)
+                      and fiber_block_rank(c, r) == r.k for c, r in pending)
+    stack = None if codes_match else is_lcp(*stored)
+    # the one-rank lemma on the stored stack alone: rank = row count gives each code's
+    known = stack is not None and stack.rank_of_stack == sum(c.generator.rows for c in stored)
+    ranks_ok = all(stored_code_fault(c, c.generator.rows if known else None) is None
+                   for c, _ in pending)
+    if stack is None:
+        stack = report if ranks_ok else is_lcp(*stored)
+    return {"verdict": "LCP" if ranks_ok and codes_match and stack.verdict else "NOT_LCP",
+            "rank_of_stack": stack.rank_of_stack, "stored_ranks_ok": ranks_ok,
+            "stored_codes_match": codes_match, "conditions_pass": report.conditions.passed,
+            "conditions": report.conditions.to_json()}
 
 
 @dataclass(frozen=True)

@@ -240,9 +240,9 @@ def plant_dependent_row(monkeypatch, divisor: "K.Divisor") -> None:
 
 
 def count_code_ranks(monkeypatch) -> list:
-    """The fiber_block_rank calls made through codes and cli from now on, as
-    the number of codes stacked in each."""
-    from kummerlcp import cli, codes
+    """The fiber_block_rank calls made through codes from now on, as the
+    number of codes stacked in each."""
+    from kummerlcp import codes
     calls = []
     rank = codes.fiber_block_rank
 
@@ -251,5 +251,4 @@ def count_code_ranks(monkeypatch) -> list:
         return rank(*cs)
 
     monkeypatch.setattr(codes, "fiber_block_rank", counted)
-    monkeypatch.setattr(cli, "fiber_block_rank", counted)
     return calls

@@ -160,9 +160,10 @@ def verify_edited(tmp_path, result, edit, expect=0):
 
 def test_lcp_verify_rejects_forged_generators(monkeypatch, tmp_path, h3_result):
     # [I | 0] and [0 | I]: the stored pair is itself complementary; only the
-    # tie to G and H fails.  G's rows do not lie in C(D, G), so the stored
-    # pair's own stack is ranked: both stored codes (15 and 9 rows), G
-    # stacked on the rebuilt G (30), then the stored stack (24)
+    # tie to G and H fails.  G stacked on the rebuilt G (30 rows) shows that
+    # its rows do not lie in C(D, G), so the stored stack is ranked (24); its
+    # rank 24 on 24 rows gives both stored ranks, and no stored code is
+    # ranked alone
     result = json.loads(json.dumps(h3_result))
     eye = np.eye(24, dtype=np.int64).tolist()
     result["codes"][0]["generator"], result["codes"][1]["generator"] = eye[:15], eye[15:]
@@ -170,20 +171,21 @@ def test_lcp_verify_rejects_forged_generators(monkeypatch, tmp_path, h3_result):
     assert out["rank_of_stack"] == 24 and out["stored_ranks_ok"] is True
     assert out["stored_codes_match"] is False
     assert out["verdict"] == "NOT_LCP"
-    assert dense_rows == [15, 9, 30, 24]
+    assert dense_rows == [30, 24]
 
 
 def test_lcp_verify_holds_stored_codes_to_code_info_rule(monkeypatch, tmp_path, h3_result):
     # G with its first row repeated: 16 rows for k = 15, which code-info
-    # rejects.  stored_ranks_ok fails on the row count, with no rank of G
-    # alone; G still spans C(D, G) (31 rows stacked on the rebuilt G), so
-    # the verdict, read off the stored stack (25 rows), stays LCP
+    # rejects.  G still spans C(D, G) (31 rows stacked on the rebuilt G), and
+    # stored_ranks_ok fails on the row count, with no rank of G alone; the
+    # verdict reads the same rule, so it is NOT_LCP, and rank_of_stack is the
+    # stored stack's (25 rows)
     result = json.loads(json.dumps(h3_result))
     rows = result["codes"][0]["generator"]
     rows.append(rows[0])
     out, dense_rows = verify_in_process(monkeypatch, tmp_path, result)
     assert out["stored_ranks_ok"] is False and out["stored_codes_match"] is True
-    assert out["verdict"] == "LCP" and out["rank_of_stack"] == 24
+    assert out["verdict"] == "NOT_LCP" and out["rank_of_stack"] == 24
     assert dense_rows == [31, 25]
     path = tmp_path / "code.json"
     path.write_text(json.dumps(dict(result["codes"][0], field=result["curve"]["field"])))
@@ -286,8 +288,8 @@ def test_lcp_verify_gf1021_construction_r_on_fiber_blocks(monkeypatch, tmp_path,
 def verify_spanning_g(monkeypatch, tmp_path, result, edit):
     """lcp-verify with the stored G's rows replaced by edit(field, rows), a
     generator of C(D, G) that is not the rebuilt one byte for byte: it takes
-    two dense ranks, its own and its stack with the rebuilt G, and then spans
-    the rebuilt G, so the stored pair's stack is not ranked."""
+    two dense ranks, its stack with the rebuilt G and then its own, and so
+    spans the rebuilt G, so the stored pair's stack is not ranked."""
     result = json.loads(json.dumps(result))
     stored = np.array(result["codes"][0]["generator"], dtype=np.int64)
     edited = edit(K.field_create(1021, 1), stored)
@@ -296,7 +298,7 @@ def verify_spanning_g(monkeypatch, tmp_path, result, edit):
     out, dense_rows = verify_in_process(monkeypatch, tmp_path, result)
     assert out["verdict"] == "LCP" and out["rank_of_stack"] == 189
     assert out["stored_ranks_ok"] is True and out["stored_codes_match"] is True
-    assert dense_rows == [len(stored), 2 * len(stored)]
+    assert dense_rows == [2 * len(stored), len(stored)]
 
 
 def test_lcp_verify_row_reduced_generator(monkeypatch, tmp_path, gf1021_punctured_result):
