@@ -38,7 +38,7 @@ from .nonspecial import (
     support_feasibility,
     unit_multiplicity_family,
 )
-from .semigroup import QTuple, dim_by_formula
+from .semigroup import QTuple
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,8 +96,7 @@ def _code_from_json(field: Field, obj: dict, path: str) -> LinearCode:
             or np.any((data < 0) | (data >= field.q))
             or bool in map(type, chain.from_iterable(rows))):
         raise UsageError(f"input file {path}: generator is not a matrix over [0, {field.q})")
-    return LinearCode(field, Matrix(field, data.astype(np.int64)), json_int(obj["N"]),
-                      json_int(obj["k"]))
+    return LinearCode(Matrix(field, data.astype(np.int64)), json_int(obj["N"]), json_int(obj["k"]))
 
 
 def _tuple_from_args(curve: KummerCurve, args) -> QTuple:
@@ -152,11 +151,7 @@ def cmd_dim(args) -> dict:
     qtuple = _tuple_from_args(curve, args)
     alpha = _alpha_from_args(args)
     cls = classify(qtuple, alpha)
-    return {
-        "dim": dim_by_formula(qtuple, alpha),
-        "degree": cls.degree,
-        "classification": cls.verdict,
-    }
+    return {"dim": cls.dim, "degree": cls.degree, "classification": cls.verdict}
 
 
 def cmd_nonspecial_check(args) -> dict:

@@ -6,7 +6,8 @@ unconditional rank test (dimensions sum to N and the stacked generators
 have full rank) and the sufficient-condition verifier (degree window,
 degree sum, gcd degree g-1, and non-specialness of gcd(G,H) and of
 lmd(G,H) - D after reduction along a caller-supplied chain of principal
-divisors).
+divisors).  No derived fact is stored: a code's field is its generator's,
+and LcpReport.verdict is read off the report's dimensions and rank.
 
 Ranks over evaluation places are taken fiber by fiber (fiber_block_rank).
 The codes evaluate the Riemann-Roch bases y^i x^j prod_k (x - a_k)^(-A_k)
@@ -58,15 +59,15 @@ for every input.  Phi's columns are border columns in the lemma above.
 Each code brings its own drop columns, so a stack of codes with different
 drops is ranked by the same identity with the rank of every Phi subtracted.
 
-One-rank lemma.  Say G has r1 rows, H has r2 rows, r1 + r2 = N and
-rank [G; H] = N.  Then rank G >= N - rank H >= N - r2 = r1, so rank G = r1
-and rank H = r2: the stack's rank proves both codes' dimensions, and
-_code_pair takes no other rank.  The M_aug identity is exact for every
-input, so this holds for a K H' code as well.  When the row counts do not
-sum to N or the stack falls short of N (the failure path), the lemma says
-nothing, and both codes are ranked on their own.  Either way k reaches the
-code through _dimension_checked, as in ag_code, so every dimension reported
-or checked is a rank.
+One-rank lemma (_known_ranks).  Say G has r1 rows, H has r2 rows and
+rank [G; H] = r1 + r2.  Then rank G >= r1 + r2 - rank H >= r1, so rank G = r1
+and rank H = r2: the stack's rank proves both codes' ranks, for _code_pair
+and for verify_stored_pair's stored stack.  The M_aug identity is exact for
+every input, so this holds for a K H' code as well.  When the stack falls
+short of its row count (the failure path), the lemma says nothing, and each
+code is ranked on its own.  Either way k reaches a built code through
+_dimension_checked, as in ag_code, so every dimension reported or checked is
+a rank.
 
 Checked places.  Outside places are checked where they enter: at the public
 entry points (ag_code, verify_lcp_conditions, rrspace.evaluation_rows and
@@ -147,43 +148,44 @@ def divisor_lmd(A: Divisor, B: Divisor) -> Divisor:
 
 @dataclass
 class LinearCode:
-    """An [N, k] evaluation code with its divisor provenance."""
+    """An [N, k] evaluation code with its divisor provenance, over its generator's field."""
 
-    field: Field
     generator: Matrix
     N: int
     k: int
     curve: KummerCurve | None = None
     G: Divisor | None = None
-    places: tuple[Place, ...] = ()
+
+    @property
+    def field(self) -> Field:
+        return self.generator.field
 
     def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "k": self.k,
-            "field": self.field.to_json(),
-            "generator": self.generator.to_json(),
-        }
+        return {"N": self.N, "k": self.k, "field": self.field.to_json(),
+                "generator": self.generator.to_json()}
 
 
 @dataclass(frozen=True, eq=False)
 class CharacterBlocks:
     """A generator's rows in bordered fiber-block form (module docstring).
 
-    They were split on the columns places, with whole fibers of m points.
-    parts[i] holds the stratum-i rows: their values at the first column of
-    every whole fiber, then at the border columns.  The border columns are
-    the columns off whole fibers, then the code's drop columns Phi, whose
-    rank is drop_rank.
+    They were split on the columns places, with whole fibers of m points,
+    m the number of parts.  parts[i] holds the stratum-i rows: their values
+    at the first column of every whole fiber, then at the border columns.
+    The border columns are the columns off whole fibers, then the code's drop
+    columns Phi, whose rank is drop_rank.
     """
 
     places: tuple[Place, ...]
-    m: int
     parts: tuple[np.ndarray, ...]
     fibers: int
     lone: int
     drops: int
     drop_rank: int
+
+    @property
+    def m(self) -> int:
+        return len(self.parts)
 
 
 def _fiber_layout(m: int, places: Sequence[Place]) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +214,7 @@ def _character_split(m: int, places: tuple[Place, ...], rows: np.ndarray, basis:
         # rows = null_space(Phi^T) H' has a row per basis vector of Phi's left
         # kernel, so rank(Phi) = len(basis) - len(rows), with no elimination
         drops, drop_rank = phi.shape[1], len(basis) - len(rows)
-    return CharacterBlocks(places, m, tuple(cols[strata == i] for i in range(m)), len(first),
+    return CharacterBlocks(places, tuple(cols[strata == i] for i in range(m)), len(first),
                            len(lone), drops, drop_rank)
 
 
@@ -230,7 +232,8 @@ def _bordered_rank(field: Field, splits: Sequence[CharacterBlocks]) -> int:
     """Rank of the stack of the codes in splits, by the border residual lemma
     and the M_aug identity, each code's drop columns after the shared ones
     and zero in the other codes' rows.  The m character blocks that have rows
-    are eliminated as one stack, padded with zero rows."""
+    are eliminated as one stack, padded with zero rows (with no whole fiber,
+    every column is a border column and the residuals are the echelon rows)."""
     fibers, lone, m = splits[0].fibers, splits[0].lone, splits[0].m
     shared = fibers + lone
     drops = sum(b.drops for b in splits)
@@ -245,15 +248,12 @@ def _bordered_rank(field: Field, splits: Sequence[CharacterBlocks]) -> int:
             M[r:r + len(part), :shared] = part[:, :shared]
             M[r:r + len(part), c:c + b.drops] = part[:, shared:]
             r, c = r + len(part), c + b.drops
-    if fibers:
-        blocks, pivots = linalg.echelons(field, blocks)
-        residuals = []
-        for M, piv in zip(blocks, pivots):
-            block_rank = bisect_left(piv, fibers)
-            total += block_rank
-            residuals.append(M[block_rank:len(piv), fibers:])
-    else:
-        residuals = [M[:sizes[i], fibers:] for M, i in zip(blocks, live)]
+    blocks, pivots = linalg.echelons(field, blocks)
+    residuals = []
+    for M, piv in zip(blocks, pivots):
+        block_rank = bisect_left(piv, fibers)
+        total += block_rank
+        residuals.append(M[block_rank:len(piv), fibers:])
     if lone + drops and live:
         total += linalg.rank(field, np.vstack(residuals))
     return total
@@ -297,7 +297,7 @@ def _unranked_code(curve: KummerCurve, eval_places: Sequence[Place], G: Divisor)
     field = curve.field
     rows, basis, phi, strata = rrspace.evaluation_parts(curve, G, places)
     gen = _with_blocks(field, rows, _character_split(curve.m, places, rows, basis, strata, phi))
-    return LinearCode(field, gen, len(places), len(rows), curve, G, places)
+    return LinearCode(gen, len(places), len(rows), curve, G)
 
 
 def _dimension_checked(code: LinearCode, k: int) -> LinearCode:
@@ -375,26 +375,30 @@ class LcpReport:
     k2: int
     N: int
     rank_of_stack: int
-    verdict: bool
     conditions: "ConditionReport | None" = None
 
+    @property
+    def verdict(self) -> bool:
+        return self.k1 + self.k2 == self.N and self.rank_of_stack == self.N
+
     def to_json(self) -> dict:
-        return {
-            "k1": self.k1,
-            "k2": self.k2,
-            "N": self.N,
-            "rank_of_stack": self.rank_of_stack,
-            "verdict": "LCP" if self.verdict else "NOT_LCP",
-            "conditions": self.conditions.to_json() if self.conditions else None,
-        }
+        return {"k1": self.k1, "k2": self.k2, "N": self.N, "rank_of_stack": self.rank_of_stack,
+                "verdict": "LCP" if self.verdict else "NOT_LCP",
+                "conditions": self.conditions.to_json() if self.conditions else None}
 
 
 def is_lcp(c1: LinearCode, c2: LinearCode) -> LcpReport:
     """Unconditional LCP test: k1 + k2 = N and the stacked generators have rank N."""
     if c1.N != c2.N:
         raise ShapeMismatchError(f"lengths differ: {c1.N} vs {c2.N}")
-    r = fiber_block_rank(c1, c2)
-    return LcpReport(c1.k, c2.k, c1.N, r, c1.k + c2.k == c1.N and r == c1.N)
+    return LcpReport(c1.k, c2.k, c1.N, fiber_block_rank(c1, c2))
+
+
+def _known_ranks(codes: Sequence[LinearCode], stack_rank: int | None) -> list[int | None]:
+    """The one-rank lemma (module docstring): each code's rank is its row count
+    when the stack's rank is their sum; otherwise no code's rank is known (None)."""
+    rows = [c.generator.rows for c in codes]
+    return rows if stack_rank == sum(rows) else [None] * len(codes)
 
 
 def _code_pair(curve: KummerCurve, d_places: Sequence[Place], G: Divisor, H: Divisor,
@@ -404,20 +408,17 @@ def _code_pair(curve: KummerCurve, d_places: Sequence[Place], G: Divisor, H: Div
     that need no curve (overlap, coefficient -1) come first; then
     verify_lcp_conditions makes the pass's only point checks, and the codes
     are built on the checked places.  When the stack's rank proves both
-    dimensions (the one-rank lemma in the module docstring) no other rank is
-    taken, and otherwise each code is ranked."""
+    dimensions (the one-rank lemma, _known_ranks) no other rank is taken,
+    and otherwise each code is ranked."""
     for D in (G, H):
         _require_disjoint(d_places, D)
         rrspace._affine_drops(D)
     conditions = verify_lcp_conditions(curve, d_places, G, H, certificates)
     codes = [_unranked_code(curve, d_places, D) for D in (G, H)]
-    N = len(d_places)
     r = fiber_block_rank(*codes)
-    proved = codes[0].generator.rows + codes[1].generator.rows == N and r == N
-    for code in codes:
-        _dimension_checked(code, code.generator.rows if proved else fiber_block_rank(code))
-    k1, k2 = codes[0].k, codes[1].k
-    return codes[0], codes[1], LcpReport(k1, k2, N, r, k1 + k2 == N and r == N, conditions)
+    for code, k in zip(codes, _known_ranks(codes, r)):
+        _dimension_checked(code, fiber_block_rank(code) if k is None else k)
+    return codes[0], codes[1], LcpReport(codes[0].k, codes[1].k, len(d_places), r, conditions)
 
 
 def stored_code_fault(code: LinearCode, rank: int | None = None) -> str | None:
@@ -446,15 +447,14 @@ def verify_stored_pair(curve: KummerCurve, d_places: Sequence[Place], G: Divisor
     exits 2); any other ends linearly equivalent to it, and the conditions
     judge that divisor (conditions_pass)."""
     *rebuilt, report = _code_pair(curve, d_places, G, H, certificates)
-    pending = [(c, r) for c, r in zip(stored, rebuilt)
-               if (c.N, c.k, c.generator) != (r.N, r.k, r.generator)]
-    codes_match = all((c.N, c.k, c.generator.cols) == (r.N, r.k, r.N)
-                      and fiber_block_rank(c, r) == r.k for c, r in pending)
+    same = [(c.N, c.k, c.generator) == (r.N, r.k, r.generator) for c, r in zip(stored, rebuilt)]
+    codes_match = all(s or ((c.N, c.k, c.generator.cols) == (r.N, r.k, r.N)
+                            and fiber_block_rank(c, r) == r.k)
+                      for c, r, s in zip(stored, rebuilt, same))
     stack = None if codes_match else is_lcp(*stored)
-    # the one-rank lemma on the stored stack alone: rank = row count gives each code's
-    known = stack is not None and stack.rank_of_stack == sum(c.generator.rows for c in stored)
-    ranks_ok = all(stored_code_fault(c, c.generator.rows if known else None) is None
-                   for c, _ in pending)
+    # the one-rank lemma on the stored stack alone, never the rebuilt pair
+    known = _known_ranks(stored, None if stack is None else stack.rank_of_stack)
+    ranks_ok = all(s or stored_code_fault(c, k) is None for c, k, s in zip(stored, known, same))
     if stack is None:
         stack = report if ranks_ok else is_lcp(*stored)
     return {"verdict": "LCP" if ranks_ok and codes_match and stack.verdict else "NOT_LCP",

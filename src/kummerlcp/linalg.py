@@ -179,10 +179,7 @@ def _eliminate(field: Field, stack: np.ndarray, reduce: bool) -> tuple[np.ndarra
                 sel[src] = False  # the pivot's row before the swap
         sel = sel.nonzero()[0]
         if sel.size:
-            # a run of consecutive rows (the dense case) is read and written
-            # as a slice, any other selection gathered
-            run = slice(sel[0], sel[-1] + 1) if sel[-1] - sel[0] < sel.size else sel
-            la = tail[run]
+            la = tail[sel]
             k = canon.take(negate - lp)
             if n > 1:
                 which = sel // stride if has is None else (np.cumsum(has) - 1).take(sel // stride)
@@ -192,7 +189,7 @@ def _eliminate(field: Field, stack: np.ndarray, reduce: bool) -> tuple[np.ndarra
             lc += zero
             lc = zech.take(lc)
             lc += la
-            tail[run] = canon.take(lc)
+            tail[sel] = canon.take(lc)
         steps.append((c, has))
         left -= n
     flat += q1 - lead  # pivot rows read back scaled

@@ -98,9 +98,8 @@ def nonspecial_effective_g(qtuple: QTuple, alpha: Sequence[int]) -> bool:
     m = qtuple.curve.m
     if any(not 0 <= a <= m - 1 for a in alpha):
         raise AlphaOutOfRangeError("effective criterion needs alpha in [0, m-1]^n")
-    # every floor is 0 on the box
-    table = qtuple._residue_table
-    return _residue_counts(table, alpha)[1] == table.g_floors0
+    # every floor is 0 on the box, so this is the degree-g criterion, re-check included
+    return nonspecial_g(qtuple, alpha)
 
 
 @dataclass(frozen=True)

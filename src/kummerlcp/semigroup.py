@@ -82,11 +82,10 @@ class ResidueTable(NamedTuple):
 
 @dataclass(frozen=True)
 class QTuple:
-    """An ordered tuple of distinct totally ramified places with signed multiplicities."""
+    """An ordered tuple of distinct totally ramified places; QTuple.of checks them."""
 
     curve: KummerCurve
     places: tuple[Place, ...]
-    lambdas: tuple[int, ...]
 
     @staticmethod
     def of(curve: KummerCurve, places: Sequence[Place]) -> "QTuple":
@@ -95,7 +94,6 @@ class QTuple:
             raise QTupleSizeError(f"tuple size {n} outside [2, q = {curve.field.q}]")
         if len(set(places)) != n:
             raise DuplicatePlaceError("tuple places must be pairwise distinct")
-        lams = []
         for p in places:
             if p.kind == "inf":
                 if curve.d_inf != 1:
@@ -105,8 +103,7 @@ class QTuple:
                     raise NotTotallyRamifiedError(f"{p.id()} is not totally ramified")
             else:
                 raise NotTotallyRamifiedError(f"{p.id()} is not a ramified place")
-            lams.append(curve.signed_multiplicity(p))
-        return QTuple(curve, tuple(places), tuple(lams))
+        return QTuple(curve, tuple(places))
 
     @staticmethod
     def all_ramified(curve: KummerCurve) -> "QTuple":
@@ -119,6 +116,11 @@ class QTuple:
     @property
     def n(self) -> int:
         return len(self.places)
+
+    @cached_property
+    def lambdas(self) -> tuple[int, ...]:
+        """The places' signed multiplicities (KummerCurve.signed_multiplicity)."""
+        return tuple(map(self.curve.signed_multiplicity, self.places))
 
     @cached_property
     def _shift_table(self) -> tuple[tuple[int, ...], ...]:

@@ -13,6 +13,7 @@ from kummerlcp import cli, lcp, linalg, rrspace
 from kummerlcp.codes import (
     CertStep,
     ConditionReport,
+    CharacterBlocks,
     LcpReport,
     _bordered_rank,
     _chain_divisor,
@@ -123,9 +124,9 @@ def test_matmul_matches_scalar_triple_loop(p, e):
 
 def test_rank_identity_and_zero(gf9):
     ident = K.Matrix(gf9, np.eye(5, dtype=np.int64))
-    assert fiber_block_rank(K.LinearCode(gf9, ident, 5, 5)) == 5
+    assert fiber_block_rank(K.LinearCode(ident, 5, 5)) == 5
     zero = K.Matrix(gf9, np.zeros((4, 7), dtype=np.int64))
-    assert fiber_block_rank(K.LinearCode(gf9, zero, 7, 4)) == 0
+    assert fiber_block_rank(K.LinearCode(zero, 7, 4)) == 0
 
 
 def test_rank_idempotent_under_elimination(gf9):
@@ -154,7 +155,7 @@ def test_matrix_shape_errors(gf9, gf4):
     a = K.Matrix(gf9, np.zeros((2, 3), dtype=np.int64))
     b = K.Matrix(gf9, np.zeros((2, 4), dtype=np.int64))
     c = K.Matrix(gf4, np.zeros((2, 3), dtype=np.int64))
-    a, b, c = (K.LinearCode(mat.field, mat, mat.cols, mat.rows) for mat in (a, b, c))
+    a, b, c = (K.LinearCode(mat, mat.cols, mat.rows) for mat in (a, b, c))
     with pytest.raises(ShapeMismatchError):
         fiber_block_rank(a, b)
     with pytest.raises(FieldMismatchError):
@@ -297,12 +298,37 @@ def test_min_distance_matches_enumeration_h3(h3):
 
 def test_is_lcp_complement_and_self(gf9):
     ident = np.eye(6, dtype=np.int64)
-    c1 = K.LinearCode(gf9, K.Matrix(gf9, ident[:4]), 6, 4)
-    c2 = K.LinearCode(gf9, K.Matrix(gf9, ident[4:]), 6, 2)
+    c1 = K.LinearCode(K.Matrix(gf9, ident[:4]), 6, 4)
+    c2 = K.LinearCode(K.Matrix(gf9, ident[4:]), 6, 2)
     rep = K.is_lcp(c1, c2)
     assert rep.verdict and rep.rank_of_stack == 6
     rep2 = K.is_lcp(c1, c1)
     assert not rep2.verdict
+
+
+def test_derived_facts_are_read_off_their_sources(gf4, h3_pole_shift):
+    fields = {cls: [f.name for f in dataclasses.fields(cls)]
+              for cls in (K.LinearCode, LcpReport, K.QTuple, CharacterBlocks)}
+    assert fields == {K.LinearCode: ["generator", "N", "k", "curve", "G"],
+                      LcpReport: ["k1", "k2", "N", "rank_of_stack", "conditions"],
+                      K.QTuple: ["curve", "places"],
+                      CharacterBlocks: ["places", "parts", "fibers", "lone", "drops",
+                                        "drop_rank"]}
+    # a code is over its generator's field: [[1, 2], [2, 3]] has rank 1 over
+    # GF(4) (row 2 is 2 times row 1), and is stored as GF(4)
+    code = K.LinearCode(K.Matrix(gf4, [[1, 2], [2, 3]]), 2, 2)
+    assert code.field is code.generator.field is gf4
+    assert fiber_block_rank(code) == 1
+    assert code.to_json()["field"] == gf4.to_json()
+    for c in (h3_pole_shift.code_g, h3_pole_shift.code_h):
+        assert c.field is c.generator.field
+        assert c.generator.blocks.m == len(c.generator.blocks.parts) == 4
+    # the verdict is read off the ranks
+    for report, verdict in ((LcpReport(15, 9, 24, 20), "NOT_LCP"),
+                            (LcpReport(15, 8, 24, 24), "NOT_LCP"),
+                            (LcpReport(15, 9, 24, 24), "LCP")):
+        assert report.verdict == (verdict == "LCP")
+        assert report.to_json()["verdict"] == verdict
 
 
 def test_is_lcp_row_operation_invariance(h3):
@@ -316,7 +342,7 @@ def test_is_lcp_row_operation_invariance(h3):
     for i in range(gen.shape[0]):
         gen[i] = f.vmul(gen[i], int(rng.integers(1, 9)))
     gen[0] = f.vadd(gen[0], gen[1])
-    scrambled = K.LinearCode(f, K.Matrix(f, gen), res.code_g.N, res.code_g.k)
+    scrambled = K.LinearCode(K.Matrix(f, gen), res.code_g.N, res.code_g.k)
     rep = K.is_lcp(scrambled, res.code_h)
     assert rep.verdict == res.report.verdict
 
@@ -685,16 +711,19 @@ def h3_punctured(h3):
 
 
 def variant(code, data):
-    """A code on code's curve, places and divisor with the given generator,
-    made by hand: it carries no character blocks."""
-    f = code.field
-    return K.LinearCode(f, K.Matrix(f, data), code.N, len(data), code.curve, code.G,
-                        code.places)
+    """A code on code's curve and divisor with the given generator, made by
+    hand: it carries no character blocks."""
+    return K.LinearCode(K.Matrix(code.field, data), code.N, len(data), code.curve, code.G)
+
+
+def places_of(code):
+    """The places an evaluation code's generator was split on."""
+    return code.generator.blocks.places
 
 
 def parts_of(code):
     """(H', row strata, Phi) of an evaluation code, from rrspace.evaluation_parts."""
-    _, basis, phi, strata = rrspace.evaluation_parts(code.curve, code.G, code.places)
+    _, basis, phi, strata = rrspace.evaluation_parts(code.curve, code.G, places_of(code))
     return basis, strata, phi
 
 
@@ -706,7 +735,7 @@ def planted_code(monkeypatch, code, basis, strata, phi=None):
     rows = basis if phi is None else linalg.matmul(f, linalg.null_space(f, phi.T), basis)
     with monkeypatch.context() as patch:
         patch.setattr(rrspace, "evaluation_parts", lambda *args: (rows, basis, phi, strata))
-        return _unranked_code(code.curve, code.places, code.G)
+        return _unranked_code(code.curve, places_of(code), code.G)
 
 
 def test_fiber_block_rank_planted_deficits(monkeypatch, h3_pole_shift):
@@ -744,7 +773,7 @@ def test_fiber_block_rank_falls_back_to_dense(h3_pole_shift, h3_punctured):
     forged = variant(code, np.eye(code.k, code.N, dtype=np.int64))
     assert forged.generator.blocks is None and fiber_block_rank(forged) == code.k
     # a generator replaced after the fact loses the blocks: K H' mixes strata
-    rebuilt = _unranked_code(other.curve, other.places, other.G)
+    rebuilt = _unranked_code(other.curve, places_of(other), other.G)
     assert rebuilt.generator.blocks is not None
     rebuilt.generator = K.Matrix(f, rebuilt.generator.data)
     assert rebuilt.generator.blocks is None and fiber_block_rank(rebuilt) == other.k
@@ -798,14 +827,13 @@ def test_generator_data_cannot_be_made_writable(h3):
 
 def test_hand_built_code_keeps_the_block_path(monkeypatch, h3_pole_shift):
     # the blocks travel with the generator, so a LinearCode made by hand
-    # around an evaluation generator is ranked by them, whatever its places
+    # around an evaluation generator, with no curve or divisor, is ranked by them
     code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
     calls = count_block_ranks(monkeypatch)
-    for places in ((), code.places[::-1]):
-        bare = K.LinearCode(code.field, code.generator, code.N, code.k, places=places)
-        assert fiber_block_rank(bare) == dense_rank(bare) == code.k
-        assert fiber_block_rank(bare, other) == dense_rank(bare, other) == code.N
-    assert calls == [1, 2, 1, 2]
+    bare = K.LinearCode(code.generator, code.N, code.k)
+    assert fiber_block_rank(bare) == dense_rank(bare) == code.k
+    assert fiber_block_rank(bare, other) == dense_rank(bare, other) == code.N
+    assert calls == [1, 2]
 
 
 def test_blocks_on_reordered_places_take_the_dense_path(monkeypatch, h3, h3_pole_shift):
@@ -813,7 +841,7 @@ def test_blocks_on_reordered_places_take_the_dense_path(monkeypatch, h3, h3_pole
     # were split on different column orders, so they are not stacked (that
     # would give 24; the dense rank is 23), though each code's own are used
     code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
-    reordered = _unranked_code(h3, code.places[::-1], other.G)
+    reordered = _unranked_code(h3, places_of(code)[::-1], other.G)
     assert set(reordered.generator.blocks.places) == set(code.generator.blocks.places)
     calls = count_block_ranks(monkeypatch)
     assert fiber_block_rank(code, reordered) == dense_rank(code, reordered) == 23
@@ -829,7 +857,7 @@ def test_replaced_matrix_has_no_blocks(h3_pole_shift):
     for matrix in (dataclasses.replace(gen, data=gen.data[::-1]), dataclasses.replace(gen),
                    K.Matrix(gen.field, gen.data)):
         assert matrix.blocks is None and not matrix.data.flags.writeable
-        bare = K.LinearCode(code.field, matrix, code.N, code.k)
+        bare = K.LinearCode(matrix, code.N, code.k)
         assert fiber_block_rank(bare) == code.k
     with pytest.raises(ValueError):  # blocks is not an init field
         dataclasses.replace(gen, blocks=gen.blocks)
@@ -840,7 +868,7 @@ def test_replaced_matrix_has_no_blocks(h3_pole_shift):
 def test_bordered_rank_partial_fibers(h3, h3_pole_shift):
     code, other = h3_pole_shift.code_g, h3_pole_shift.code_h
     # the last column dropped: five whole fibers and three lone points
-    partial, partial_other = (_unranked_code(h3, code.places[:-1], c.G) for c in (code, other))
+    partial, partial_other = (_unranked_code(h3, places_of(code)[:-1], c.G) for c in (code, other))
     assert np.array_equal(partial.generator.data, code.generator.data[:, :-1])
     assert_ranks_agree(partial, partial_other)
     assert partial.generator.blocks.lone == 3
@@ -861,7 +889,7 @@ def test_bordered_rank_planted_deficits(monkeypatch, h3_punctured):
     res = h3_punctured
     g_code, h_code = res.code_g, res.code_h
     f, N, k1, k2 = g_code.field, g_code.N, g_code.k, h_code.k
-    assert g_code.places[0] == res.d_places[0]  # column 0 is R_2, the border column
+    assert places_of(g_code)[0] == res.d_places[0]  # column 0 is R_2, the border column
     G, g_strata, _ = parts_of(g_code)
     basis, strata, phi = parts_of(h_code)
     assert phi.shape[1] == 1  # H drops R_1
@@ -928,6 +956,22 @@ def test_bordered_rank_dependent_drop_columns(hyperelliptic):
     assert_ranks_agree(c1, c2)
     blocks = c2.generator.blocks
     assert (blocks.drops, blocks.drop_rank, blocks.lone, fiber_block_rank(c2)) == (3, 2, 1, 1)
+
+
+def test_bordered_rank_no_whole_fiber(hyperelliptic):
+    # one point of each fiber: every column is a border column, and the
+    # blocks are eliminated and their residuals ranked as for any other split
+    curve = hyperelliptic
+    fibers = [fiber for _, fiber in curve.split_fibers()]
+    inf = K.Place.infinity()
+    places = [fiber[0] for fiber in fibers[1:]]
+    G = K.Divisor.of((inf, 3))
+    H = K.Divisor.of((inf, 4), (fibers[0][0], -1), (fibers[0][1], -1))
+    c1, c2 = _unranked_code(curve, places, G), _unranked_code(curve, places, H)
+    assert_ranks_agree(c1, c2)
+    assert [(c.generator.blocks.fibers, c.generator.blocks.lone, c.generator.blocks.drops)
+            for c in (c1, c2)] == [(0, len(places), 0), (0, len(places), 2)]
+    assert (fiber_block_rank(c1), fiber_block_rank(c2)) == (2, 2)
 
 
 def test_bordered_rank_gf1021_construction_r():
@@ -1040,10 +1084,29 @@ def test_code_pair_takes_the_stack_rank_only(monkeypatch, h3_pole_shift, h3_punc
         N = res.code_g.N
         # is_lcp's report has no conditions; the pair's carries them
         assert dataclasses.replace(report, conditions=None) == K.is_lcp(res.code_g, res.code_h) == LcpReport(
-            res.code_g.k, res.code_h.k, N, N, True)
+            res.code_g.k, res.code_h.k, N, N)
+        assert report.verdict
         assert report.conditions == res.report.conditions and report.conditions.passed
         assert (c1.generator, c2.generator) == (res.code_g.generator, res.code_h.generator)
         assert (c1.k, c2.k) == (dense_rank(c1), dense_rank(c2))
+
+
+def test_code_pair_lemma_below_full_length(monkeypatch, h3_pole_shift):
+    # H - Q_inf loses one dimension, and C(D, H - Q_inf) lies in C(D, H), so
+    # the stack has rank N - 1, its row count: the lemma gives both ranks
+    # though the pair is no LCP, and no code is ranked on its own
+    res = h3_pole_shift
+    H = res.H - K.Divisor.of((K.Place.infinity(), 1))
+    calls = count_code_ranks(monkeypatch)
+    c1, c2, report = _code_pair(res.curve, res.d_places, res.G, H, res.certificates)
+    assert calls == [2]
+    monkeypatch.undo()
+    N = res.code_g.N
+    assert (report.k1, report.k2, report.rank_of_stack) == (res.code_g.k, res.code_h.k - 1, N - 1)
+    assert not report.verdict and not report.conditions.passed
+    assert (c1.k, c2.k) == (dense_rank(c1), dense_rank(c2))
+    assert dense_rank(c1, c2) == N - 1
+    assert c2.generator == K.ag_code(res.curve, res.d_places, H).generator
 
 
 def test_code_pair_failure_path_ranks_each_code(monkeypatch, h3):

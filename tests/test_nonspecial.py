@@ -317,9 +317,11 @@ def test_family_serialization(h3):
 
 
 def test_invariant_check_survives_optimize_flag():
-    # dim_by_formula is forced to disagree with the criterion; under -O a bare
-    # assert would be stripped and the bad verdict returned
+    # dim_by_formula is forced to disagree with the criteria, the degree-(g-1)
+    # one and the effective degree-g one on the box; under -O a bare assert
+    # would be stripped and the bad verdict returned
     script = """
+import itertools
 import kummerlcp as K
 from kummerlcp import nonspecial
 assert False, "assertions must be disabled"
@@ -328,18 +330,22 @@ roots = [x for x in range(9) if F.add(F.pow(x, 3), x) == 0]
 h3 = K.curve_create(F, 4, 1, [(r, 1) for r in roots])
 tup = K.QTuple.all_ramified(h3)
 alpha = tup.alpha_of(K.separable_family(h3, 3).canonical())
-print(K.nonspecial_gminus1(tup, alpha))
-nonspecial.dim_by_formula = lambda qtuple, alpha: 1
-try:
-    K.nonspecial_gminus1(tup, alpha)
-except K.errors.InternalInvariantError as exc:
-    print(exc.code)
+box = next(b for b in itertools.product(range(4), repeat=tup.n)
+           if K.nonspecial_effective_g(tup, b))
+print(K.nonspecial_gminus1(tup, alpha), K.nonspecial_effective_g(tup, box))
+for criterion, args, dim in ((K.nonspecial_gminus1, alpha, 1),
+                             (K.nonspecial_effective_g, box, 0)):
+    nonspecial.dim_by_formula = lambda qtuple, alpha: dim
+    try:
+        criterion(tup, args)
+    except K.errors.InternalInvariantError as exc:
+        print(exc.code)
 """
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "InternalInvariant"]
+    assert proc.stdout.split() == ["True", "True", "InternalInvariant", "InternalInvariant"]
 
 
 def test_wrong_length_alpha_rejected(h3):

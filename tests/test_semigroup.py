@@ -29,6 +29,16 @@ def test_stratum_shift_values(h3, z_curve):
         assert tup.shifts(i) == tuple((i * lam) % 7 for lam in tup.lambdas)
 
 
+def test_qtuple_lambdas_are_read_off_places(h3, z_curve):
+    for curve in (h3, z_curve):
+        tup = K.QTuple.all_ramified(curve)
+        assert tup.lambdas == tuple(curve.signed_multiplicity(p) for p in tup.places)
+    # a tuple made by hand carries no multiplicities that could contradict its places
+    tup = K.QTuple(h3, (K.Place.infinity(), h3.root_place(0)))
+    assert tup.lambdas == (-3, 1)
+    assert tup == K.QTuple.of(h3, tup.places)
+
+
 def test_t_val_range_errors(h3):
     with pytest.raises(IndexOutOfRangeError):
         K.t_val(h3, h3.root_place(0), 0)

@@ -151,7 +151,7 @@ def test_forgery_campaign_against_dense_oracle(h3, h3_results):
             t = Forgery.of(res)
             edit = EDITS[trial % len(EDITS)]
             edit(rng, f, t)
-            stored = [K.LinearCode(f, K.Matrix(f, gen), N, k) for gen, k in zip(t.gens, t.ks)]
+            stored = [K.LinearCode(K.Matrix(f, gen), N, k) for gen, k in zip(t.gens, t.ks)]
             args = (h3, res.d_places, t.G, t.H, t.certificates)
             label = f"{res.construction} s={res.s} {edit.__name__} seed {1000 * index + trial}"
             # the certificate contract: a chain that does not reduce raises
@@ -184,7 +184,7 @@ def test_zeroed_row_is_ranked_on_its_own(monkeypatch, h3, h3_results):
     N = len(res.d_places)
     gen = res.code_g.generator.data.copy()
     gen[0] = 0
-    stored = [K.LinearCode(h3.field, K.Matrix(h3.field, gen), N, res.code_g.k), res.code_h]
+    stored = [K.LinearCode(K.Matrix(h3.field, gen), N, res.code_g.k), res.code_h]
     dense_rows = []
     rank = linalg.rank
 
