@@ -14,7 +14,25 @@ and the Zech table `_zech` for addition, plus `canon` for elimination
 matrix M over GF(p) acting on digit vectors: the companion matrix of the
 modulus, or [[g]] for a prime field.  The modulus scan tests the order of M
 by matrix powers, the log/antilog tables are the digit vectors of M^k e_0
-(filled by doubling), and the Zech table is read off them.  Negation,
+(filled by doubling), and the Zech table is read off them.
+
+The scan visits the monic tails low-degree first in lexicographic order, so
+the constant c0 is the outer loop.  The norm of x modulo a primitive f,
+(-1)^e c0, is the norm of a generator of GF(p^e)*, and the norm maps
+GF(p^e)* onto GF(p)*, so it is a primitive root mod p: a c0 that fails this
+test rules out its whole block of p^(e-1) tails at once, and the order test
+runs only on the tails of the constants that pass.
+
+A doubling step multiplies blocks of digit rows by a power of M in float
+BLAS, as linalg.matmul does (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).
+An entry of the product is an integer of at most e (p-1)^2, below 2^40 for
+every supported field (p < 2^20 when e = 1, p^2 <= 2^20 when e >= 2), and
+every partial sum is no larger, so the product is exact in whatever order
+BLAS adds: in float32 when e (p-1)^2 + p < 2^24, and in float64 (exact
+below 2^53) otherwise.  An entry M is reduced mod p as M - p floor(fl(M / p))
+(_reduce), and a row of reduced digits packs into an encoding below
+q <= 2^20, exact in either float.  The tables are those of the integer
+walk, byte for byte.  Negation,
 inversion, powers and m-th roots are read off the logs, with no table of
 their own: -a = exp[log a + log(-1)], a^-1 = exp[(q-1) - log a],
 a^k = exp[log a (k mod (q-1)) mod (q-1)].  One formula,
@@ -52,7 +70,7 @@ from .errors import (
 )
 
 MAX_FIELD_SIZE = 1 << 20
-_DIGIT_CHUNK = 1 << 16  # rows per int64 product while filling the log tables
+_DIGIT_CHUNK = 1 << 16  # digit rows per float product while filling the log tables
 
 _FIELD_CACHE: dict[tuple[int, int], "Field"] = {}
 
@@ -110,15 +128,9 @@ def _is_primitive(coeffs: list[int], p: int) -> bool:
     the ring GF(p)[x]/(f) has zero divisors, so fewer than p^e - 1 units, and
     no element has that order.  The test therefore also proves f irreducible,
     and f is primitive exactly when it passes.
-
-    The first test is a cheap necessary condition: for f primitive the norm
-    of x, (-1)^e f(0), is the norm of a generator of GF(p^e)*, and the norm
-    maps GF(p^e)* onto GF(p)*, so it is a primitive root mod p.
     """
     e = len(coeffs) - 1
     q1 = p**e - 1
-    if not _is_primitive_root((-1) ** e * coeffs[0], p):
-        return False
     mat, one = _companion(coeffs, p), np.eye(e, dtype=np.int64)
     return np.array_equal(_matpow(mat, q1, p), one) and not any(
         np.array_equal(_matpow(mat, q1 // r, p), one) for r in _prime_factors(q1)
@@ -126,12 +138,18 @@ def _is_primitive(coeffs: list[int], p: int) -> bool:
 
 
 def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
+    """The smallest monic primitive polynomial of degree e, tails compared
+    low-degree first; the norm test on c0 skips whole blocks (module
+    docstring)."""
     if e == 1:
         return (0, 1)
-    for tail in itertools.product(range(p), repeat=e):
-        coeffs = list(tail) + [1]
-        if _is_primitive(coeffs, p):
-            return tuple(coeffs)
+    for c0 in range(p):
+        if not _is_primitive_root((-1) ** e * c0, p):
+            continue
+        for rest in itertools.product(range(p), repeat=e - 1):
+            coeffs = [c0, *rest, 1]
+            if _is_primitive(coeffs, p):
+                return tuple(coeffs)
     raise InternalInvariantError(f"no primitive polynomial of degree {e} over GF({p})")
 
 
@@ -142,6 +160,16 @@ def _generator_matrix(p: int, e: int, modulus: tuple[int, ...]) -> np.ndarray:
     if e > 1:
         return _companion(modulus, p)
     return np.array([[next(a for a in range(1, p) if _is_primitive_root(a, p))]], dtype=np.int64)
+
+
+def _reduce(M: np.ndarray, p: int) -> None:
+    """M mod p in place, for float integers M with M + p below the float's
+    exact range: unless M / p is an integer, it lies at least 1/p from every
+    integer, farther than the rounding of fl(M / p) reaches."""
+    quot = M / p
+    np.floor(quot, out=quot)
+    quot *= p
+    M -= quot
 
 
 class Field:
@@ -179,21 +207,25 @@ class Field:
 
     def _build_log_tables(self) -> None:
         # digits of g^(k+j) are M^k times those of g^j: fill the powers by
-        # doubling the filled prefix, one matrix product per step.  Digits
-        # are kept as int8 when p <= 127; each product runs in int64 on at
-        # most _DIGIT_CHUNK rows, where an entry is at most e (p-1)^2 < 2^41.
-        p, q1 = self.p, self.q - 1
-        mat = _generator_matrix(p, self.e, self.modulus)
-        pows = np.asarray(self._digit_pows, dtype=np.int64)
-        digits = np.zeros((q1, self.e), dtype=np.int8 if p <= 127 else np.int64)
+        # doubling the filled prefix, one float product per step and chunk
+        # of at most _DIGIT_CHUNK rows, exact and reduced as the module
+        # docstring says.  Digits are kept as int8 when p <= 127 and in the
+        # product's float type above, where e <= 2.
+        p, e, q1 = self.p, self.e, self.q - 1
+        dtype = np.float32 if e * (p - 1) ** 2 + p < 1 << 24 else np.float64
+        mat = _generator_matrix(p, e, self.modulus)
+        pows = np.asarray(self._digit_pows, dtype=dtype)
+        digits = np.zeros((q1, e), dtype=np.int8 if p <= 127 else dtype)
         digits[0, 0] = 1
         exp = np.ones(q1, dtype=np.int64)
         k = 1
         while k < q1:
             n = min(k, q1 - k)
+            step = mat.T.astype(dtype)
             for lo in range(0, n, _DIGIT_CHUNK):
                 hi = min(lo + _DIGIT_CHUNK, n)
-                block = digits[lo:hi].astype(np.int64) @ mat.T % p
+                block = digits[lo:hi].astype(dtype, copy=False) @ step
+                _reduce(block, p)
                 digits[k + lo:k + hi] = block
                 exp[k + lo:k + hi] = block @ pows
             mat = mat @ mat % p

@@ -47,16 +47,28 @@ from .semigroup import QTuple
 class LcpConstruction:
     construction: str  # "1", "2" or "R"
     s: int
-    curve: KummerCurve
     d_places: tuple[Place, ...]
-    G: Divisor
-    H: Divisor
     E: Divisor
     E2: Divisor | None
     certificates: tuple[CertStep, ...]
     code_g: LinearCode
     code_h: LinearCode
     report: LcpReport
+
+    # the curve and the pair (G, H) are read off the codes, so a result
+    # cannot name a divisor its code was not built from
+
+    @property
+    def curve(self) -> KummerCurve:
+        return self.code_g.curve
+
+    @property
+    def G(self) -> Divisor:
+        return self.code_g.G
+
+    @property
+    def H(self) -> Divisor:
+        return self.code_h.G
 
     def to_json(self) -> dict:
         out = {
@@ -110,8 +122,7 @@ def _finalize(
     if not (report.verdict and report.conditions.passed):
         raise InternalInvariantError("construction did not verify as an LCP")
     return LcpConstruction(
-        construction, s, curve, tuple(d_places), G, H, E, E2,
-        tuple(certificates), code_g, code_h, report,
+        construction, s, tuple(d_places), E, E2, tuple(certificates), code_g, code_h, report,
     )
 
 

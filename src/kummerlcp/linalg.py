@@ -86,8 +86,7 @@ bound P is at most e^2 (p-1) P; when that plus p reaches the float's exact
 range (GF(127^2) from k = 3 in float32), the plane products are reduced mod
 p first, and the fold is then at most e^2 (p-1)^2, below 2^23 for every
 e >= 2 with p^e <= 2^20.  A float integer M with M + p in the exact range
-is reduced as M - p floor(fl(M / p)): unless M / p is an integer, it lies
-at least 1/p below the next one, farther than the rounding reaches.
+is reduced as M - p floor(fl(M / p)) (field._reduce).
 Packing sums digits times powers of p to an encoding below 2^20.
 
 Memory.  Each temporary of matmul is at most _SLICE_BYTES: a block's lift
@@ -110,7 +109,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ElementOutOfRangeError, ShapeMismatchError
-from .field import Field
+from .field import Field, _reduce
 
 _SLICE_BYTES = 1 << 19  # bytes of the largest temporary of matmul
 
@@ -271,15 +270,6 @@ def _fold_matrix(field: Field, dtype: type) -> np.ndarray:
         powers.append(field.mul(powers[-1], p))
     i = np.arange(e)
     return _digits(np.array([powers]), p, e, dtype)[0][:, (i[:, None] + i).ravel()]
-
-
-def _reduce(M: np.ndarray, p: int) -> None:
-    """M mod p in place, for float integers M with M + p below the float's
-    exact range (module docstring)."""
-    quot = M / p
-    np.floor(quot, out=quot)
-    quot *= p
-    M -= quot
 
 
 class _Layout(NamedTuple):

@@ -23,7 +23,9 @@ and the packing is injective: two count vectors are equal exactly when
 their packed integers are.  A check is then n floor divisions, n lookups
 and one comparison (or set lookup) against packed targets that QTuple
 builds once (QTuple._residue_table); a target with a field outside [0, n]
-can never be hit and is left out.  Every accepted divisor is re-checked
+can never be hit and is left out.  Since each criterion implies its degree,
+a divisor of another degree is rejected on sum alpha alone, before any
+residue is counted.  Every accepted divisor is re-checked
 against dim_by_formula, the literal floor sum, which shares nothing with
 the tables.
 
@@ -54,14 +56,18 @@ from .errors import (
 from .semigroup import QTuple, ResidueTable, dim_by_formula
 
 
+def _has_degree(table: ResidueTable, alpha: Sequence[int], degree: int) -> bool:
+    """Whether sum alpha is degree, after checking alpha's length."""
+    if len(alpha) != len(table.words):
+        raise IndexOutOfRangeError("alpha length does not match tuple size")
+    return sum(alpha) == degree
+
+
 def _residue_counts(table: ResidueTable, alpha: Sequence[int]) -> tuple[int, int]:
     """(J, packed c): J = sum floor(alpha_k/m), c packs c_i = #{k : r_k < shift_k(i)}."""
-    words = table.words
-    if len(alpha) != len(words):
-        raise IndexOutOfRangeError("alpha length does not match tuple size")
     m = table.m
     floors = counts = 0
-    for a, word in zip(alpha, words):
+    for a, word in zip(alpha, table.words):
         floors += a // m
         counts += word[a % m]
     return floors, counts
@@ -70,9 +76,11 @@ def _residue_counts(table: ResidueTable, alpha: Sequence[int]) -> tuple[int, int
 def nonspecial_gminus1(qtuple: QTuple, alpha: Sequence[int]) -> bool:
     """True iff sum alpha_k Q_k is a non-special divisor of degree g-1."""
     table = qtuple._residue_table
+    if not _has_degree(table, alpha, qtuple.curve.genus() - 1):
+        return False
     floors, counts = _residue_counts(table, alpha)
     ok = floors == -1 and counts == table.gminus1
-    if ok and (sum(alpha) != qtuple.curve.genus() - 1 or dim_by_formula(qtuple, alpha) != 0):
+    if ok and dim_by_formula(qtuple, alpha) != 0:
         raise InternalInvariantError(f"criterion accepts {list(alpha)}, which is not "
                                      "non-special of degree g-1")
     return ok
@@ -81,12 +89,14 @@ def nonspecial_gminus1(qtuple: QTuple, alpha: Sequence[int]) -> bool:
 def nonspecial_g(qtuple: QTuple, alpha: Sequence[int]) -> bool:
     """True iff sum alpha_k Q_k is a non-special divisor of degree g."""
     table = qtuple._residue_table
+    if not _has_degree(table, alpha, qtuple.curve.genus()):
+        return False
     floors, counts = _residue_counts(table, alpha)
     if floors == 0:
         ok = counts == table.g_floors0
     else:
         ok = floors == -1 and counts in table.g_floors_less1
-    if ok and (sum(alpha) != qtuple.curve.genus() or dim_by_formula(qtuple, alpha) != 1):
+    if ok and dim_by_formula(qtuple, alpha) != 1:
         raise InternalInvariantError(f"criterion accepts {list(alpha)}, which is not "
                                      "non-special of degree g")
     return ok

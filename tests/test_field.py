@@ -346,19 +346,90 @@ def test_gf2_20_exp_holds_every_unit():
     assert f._log[0] == 2 * q1 and np.array_equal(f._exp[f._log[1:]], np.arange(1, f.q))
 
 
-@pytest.mark.parametrize("p,e", [(2, 8), (3, 5), (131, 2), (257, 1)])
+def int64_oracle(p, e):
+    """GF(p^e) built the earlier way, as an uncached Field: the flat scan of
+    every monic tail with the norm test inside it, and the log tables doubled
+    in int64 products on _DIGIT_CHUNK rows at a time.  The Zech table is read
+    off those tables by the library's own routine."""
+    if e == 1:
+        modulus = (0, 1)
+    else:
+        modulus = next(tail + (1,) for tail in itertools.product(range(p), repeat=e)
+                       if field_mod._is_primitive_root((-1) ** e * tail[0], p)
+                       and field_mod._is_primitive(list(tail) + [1], p))
+    q1 = p**e - 1
+    mat = field_mod._generator_matrix(p, e, modulus)
+    pows = np.asarray([p**i for i in range(e)], dtype=np.int64)
+    digits = np.zeros((q1, e), dtype=np.int8 if p <= 127 else np.int64)
+    digits[0, 0] = 1
+    exp = np.ones(q1, dtype=np.int64)
+    k = 1
+    while k < q1:
+        n = min(k, q1 - k)
+        for lo in range(0, n, field_mod._DIGIT_CHUNK):
+            hi = min(lo + field_mod._DIGIT_CHUNK, n)
+            block = digits[lo:hi].astype(np.int64) @ mat.T % p
+            digits[k + lo:k + hi] = block
+            exp[k + lo:k + hi] = block @ pows
+        mat = mat @ mat % p
+        k += n
+    f = object.__new__(K.Field)
+    f.p, f.e, f.q, f.modulus = p, e, p**e, modulus
+    f._log = np.full(p**e, 2 * q1, dtype=np.int64)
+    f._log[exp] = np.arange(q1, dtype=np.int64)
+    f._exp = np.zeros(4 * q1 + 1, dtype=np.int64)
+    f._exp[:q1] = exp
+    f._exp[q1:2 * q1] = exp
+    f._build_zech_table()
+    return f
+
+
+def assert_same_tables(f, oracle):
+    assert f.modulus == oracle.modulus, f
+    for name in ("_exp", "_log", "_zech"):
+        a, b = getattr(f, name), getattr(oracle, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (f, name)
+
+
+# GF(4099) and GF(1048573) double in float64: e (p-1)^2 + p >= 2^24
+@pytest.mark.parametrize("p,e", FIELD_CHOICES + BIG_FIELDS + [(2, 16), (3, 12), (2, 20),
+                                                              (4099, 1), (1048573, 1)])
+def test_float_build_matches_int64_oracle(p, e):
+    assert_same_tables(K.Field(p, e), int64_oracle(p, e))
+
+
+@pytest.mark.parametrize("p,e", [(2, 8), (3, 5), (131, 2), (257, 1), (4099, 1)])
 def test_log_tables_filled_in_small_chunks(monkeypatch, p, e):
-    # int8 digits for p <= 127, int64 above; chunk edges inside every doubling step
+    # int8 digits for p <= 127, float above; float32 products below 4099 and
+    # float64 from it; chunk edges inside every doubling step
     ref = K.field_create(p, e)
     monkeypatch.setattr(K.field, "_DIGIT_CHUNK", 7)
     small = K.field.Field(p, e)
-    for name in ("_exp", "_log", "_zech"):
-        a, b = getattr(ref, name), getattr(small, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert_same_tables(small, ref)
+    assert_same_tables(small, int64_oracle(p, e))
     a, units = np.arange(ref.q), np.arange(1, ref.q)
     for op, arg in (("vneg", a), ("vinv", units)):
         x, y = getattr(ref, op)(arg), getattr(small, op)(arg)
         assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("p,e", [(2, 16), (5, 6), (3, 10)])
+def test_scan_tests_only_constants_that_pass_the_norm_test(monkeypatch, p, e):
+    # the order test runs on every tail of a passing constant, in scan order,
+    # up to the modulus, and on no tail of a failing one
+    seen = []
+    order_test = field_mod._is_primitive
+
+    def counted(coeffs, p_):
+        seen.append(tuple(coeffs))
+        return order_test(coeffs, p_)
+
+    monkeypatch.setattr(field_mod, "_is_primitive", counted)
+    modulus = field_mod._canonical_modulus(p, e)
+    passing = [tail + (1,) for tail in itertools.product(range(p), repeat=e)
+               if field_mod._is_primitive_root((-1) ** e * tail[0], p)]
+    assert seen == passing[:passing.index(modulus) + 1]
+    assert modulus == K.Field(p, e).modulus == int64_oracle(p, e).modulus
 
 
 def test_gf3_10_modulus():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -316,6 +317,22 @@ def test_result_serialization_roundtrip(h3):
     curve = K.curve_from_json(obj["curve"])
     G = K.Divisor.from_json(curve, obj["G"])
     assert G == res.G
+
+
+@pytest.mark.parametrize("construction,s", [("1", 3), ("R", 2)])
+def test_result_reads_curve_and_divisors_off_its_codes(h3, construction, s):
+    # a result stores no curve, G or H beside its codes, so none can be
+    # replaced into a result that contradicts them
+    res = K.build(h3, construction, s)
+    assert res.curve is res.code_g.curve is res.code_h.curve is h3
+    assert (res.G, res.H) == (res.code_g.G, res.code_h.G)
+    obj = res.to_json()
+    assert (obj["G"], obj["H"]) == (res.code_g.G.to_json(), res.code_h.G.to_json())
+    for name in ("curve", "G", "H"):
+        with pytest.raises(TypeError):
+            dataclasses.replace(res, **{name: getattr(res, name)})
+        with pytest.raises(AttributeError):
+            setattr(res, name, getattr(res, name))
 
 
 def test_build_on_two_fibers_of_gf2_20_reads_no_log_array():
